@@ -25,7 +25,8 @@ under :func:`~repro.core.hashing.structural_key` — a deterministic,
 cross-process total order — so canonical representatives agree between
 runs, processes, and ``PYTHONHASHSEED`` values, and the interner, the
 columnar columns, the evaluation memos, and the rcache fingerprints all
-operate on the quotient without any further changes.
+operate on the quotient without any further changes. Candidate keys are
+assembled from a table of per-``(variable, value)`` renames and fragments.
 """
 
 from __future__ import annotations
@@ -200,9 +201,10 @@ class SymmetrySpec:
 
         The group order is :math:`\\prod_s |dom(s)|!` — tiny for the
         instance sizes enumeration can reach (e.g. 12 for Paxos with 3
-        nodes and 2 values), and the canonicalizer memoizes per-value
-        renames, so the factor is paid per *distinct* value, not per
-        store visit.
+        nodes and 2 values). The canonicalizer's image table renames and
+        renders each distinct ``(variable, value)`` pair once for the
+        whole group, so that factor is paid per *distinct* value; a store
+        visit pays only for joining and comparing one key per element.
         """
         sort_names = sorted(self.sorts)
         per_sort: List[List[Dict[Hashable, Hashable]]] = []
@@ -265,12 +267,13 @@ class Canonicalizer:
     """Maps stores and configurations to lexicographic-least orbit
     representatives under a :class:`SymmetrySpec`.
 
-    All renames are memoized at the value level — keyed by
-    ``(perm index, variable, value)`` — because protocol stores share a
-    small vocabulary of container values; the per-store group sweep then
-    mostly re-assembles cached pieces. Canonical results are additionally
-    memoized per store / per config, which makes repeated canonicalization
-    during BFS (every successor, every parent) cheap.
+    Everything reads one **image table** keyed by ``(variable, value)``:
+    a row holds, per group element, the renamed value and its key fragment
+    ``structural_key(variable) + "=" + structural_key(renamed)``. A store's
+    key is ``"Store{"`` + its sorted fragments joined by ``","`` + ``"}"``,
+    so the group sweep compares keys assembled from rows and builds only
+    the winning store. Rules run and images render once per distinct
+    ``(variable, value)``; results are memoized per store and per config.
     """
 
     def __init__(self, spec: SymmetrySpec):
@@ -278,9 +281,9 @@ class Canonicalizer:
         self.perms: List[Perm] = spec.group()
         self._globals_memo: Dict[Store, Store] = {}
         self._config_memo: Dict[Config, Config] = {}
-        self._gval_memo: Dict[Tuple[int, str, Hashable], Hashable] = {}
+        self._images: Dict[Tuple[str, Hashable], Tuple[tuple, tuple]] = {}
+        self._element_keys: Dict[Hashable, str] = {}
         self._pa_memo: Dict[Tuple[int, PendingAsync], PendingAsync] = {}
-        self._key_memo: Dict[Hashable, str] = {}
 
     @classmethod
     def of(cls, symmetry) -> "Canonicalizer":
@@ -290,13 +293,6 @@ class Canonicalizer:
         return cls(symmetry)
 
     # -- renaming ------------------------------------------------------ #
-
-    def _key(self, value: Hashable) -> str:
-        cached = self._key_memo.get(value)
-        if cached is None:
-            cached = structural_key(value)
-            self._key_memo[value] = cached
-        return cached
 
     def rename_pa(self, pending: PendingAsync, pi: int) -> PendingAsync:
         """Rename one pending async's parameters (action names are never
@@ -330,25 +326,57 @@ class Canonicalizer:
             counts[renamed] = counts.get(renamed, 0) + count
         return Multiset.from_counts(counts)
 
+    def _image(self, var: str, value: Hashable) -> Tuple[tuple, tuple]:
+        """The image-table row of one ``(variable, value)`` pair: its
+        renamed values and key fragments in group order (index 0, the
+        identity, holds the value itself)."""
+        row = self._images.get((var, value))
+        if row is None:
+            rule = self.spec.global_rules.get(var)
+            if rule is not None:
+                renamed = [value] + [rule(p, value) for p in self.perms[1:]]
+            elif var == self.spec.ghost_var and isinstance(value, Multiset):
+                pis = range(1, len(self.perms))
+                renamed = [value] + [self.rename_pending(value, pi) for pi in pis]
+            else:
+                renamed = [value] * len(self.perms)
+            prefix = structural_key(var) + "="
+            fragments: Dict[Hashable, str] = {}
+            for image in renamed:
+                if image not in fragments:
+                    fragments[image] = prefix + self._render(image)
+            row = (tuple(renamed), tuple(map(fragments.__getitem__, renamed)))
+            self._images[(var, value)] = row
+        return row
+
+    def _render(self, value: Hashable) -> str:
+        """``structural_key(value)`` byte for byte, from memoized keys of
+        a bag's elements and of a map's keys and values: the images of
+        one value under the group share them."""
+        key = self._element_key
+        if isinstance(value, Multiset):
+            parts = [f"{key(e)}*{c}" for e, c in value.counts()]
+            return "m{" + ",".join(sorted(parts)) + "}"
+        if isinstance(value, FrozenDict):
+            parts = [f"{key(k)}={key(v)}" for k, v in value.items()]
+            return type(value).__name__ + "{" + ",".join(sorted(parts)) + "}"
+        return structural_key(value)
+
+    def _element_key(self, value: Hashable) -> str:
+        key = self._element_keys.get(value)
+        if key is None:
+            key = self._element_keys[value] = structural_key(value)
+        return key
+
     def rename_global(self, store: Store, pi: int) -> Store:
         """Rename one global store under group element ``pi`` (ghost bag
-        included, via the action-parameter rules)."""
-        perm = self.perms[pi]
-        data = store.as_dict()
-        for var, value in data.items():
-            memo_key = (pi, var, value)
-            cached = self._gval_memo.get(memo_key)
-            if cached is None:
-                rule = self.spec.global_rules.get(var)
-                if rule is not None:
-                    cached = rule(perm, value)
-                elif var == self.spec.ghost_var and isinstance(value, Multiset):
-                    cached = self.rename_pending(value, pi)
-                else:
-                    cached = value
-                self._gval_memo[memo_key] = cached
-            data[var] = cached
-        return Store(data)
+        included, via the action-parameter rules); the identity returns
+        the store itself."""
+        if pi == 0:
+            return store
+        return Store(
+            {var: self._image(var, value)[0][pi] for var, value in store.items()}
+        )
 
     def rename_local(self, action: str, locals_: Store, pi: int) -> Store:
         """Rename one action's local (parameter) store."""
@@ -356,56 +384,48 @@ class Canonicalizer:
 
     # -- canonical representatives ------------------------------------- #
 
+    def _least(self, store: Store) -> List[int]:
+        """Every group element, in group order, whose image of ``store``
+        has the least ``structural_key``. No ``s<len>:<name>=`` prefix is
+        a prefix of another, so the variable names alone fix the fragment
+        order of every column, and rows sort by their first fragment."""
+        rows = sorted(self._image(var, value)[1] for var, value in store.items())
+        keys = ["Store{" + ",".join(col) + "}" for col in zip(*rows)] or [""]
+        least = min(keys)
+        return [pi for pi, key in enumerate(keys) if key == least]
+
     def store(self, store: Store) -> Store:
-        """The orbit representative of a global store: structural-key
-        minimum over the group."""
+        """The orbit representative of a global store: the first group
+        element's image with the least structural key (so a store that is
+        already least is returned as is)."""
         cached = self._globals_memo.get(store)
-        if cached is not None:
-            return cached
-        best = store
-        best_key = self._key(store)
-        for pi in range(1, len(self.perms)):
-            candidate = self.rename_global(store, pi)
-            key = self._key(candidate)
-            if key < best_key:
-                best, best_key = candidate, key
-        self._globals_memo[store] = best
-        return best
+        if cached is None:
+            cached = self.rename_global(store, self._least(store)[0])
+            self._globals_memo[store] = cached
+        return cached
 
     def config(self, config: Config) -> Config:
         """The orbit representative of a configuration, renamed
         **jointly**: one permutation is applied to the global store and
         the pending multiset, so the ghost bag inside the canonical
-        global still mirrors the canonical pending multiset exactly."""
+        global still mirrors the canonical pending multiset exactly.
+        Global-store ties break on the renamed pending bag's key, so the
+        joint representative stays deterministic even for configurations
+        without a ghost mirror."""
         cached = self._config_memo.get(config)
         if cached is not None:
             return cached
-        best_pi = 0
-        best_glob = config.glob
-        best_key = (self._key(config.glob), None)
-        for pi in range(1, len(self.perms)):
-            glob = self.rename_global(config.glob, pi)
-            key = (self._key(glob), None)
-            if key[0] < best_key[0]:
-                best_pi, best_glob, best_key = pi, glob, key
-            elif key[0] == best_key[0] and pi != best_pi:
-                # Global-store tie: break on the renamed pending bag so
-                # the joint representative stays deterministic even for
-                # configurations without a ghost mirror.
-                if best_key[1] is None:
-                    best_key = (
-                        best_key[0],
-                        self._key(self.rename_pending(config.pending, best_pi)),
-                    )
-                pending_key = self._key(self.rename_pending(config.pending, pi))
-                if pending_key < best_key[1]:
-                    best_pi, best_glob = pi, glob
-                    best_key = (key[0], pending_key)
-        if best_pi == 0:
-            canonical = config
-        else:
+        pending = config.pending
+        pi, *ties = self._least(config.glob)
+        if ties:
+            pi = min(
+                [pi, *ties],
+                key=lambda p: self._render(self.rename_pending(pending, p)),
+            )
+        canonical = config
+        if pi != 0:
             canonical = Config(
-                best_glob, self.rename_pending(config.pending, best_pi)
+                self.rename_global(config.glob, pi), self.rename_pending(pending, pi)
             )
         self._config_memo[config] = canonical
         return canonical

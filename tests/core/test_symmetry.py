@@ -8,6 +8,7 @@ equal iff they lie in the same orbit). The combinator tests pin the
 rename algebra itself on every container shape the protocols use.
 """
 
+from dataclasses import replace
 from itertools import permutations
 
 import pytest
@@ -229,8 +230,9 @@ def test_local_orbit_closes_parameter_stores():
 
 def test_rename_is_group_action_on_stores():
     """Renaming by pi then sigma equals renaming by the composite — spot
-    check on all pairs for one store (the memo key is (pi, var, value),
-    so each pair exercises the rename algebra, not the cache)."""
+    check on all pairs for one store (the image table keys rows by
+    (variable, value), so each pair exercises the rename algebra, not a
+    cached composite)."""
     spec = _spec(3)
     canon = sym.Canonicalizer(spec)
     store = _stores()[0]
@@ -248,6 +250,141 @@ def test_rename_is_group_action_on_stores():
             assert canon.rename_global(
                 canon.rename_global(store, i), j
             ) == canon.rename_global(store, k)
+
+
+# --------------------------------------------------------------------- #
+# Brute-force reference on real protocol states
+# --------------------------------------------------------------------- #
+
+
+def _reference_rename(spec, perm, var, value):
+    """Rename one global value straight from the spec's rules."""
+    rule = spec.global_rules.get(var)
+    if rule is not None:
+        return rule(perm, value)
+    if var == spec.ghost_var and isinstance(value, Multiset):
+        return _reference_rename_bag(spec, perm, value)
+    return value
+
+
+def _reference_rename_bag(spec, perm, bag):
+    counts = {}
+    for pending, count in bag.counts():
+        rules = spec.local_rules.get(pending.action, {})
+        locals_ = Store(
+            {
+                k: rules[k](perm, v) if k in rules else v
+                for k, v in pending.locals.items()
+            }
+        )
+        renamed = PendingAsync(pending.action, locals_)
+        counts[renamed] = counts.get(renamed, 0) + count
+    return Multiset.from_counts(counts)
+
+
+def _reference_least(spec, glob, pending=None):
+    """The first group element, in group order, minimizing the renamed
+    global's structural key, then the renamed pending bag's."""
+    candidates = []
+    for pi, perm in enumerate(spec.group()):
+        renamed = Store(
+            {var: _reference_rename(spec, perm, var, v) for var, v in glob.items()}
+        )
+        bag = None if pending is None else _reference_rename_bag(spec, perm, pending)
+        key = (structural_key(renamed), "" if bag is None else structural_key(bag))
+        candidates.append((key, pi, renamed, bag))
+    return min(candidates, key=lambda c: (c[0], c[1]))[1:]
+
+
+def _protocol_cases():
+    from repro.protocols import broadcast, nbuyer, paxos, twophase
+
+    return {
+        "twophase-n3": (
+            [app.program for _, app in twophase.make_sequentializations(3)],
+            twophase.initial_global(3),
+            twophase.make_symmetry(3),
+        ),
+        "nbuyer-n3": (
+            [app.program for _, app in nbuyer.make_sequentializations(3)],
+            nbuyer.initial_global(3),
+            nbuyer.make_symmetry(3),
+        ),
+        "broadcast-n3": (
+            [broadcast.make_atomic(3)]
+            + [app.program for app in broadcast.make_iterated_sequentializations(3)],
+            broadcast.initial_global(3),
+            broadcast.make_symmetry(3),
+        ),
+        "paxos-r1n2": (
+            [paxos.make_sequentialization(1, 2).program],
+            paxos.initial_global(1, 2),
+            paxos.make_symmetry(1, 2),
+        ),
+        # Without the ghost mirror, global-store ties are common and the
+        # renamed pending bag decides them.
+        "twophase-n3-unmirrored": (
+            [twophase.make_sequentializations(3)[0][1].program],
+            twophase.initial_global(3),
+            replace(twophase.make_symmetry(3), ghost_var=None),
+        ),
+    }
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        "twophase-n3",
+        "nbuyer-n3",
+        "broadcast-n3",
+        "paxos-r1n2",
+        "twophase-n3-unmirrored",
+    ],
+)
+def test_canonicalizer_matches_brute_force_reference(case):
+    """On every reachable configuration of the case's programs,
+    ``config`` and ``store`` return exactly the brute-force reference's
+    representative — the input object itself exactly when the input is
+    already least — and every image-table fragment is the whole-value
+    ``structural_key`` rendering."""
+    from repro.core.explore import explore
+
+    programs, initial_global, spec = _protocol_cases()[case]
+    configs = set()
+    for program in programs:
+        configs |= explore(program, [initial_config(initial_global)]).reachable
+    canon = sym.Canonicalizer(spec)
+    least_inputs = moved_inputs = 0
+    for config in configs:
+        pi, glob, pending = _reference_least(spec, config.glob, config.pending)
+        got = canon.config(config)
+        assert got == Config(glob, pending)
+        assert (got is config) == (pi == 0)
+        least_inputs += pi == 0
+        moved_inputs += pi != 0
+    for store in {config.glob for config in configs}:
+        pi, glob, _ = _reference_least(spec, store)
+        got = canon.store(store)
+        assert got == glob
+        assert (got is store) == (pi == 0)
+    assert least_inputs and moved_inputs
+    for (var, _), (images, fragments) in canon._images.items():
+        for image, fragment in zip(images, fragments):
+            assert fragment == structural_key(var) + "=" + structural_key(image)
+
+
+def test_global_ties_break_on_the_renamed_pending_bag():
+    # Every element fixes the global store, so the pending bag decides.
+    spec = _spec(3)
+    glob = Store({"count": 7, "members": frozenset({1, 2, 3})})
+    pending = Multiset(
+        [PendingAsync("Act", Store({"i": 3})), PendingAsync("Act", Store({"i": 3}))]
+    )
+    pi, rep_glob, rep_pending = _reference_least(spec, glob, pending)
+    assert pi != 0 and rep_glob == glob
+    assert sym.Canonicalizer(spec).config(Config(glob, pending)) == Config(
+        rep_glob, rep_pending
+    )
 
 
 # --------------------------------------------------------------------- #

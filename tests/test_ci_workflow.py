@@ -48,6 +48,7 @@ def test_expected_jobs_exist(workflow):
         "serve-smoke",
         "explain-artifact",
         "chaos-soak",
+        "ledger-smoke",
     }
 
 
@@ -325,3 +326,13 @@ def test_explain_job_runs_seeded_fixture_and_gates_on_minimization(workflow):
     assert "repro.obs/failure/v1" in validation
     assert "replay_confirmed" in validation
     assert "minimized_size" in validation
+
+
+def test_ledger_smoke_job_runs_the_ledger_self_test(workflow):
+    """The benchmark ledger's self-test is not part of the tier-1 suite,
+    so a CI job of its own must run it, bounded in time."""
+    job = workflow["jobs"]["ledger-smoke"]
+    assert 0 < job["timeout-minutes"] <= 10
+    commands = [step["run"] for step in job["steps"] if "run" in step]
+    assert "PYTHONPATH=src python -m pytest benchmarks/ledger -q" in commands
+    assert (ROOT / "benchmarks" / "ledger" / "test_ledger.py").exists()
