@@ -206,6 +206,21 @@ def _make_tracer(args):
     return tracer
 
 
+def _run_options(args):
+    """The engine knobs shared by ``verify`` and ``table1``."""
+    from .protocols.common import RunOptions
+
+    return RunOptions(
+        max_configs=args.max_configs,
+        jobs=args.jobs,
+        fail_fast=args.fail_fast,
+        tracer=_make_tracer(args),
+        resilience=args.resilience_config,
+        cache=args.cache_config,
+        symmetry=args.symmetry,
+    )
+
+
 def _export_trace(tracer, args) -> None:
     from .obs import render_summary, write_chrome_trace, write_metrics
 
@@ -249,18 +264,10 @@ def _cmd_table1(args) -> int:
     )
     from .engine.journal import StaleJournalError
 
-    tracer = _make_tracer(args)
-    cache = args.cache_config
+    options = _run_options(args)
+    tracer, cache = options.tracer, options.cache
     try:
-        rows = build_table1(
-            max_configs=args.max_configs,
-            jobs=args.jobs,
-            fail_fast=args.fail_fast,
-            tracer=tracer,
-            resilience=args.resilience_config,
-            cache=cache,
-            symmetry=args.symmetry,
-        )
+        rows = build_table1(**vars(options))
     except StaleJournalError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -295,18 +302,10 @@ def _cmd_verify(args) -> int:
         print(f"unknown protocol {args.protocol!r}; try: "
               f"{', '.join(sorted(ALL_PROTOCOLS))}", file=sys.stderr)
         return 2
-    tracer = _make_tracer(args)
-    cache = args.cache_config
+    options = _run_options(args)
+    tracer, cache = options.tracer, options.cache
     try:
-        report = module.verify(
-            max_configs=args.max_configs,
-            jobs=args.jobs,
-            fail_fast=args.fail_fast,
-            tracer=tracer,
-            resilience=args.resilience_config,
-            cache=cache,
-            symmetry=args.symmetry,
-        )
+        report = module.verify(**vars(options))
     except StaleJournalError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,8 +1,8 @@
 """Regenerating Table 1: all seven examples verified with IS.
 
-One registry entry per protocol binds together the verification entry
-point (at the default instance parameters), the functions constituting the
-IS proof artifacts, and the functions constituting the implementation —
+One registry entry per protocol binds together the protocol module and
+its Table 1 instance parameters, the functions constituting the IS proof
+artifacts, and the functions constituting the implementation —
 from which the Table 1 analogue (#IS, LOC total / IS / impl, time) is
 computed. ``build_table1()`` runs everything and returns the rows;
 ``examples/run_table1.py`` and ``benchmarks/test_table1.py`` print them.
@@ -11,7 +11,7 @@ computed. ``build_table1()`` runs everything and returns the rows;
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
 from ..protocols import (
     broadcast,
@@ -65,7 +65,8 @@ class Table1Row:
 class _Entry:
     name: str
     module: object
-    verify: Callable[..., ProtocolReport]
+    #: Instance parameters passed to ``module.verify``.
+    params: Dict[str, object]
     is_artifacts: Sequence[Callable]
     implementation: Sequence[Callable]
 
@@ -74,9 +75,7 @@ TABLE1_REGISTRY: List[_Entry] = [
     _Entry(
         "Broadcast consensus",
         broadcast,
-        lambda max_configs=None, jobs=None, fail_fast=False, tracer=None, resilience=None, cache=None, warm=None, symmetry=False: broadcast.verify(
-            n=3, iterated=True, max_configs=max_configs, jobs=jobs, fail_fast=fail_fast, tracer=tracer, resilience=resilience, cache=cache, warm=warm, symmetry=symmetry
-        ),
+        {"n": 3, "iterated": True},
         (
             broadcast.make_invariant,
             broadcast.make_broadcast_invariant,
@@ -91,9 +90,7 @@ TABLE1_REGISTRY: List[_Entry] = [
     _Entry(
         "Ping-Pong",
         pingpong,
-        lambda max_configs=None, jobs=None, fail_fast=False, tracer=None, resilience=None, cache=None, warm=None, symmetry=False: pingpong.verify(
-            rounds=3, max_configs=max_configs, jobs=jobs, fail_fast=fail_fast, tracer=tracer, resilience=resilience, cache=cache, warm=warm, symmetry=symmetry
-        ),
+        {"rounds": 3},
         (
             pingpong.make_abstractions,
             pingpong.make_measure,
@@ -105,9 +102,7 @@ TABLE1_REGISTRY: List[_Entry] = [
     _Entry(
         "Producer-Consumer",
         prodcons,
-        lambda max_configs=None, jobs=None, fail_fast=False, tracer=None, resilience=None, cache=None, warm=None, symmetry=False: prodcons.verify(
-            bound=4, max_configs=max_configs, jobs=jobs, fail_fast=fail_fast, tracer=tracer, resilience=resilience, cache=cache, warm=warm, symmetry=symmetry
-        ),
+        {"bound": 4},
         (
             prodcons.make_consumer_abs,
             prodcons.make_measure,
@@ -119,18 +114,14 @@ TABLE1_REGISTRY: List[_Entry] = [
     _Entry(
         "N-Buyer",
         nbuyer,
-        lambda max_configs=None, jobs=None, fail_fast=False, tracer=None, resilience=None, cache=None, warm=None, symmetry=False: nbuyer.verify(
-            n=3, max_configs=max_configs, jobs=jobs, fail_fast=fail_fast, tracer=tracer, resilience=resilience, cache=cache, warm=warm, symmetry=symmetry
-        ),
+        {"n": 3},
         (nbuyer.make_measure, nbuyer.make_sequentializations),
         (nbuyer.make_atomic, nbuyer.initial_global),
     ),
     _Entry(
         "Chang-Roberts",
         changroberts,
-        lambda max_configs=None, jobs=None, fail_fast=False, tracer=None, resilience=None, cache=None, warm=None, symmetry=False: changroberts.verify(
-            n=4, max_configs=max_configs, jobs=jobs, fail_fast=fail_fast, tracer=tracer, resilience=resilience, cache=cache, warm=warm, symmetry=symmetry
-        ),
+        {"n": 4},
         (
             changroberts.make_handle_abs,
             changroberts.upstream_threat,
@@ -144,18 +135,14 @@ TABLE1_REGISTRY: List[_Entry] = [
     _Entry(
         "Two-phase commit",
         twophase,
-        lambda max_configs=None, jobs=None, fail_fast=False, tracer=None, resilience=None, cache=None, warm=None, symmetry=False: twophase.verify(
-            n=3, max_configs=max_configs, jobs=jobs, fail_fast=fail_fast, tracer=tracer, resilience=resilience, cache=cache, warm=warm, symmetry=symmetry
-        ),
+        {"n": 3},
         (twophase.make_measure, twophase.make_sequentializations),
         (twophase.make_atomic, twophase.initial_global),
     ),
     _Entry(
         "Paxos",
         paxos,
-        lambda max_configs=None, jobs=None, fail_fast=False, tracer=None, resilience=None, cache=None, warm=None, symmetry=False: paxos.verify(
-            rounds=2, num_nodes=2, max_configs=max_configs, jobs=jobs, fail_fast=fail_fast, tracer=tracer, resilience=resilience, cache=cache, warm=warm, symmetry=symmetry
-        ),
+        {"rounds": 2, "num_nodes": 2},
         (
             paxos.make_abstractions,
             paxos.make_measure,
@@ -167,54 +154,22 @@ TABLE1_REGISTRY: List[_Entry] = [
 ]
 
 
-def build_table1(
-    entries: Sequence[_Entry] = None,
-    max_configs: Optional[int] = None,
-    jobs: Optional[int] = None,
-    fail_fast: bool = False,
-    tracer=None,
-    resilience=None,
-    cache=None,
-    warm=None,
-    symmetry: bool = False,
-) -> List[Table1Row]:
-    """Run every example's full pipeline and assemble the table.
+def build_table1(entries: Sequence[_Entry] = None, **options) -> List[Table1Row]:
+    """Run every example's full pipeline with the same ``options`` (fields
+    of :class:`~repro.protocols.common.RunOptions`) and assemble the table.
 
-    ``jobs`` selects the obligation-discharge backend for the IS checks
-    (see ``repro.engine.scheduler``); verdicts are backend-independent.
-    ``fail_fast`` skips obligations (transitively) downstream of a failed
-    one — rows of a healthy suite are unaffected, broken rows finish
-    sooner with explicit ``skipped`` counterexamples. ``tracer`` (a
-    :class:`repro.obs.Tracer`) threads through every pipeline: each
-    protocol scopes its own spans, so one tracer accumulates the whole
-    table's obligations for export (``python -m repro table1 --trace``).
-    ``max_configs`` bounds every exploration; a row whose instance blows
-    the budget gets status BUDGET instead of aborting the sweep.
-    ``resilience`` (a
-    :class:`~repro.engine.resilience.ResilienceConfig`) threads
-    per-obligation deadlines, retries, and checkpoint/resume into every
-    row's pipeline; rows with expired deadlines render as TIMEOUT, and an
-    interrupted row (Ctrl-C) stops the sweep with the completed rows plus
-    the partial one. ``cache`` (an
-    :class:`~repro.engine.rcache.ObligationCache` or a directory path)
-    arms the persistent result cache for every row; one instance is
-    shared across the sweep, so an unchanged protocol's obligations are
-    seeded instead of re-executed (``python -m repro table1 --cache``).
-    ``symmetry`` quotients every exploration and IS universe by the
-    protocol's declared permutation group (``make_symmetry``, where one
-    exists — protocols without a nontrivial group ignore the flag);
-    verdicts are quotient-independent, only the enumeration shrinks.
+    One result-cache instance serves the whole sweep, so an unchanged
+    protocol's obligations are seeded instead of re-executed. A row that
+    blows the ``max_configs`` budget gets status BUDGET instead of
+    aborting the sweep; an interrupted row (Ctrl-C) stops the sweep with
+    the completed rows plus the partial one.
     """
     from ..engine.rcache import ObligationCache
 
-    if warm is not None and cache is None:
-        cache = warm.rcache
-    cache = ObligationCache.ensure(cache)
+    options["cache"] = ObligationCache.ensure(options.get("cache"))
     rows: List[Table1Row] = []
     for entry in entries if entries is not None else TABLE1_REGISTRY:
-        report = entry.verify(
-            max_configs=max_configs, jobs=jobs, fail_fast=fail_fast, tracer=tracer, resilience=resilience, cache=cache, warm=warm, symmetry=symmetry
-        )
+        report = entry.module.verify(**entry.params, **options)
         rows.append(
             Table1Row(
                 example=entry.name,

@@ -76,10 +76,12 @@ class WarmState:
     """Hot verification state kept resident across requests.
 
     ``rcache`` is the shared result cache (or ``None`` when the daemon
-    runs cacheless); ``verify_protocol(..., warm=...)`` consults the
-    three memo maps and — crucially — *skips the per-run process-cache
-    reset*: the interner, evaluation memos, and columnar tables stay
-    warm across requests. That is sound because all three are
+    runs cacheless). ``verify_protocol`` runs every verification against
+    one: a cold run against a fresh state, a daemon request
+    (``RunOptions(warm=...)``) against the resident one, which consults
+    the three memo maps and — crucially — *skips the per-run
+    process-cache reset*: the interner, evaluation memos, and columnar
+    tables stay warm across requests. That is sound because all three are
     content-addressed (interning is structural, memos key by intern
     ids), and bounded because the request mix revisits the same
     protocol instances; see the module docstring.

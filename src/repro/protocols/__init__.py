@@ -3,8 +3,12 @@
 Each module provides the protocol's atomic-action program, its IS proof
 artifacts (invariant action, choice function, left-mover abstractions,
 well-founded measure), the resulting sequentialization, the safety spec,
-and a ``verify(...)`` pipeline returning a
-:class:`~repro.protocols.common.ProtocolReport`.
+and ``verify(<PARAMETERS>, **options)``. ``verify`` only describes the
+instance (:class:`~repro.protocols.common.Instance`) and hands it to the
+one pipeline, :func:`~repro.protocols.common.verify_protocol`, which
+returns a :class:`~repro.protocols.common.ProtocolReport`; ``options``
+are the fields of :class:`~repro.protocols.common.RunOptions`, where
+every engine knob is documented.
 
 ========================  =====  =======================================
 Module                    #IS    Spec
@@ -20,7 +24,7 @@ Module                    #IS    Spec
 """
 
 from . import broadcast, changroberts, nbuyer, paxos, pingpong, prodcons, twophase
-from .common import GHOST, ProtocolReport, verify_protocol
+from .common import GHOST, Instance, ProtocolReport, RunOptions, verify_protocol
 
 ALL_PROTOCOLS = {
     "broadcast": broadcast,
@@ -41,7 +45,9 @@ __all__ = [
     "prodcons",
     "twophase",
     "GHOST",
+    "Instance",
     "ProtocolReport",
+    "RunOptions",
     "verify_protocol",
     "ALL_PROTOCOLS",
 ]

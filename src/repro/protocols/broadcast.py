@@ -29,11 +29,9 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..core.action import Action, PendingAsync, Transition
 from ..core.context import GhostContext
-from ..core.explore import instance_summary
 from ..core.mapping import FrozenDict
 from ..core.multiset import EMPTY, Multiset
 from ..core.program import MAIN, Program
-from ..core.refinement import check_program_refinement
 from ..core.semantics import initial_config
 from ..core.sequentialize import ISApplication
 from ..core.store import EMPTY_STORE, Store
@@ -41,16 +39,19 @@ from ..core.universe import StoreUniverse
 from ..core.wellfounded import LexicographicMeasure, total_pa_count
 from .common import (
     GHOST,
+    Instance,
     ProtocolReport,
+    RunOptions,
     bag_send,
     ghost_step,
     has_pa_to,
     sub_multisets,
-    timed,
+    verify_protocol,
 )
 
 __all__ = [
     "GLOBAL_VARS",
+    "PARAMETERS",
     "default_values",
     "initial_global",
     "make_atomic",
@@ -65,6 +66,10 @@ __all__ = [
 ]
 
 GLOBAL_VARS = ("value", "decision", "CH", GHOST)
+
+#: The instance parameters of :func:`verify`; every other keyword is a
+#: :class:`RunOptions` field.
+PARAMETERS = ("n", "values", "iterated")
 
 _MAIN_PA = PendingAsync(MAIN, EMPTY_STORE)
 
@@ -509,164 +514,27 @@ def verify(
     n: int = 3,
     values: Optional[Sequence[int]] = None,
     iterated: bool = True,
-    ground_truth: bool = True,
-    max_configs: Optional[int] = None,
-    jobs: Optional[int] = None,
-    fail_fast: bool = False,
-    tracer=None,
-    resilience=None,
-    cache=None,
-    warm=None,
-    symmetry: bool = False,
+    **options,
 ) -> ProtocolReport:
-    """Full pipeline: IS condition checks, sequential spec on the
-    transformed program, and (optionally) the ground-truth refinement
-    :math:`\\mathcal{P} \\preccurlyeq \\mathcal{P}'` by exhaustive
-    exploration. A blown ``max_configs`` budget is reported as a BUDGET
-    verdict on the report, not raised. ``symmetry=True`` quotients the IS
-    universes by :func:`make_symmetry`'s node-permutation group."""
-    from contextlib import nullcontext
-
-    from ..engine.rcache import ObligationCache
-    from .common import BudgetHit, ExplorationBudgetExceeded
-
-    if warm is not None and cache is None:
-        cache = warm.rcache
-    cache = ObligationCache.ensure(cache)
+    """Full pipeline (:func:`~repro.protocols.common.verify_protocol`): IS
+    condition checks, sequential spec on the transformed program, and the
+    ground-truth refinement :math:`\\mathcal{P} \\preccurlyeq
+    \\mathcal{P}'`. ``options`` are :class:`RunOptions` fields;
+    ``symmetry=True`` quotients the IS universes by :func:`make_symmetry`'s
+    node-permutation group."""
     values = tuple(values if values is not None else default_values(n))
-    parameters = {"n": n, "values": values, "iterated": iterated}
-    spec = None
-    if symmetry:
-        spec = make_symmetry(n)
-        parameters["symmetry"] = spec.name
-    report = ProtocolReport("broadcast-consensus", parameters)
-    instance_key = (
-        "broadcast-consensus",
-        repr((n, values, iterated)),
-        max_configs,
-        spec.token() if spec is not None else None,
-    )
-    original = make_atomic(n)
-
-    def build_applications():
-        if iterated:
-            return make_iterated_sequentializations(n)
-        return [make_sequentialization(n)]
-
-    if warm is not None:
-        applications = warm.pipeline(("apps",) + instance_key, build_applications)
+    if iterated:
+        applications = list(
+            zip(("Broadcast", "Collect"), make_iterated_sequentializations(n))
+        )
     else:
-        applications = build_applications()
-    labels = (
-        ["Broadcast", "Collect"] if iterated else ["Broadcast+Collect"]
+        applications = [("Broadcast+Collect", make_sequentialization(n))]
+    instance = Instance(
+        "broadcast-consensus",
+        {"n": n, "values": values, "iterated": iterated},
+        applications,
+        initial_global(n, values),
+        lambda final: spec_holds(final, n, values),
+        symmetry=lambda: make_symmetry(n),
     )
-
-    final_program = original
-    with (
-        tracer.scope("broadcast-consensus")
-        if tracer is not None
-        else nullcontext()
-    ):
-        for label, application in zip(labels, applications):
-            try:
-                with timed(report, f"IS[{label}]", tracer=tracer):
-
-                    def build_universe(application=application):
-                        return make_universe(
-                            application.program,
-                            n,
-                            values,
-                            max_configs=max_configs,
-                            symmetry=spec,
-                        )
-
-                    if warm is not None:
-                        universe = warm.universe(
-                            ("universe", label) + instance_key,
-                            build_universe,
-                        )
-                    else:
-                        universe = build_universe()
-                    with (
-                        tracer.scope(f"IS[{label}]")
-                        if tracer is not None
-                        else nullcontext()
-                    ):
-                        result = application.check(
-                            universe,
-                            jobs=jobs,
-                            fail_fast=fail_fast,
-                            tracer=tracer,
-                            resilience=resilience,
-                            checkpoint_label=f"broadcast-consensus-IS-{label}",
-                            cache=cache,
-                        )
-            except ExplorationBudgetExceeded as exc:
-                report.budget = BudgetHit(f"IS[{label}]", exc.explored, exc.limit)
-                return report
-            except KeyboardInterrupt:
-                report.interrupted = True
-                return report
-            report.is_results.append((label, result))
-            report.explain_targets.append((label, application, universe))
-            if result.interrupted:
-                report.interrupted = True
-                return report
-            final_program = application.apply_and_drop()
-
-        try:
-            with timed(report, "sequential spec", tracer=tracer):
-
-                def compute_spec(final_program=final_program):
-                    summary = instance_summary(
-                        final_program,
-                        initial_global(n, values),
-                        max_configs=max_configs,
-                    )
-                    return (
-                        (not summary.can_fail)
-                        and bool(summary.final_globals)
-                        and all(
-                            spec_holds(final, n, values)
-                            for final in summary.final_globals
-                        )
-                    )
-
-                if warm is not None:
-                    report.spec_ok = warm.stage(
-                        ("spec",) + instance_key, compute_spec
-                    )
-                else:
-                    report.spec_ok = compute_spec()
-        except ExplorationBudgetExceeded as exc:
-            report.budget = BudgetHit("sequential spec", exc.explored, exc.limit)
-            return report
-        except KeyboardInterrupt:
-            report.interrupted = True
-            return report
-
-        if ground_truth:
-            try:
-                with timed(report, "ground truth", tracer=tracer):
-
-                    def compute_ground_truth(final_program=final_program):
-                        return check_program_refinement(
-                            original,
-                            final_program,
-                            [(initial_global(n, values), EMPTY_STORE)],
-                            max_configs=max_configs,
-                            name="P2 ≼ P' (exhaustive)",
-                        )
-
-                    if warm is not None:
-                        report.ground_truth = warm.stage(
-                            ("ground-truth",) + instance_key,
-                            compute_ground_truth,
-                        )
-                    else:
-                        report.ground_truth = compute_ground_truth()
-            except ExplorationBudgetExceeded as exc:
-                report.budget = BudgetHit("ground truth", exc.explored, exc.limit)
-            except KeyboardInterrupt:
-                report.interrupted = True
-    return report
+    return verify_protocol(instance, RunOptions(**options))

@@ -31,10 +31,19 @@ from ..core.semantics import Config
 from ..core.sequentialize import ISApplication
 from ..core.store import EMPTY_STORE, Store
 from ..core.wellfounded import LexicographicMeasure, pa_count, total_pa_count
-from .common import GHOST, ProtocolReport, ghost_of, ghost_step, verify_protocol
+from .common import (
+    GHOST,
+    Instance,
+    ProtocolReport,
+    RunOptions,
+    ghost_of,
+    ghost_step,
+    verify_protocol,
+)
 
 __all__ = [
     "GLOBAL_VARS",
+    "PARAMETERS",
     "default_ids",
     "initial_global",
     "make_atomic",
@@ -46,6 +55,10 @@ __all__ = [
 ]
 
 GLOBAL_VARS = ("id", "CH", "leader", GHOST)
+
+#: The instance parameters of :func:`verify`; every other keyword is a
+#: :class:`RunOptions` field.
+PARAMETERS = ("n", "ids")
 
 _MAIN_PA = PendingAsync(MAIN, EMPTY_STORE)
 
@@ -369,38 +382,20 @@ def spec_holds(final_global: Store, n: int) -> bool:
 
 
 def verify(
-    n: int = 4,
-    ids: Optional[Sequence[int]] = None,
-    ground_truth: bool = True,
-    max_configs: Optional[int] = None,
-    jobs: Optional[int] = None,
-    fail_fast: bool = False,
-    tracer=None,
-    resilience=None,
-    cache=None,
-    warm=None,
-    symmetry: bool = False,
+    n: int = 4, ids: Optional[Sequence[int]] = None, **options
 ) -> ProtocolReport:
-    """Full pipeline for Chang-Roberts.
+    """Full pipeline for Chang-Roberts; ``options`` are
+    :class:`RunOptions` fields.
 
     Ring positions are *not* symmetric: the election compares node ids
     (ordered) and messages travel a fixed orientation, so a permutation
     of positions does not commute with the program; ``symmetry`` is
     accepted for pipeline uniformity and ignored."""
-    applications = make_sequentializations(n)
-    return verify_protocol(
+    instance = Instance(
         "chang-roberts",
         {"n": n, "ids": tuple(ids if ids is not None else default_ids(n))},
-        applications[0][1].program,
-        applications,
+        make_sequentializations(n),
         initial_global(n, ids),
         lambda final: spec_holds(final, n),
-        ground_truth=ground_truth,
-        max_configs=max_configs,
-        jobs=jobs,
-        fail_fast=fail_fast,
-        tracer=tracer,
-        resilience=resilience,
-        cache=cache,
-        warm=warm,
     )
+    return verify_protocol(instance, RunOptions(**options))

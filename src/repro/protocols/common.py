@@ -20,9 +20,9 @@ from __future__ import annotations
 
 import os
 import time
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from ..core.action import PendingAsync
 from ..core.explore import ExplorationBudgetExceeded
@@ -40,7 +40,9 @@ __all__ = [
     "sub_multisets",
     "bag_send",
     "BudgetHit",
+    "Instance",
     "ProtocolReport",
+    "RunOptions",
     "verify_protocol",
     "timed",
 ]
@@ -265,75 +267,116 @@ class ProtocolReport:
         return "\n".join(parts)
 
 
+@dataclass(frozen=True)
+class RunOptions:
+    """How to run one verification: the engine knobs every protocol
+    pipeline shares. Only ``max_configs`` (a blown budget reports BUDGET)
+    and ``ground_truth`` (an extra stage) can change a report's verdict;
+    the rest change where and how fast the same verdict is computed."""
+
+    #: Exploration budget for every stage (universe, sequential spec,
+    #: ground truth). A stage that blows it yields a BUDGET report naming
+    #: the stage (:class:`BudgetHit`) instead of raising.
+    max_configs: Optional[int] = None
+    #: Obligation-discharge backend (``repro.engine.scheduler``): ``None``
+    #: or below 2 is serial, ``N`` a process pool of ``N`` workers.
+    #: Verdicts are backend-independent.
+    jobs: Optional[int] = None
+    #: Skip obligations, transitively, once a dependency failed; skipped
+    #: conditions report an explicit ``skipped`` counterexample instead of
+    #: running. Rows of a healthy suite are unaffected.
+    fail_fast: bool = False
+    #: A :class:`repro.obs.Tracer`: phase spans for every pipeline stage
+    #: and obligation spans for every IS check, scoped under the protocol
+    #: name and IS label, so one tracer can accumulate a whole ``table1``
+    #: sweep. Never affects verdicts or reports.
+    tracer: object = None
+    #: A :class:`~repro.engine.resilience.ResilienceConfig`:
+    #: per-obligation deadlines, crash retries, and checkpoint/resume for
+    #: every IS check, journaled under ``{protocol}-IS-{label}``. Expired
+    #: deadlines render TIMEOUT. With or without it, a ``KeyboardInterrupt``
+    #: yields a partial INTERRUPTED report of everything completed (and
+    #: journaled) before the stop, not a traceback.
+    resilience: object = None
+    #: An :class:`~repro.engine.rcache.ObligationCache` or a directory
+    #: path: obligations whose dependency fingerprints are unchanged are
+    #: seeded from the store (``ISResult.cached_keys``) instead of
+    #: executed, and fresh results are stored back. One instance serves
+    #: all of a run's IS applications.
+    cache: object = None
+    #: A :class:`~repro.engine.warm.WarmState`: this run is one request
+    #: against a resident daemon. The per-run process-cache reset is
+    #: skipped (interner, evaluation and columnar memos stay hot),
+    #: universes, IS applications and the spec/ground-truth stages are
+    #: reused from the warm maps keyed by the full instance identity, and
+    #: ``warm.rcache`` is the result cache unless ``cache`` is given.
+    #: Verdicts are warm/cold-identical (``repro.engine.warm``).
+    warm: object = None
+    #: Quotient every IS universe by the instance's declared permutation
+    #: group, where it declares one (ignored otherwise). Sound for the
+    #: equivariant protocols that declare a group (DESIGN.md); the spec
+    #: and ground-truth stages run unquotiented. The group's identity is
+    #: part of the warm key and of every cache fingerprint.
+    symmetry: bool = False
+    #: Check the ground-truth refinement P ≼ P' by exhaustive exploration
+    #: of both programs. ``None`` is the instance's default: on for every
+    #: protocol but Paxos, whose concurrent state space is exponential.
+    ground_truth: Optional[bool] = None
+
+
+@dataclass(frozen=True)
+class Instance:
+    """One protocol instance, as :func:`verify_protocol` runs it.
+
+    ``applications`` are ``(label, ISApplication)`` pairs whose programs
+    are already chained (each application's program is the output of the
+    previous one); the first one's program is the original program the
+    ground-truth stage refines. ``spec`` is the safety predicate every
+    final global store of the sequentialized program must satisfy.
+    ``symmetry``, when given, builds the instance's
+    :class:`~repro.core.symmetry.SymmetrySpec` for
+    ``RunOptions.symmetry``. The universe source is the reachable BFS by
+    default; ``walks`` switches it to that many seeded random-scheduler
+    walks, for instances too large to enumerate, and the report is then
+    ``bounded``.
+    """
+
+    name: str
+    parameters: Dict[str, object]
+    applications: Sequence[Tuple[str, object]]
+    initial_global: Store
+    spec: Callable[[Store], bool]
+    symmetry: Optional[Callable[[], object]] = None
+    walks: Optional[int] = None
+    seed: int = 0
+    ground_truth: bool = True
+
+
+@contextmanager
+def _stage(report: ProtocolReport, label: str, tracer):
+    """Time one pipeline stage; a blown budget or a Ctrl-C inside it ends
+    the stage with a BUDGET or INTERRUPTED mark on the report."""
+    try:
+        with timed(report, label, tracer=tracer):
+            yield
+    except ExplorationBudgetExceeded as exc:
+        report.budget = BudgetHit(label, exc.explored, exc.limit)
+    except KeyboardInterrupt:
+        report.interrupted = True
+
+
 def verify_protocol(
-    name: str,
-    parameters: Dict[str, object],
-    original,
-    applications,
-    initial_global: Store,
-    spec_fn: Callable[[Store], bool],
-    ground_truth: bool = True,
-    max_configs: Optional[int] = None,
-    jobs: Optional[int] = None,
-    fail_fast: bool = False,
-    tracer=None,
-    resilience=None,
-    cache=None,
-    warm=None,
-    symmetry=None,
+    instance: Instance, options: RunOptions = RunOptions()
 ) -> ProtocolReport:
-    """Generic protocol pipeline: check each IS application over the
-    reachable universe (under the ghost PA context), then the sequential
-    spec on the final program, then (optionally) ground-truth refinement.
+    """The protocol pipeline: check each IS application over the instance's
+    universe (under the ghost PA context), then the sequential spec on the
+    final program, then (optionally) ground-truth refinement. Every
+    protocol's ``verify`` is this function applied to its
+    :class:`Instance`; ``options`` documents the knobs.
 
-    ``applications`` is a list of ``(label, ISApplication)`` pairs whose
-    programs are already chained (each application's program is the output
-    of the previous one). ``jobs`` selects the obligation-discharge backend
-    (see ``repro.engine.scheduler``); verdicts are backend-independent.
-    ``fail_fast`` skips obligations — transitively — once a dependency
-    failed; skipped conditions report an explicit ``skipped``
-    counterexample instead of running. ``tracer`` (a
-    :class:`repro.obs.Tracer`) records phase spans for every pipeline
-    stage and obligation spans for every IS check, scoped under the
-    protocol name and IS label; it never affects verdicts or reports.
-
-    ``resilience`` (a
-    :class:`~repro.engine.resilience.ResilienceConfig`) arms
-    per-obligation deadlines, crash retries, and checkpoint/resume for
-    every IS check; each application journals under the label
-    ``{protocol}-IS-{label}``. A ``KeyboardInterrupt`` anywhere in the
-    pipeline yields a *partial* report (``interrupted=True``,
-    ``status == "INTERRUPTED"``) carrying everything completed — and
-    journaled — before the stop, instead of unwinding with a traceback.
-
-    ``cache`` (an :class:`~repro.engine.rcache.ObligationCache` or a
-    directory path) arms the persistent result cache for every IS check:
-    obligations whose dependency fingerprints are unchanged are seeded
-    from the store instead of executed (``ISResult.cached_keys``), and
-    fresh results are stored back. One cache instance is shared across
-    the pipeline's applications.
-
-    ``warm`` (a :class:`~repro.engine.warm.WarmState`) marks this run as
-    one request against a resident daemon: the per-run process-cache
-    reset is skipped (interner/evaluation/columnar memos stay hot), the
-    store universes and IS applications are reused from — and stored
-    into — the warm maps keyed by the full instance identity, the
-    sequential-spec and ground-truth stages are memoized per instance,
-    and ``warm.rcache`` supplies the result cache unless ``cache`` is
-    given explicitly. Verdicts are warm/cold-identical (see
-    ``repro.engine.warm`` for the soundness argument and
-    ``tests/serve/test_warm.py`` for the proof-by-test).
-
-    ``symmetry`` (a :class:`~repro.core.symmetry.SymmetrySpec`) runs every
-    IS check over the orbit-quotiented universe: the reachability
-    exploration canonicalizes configurations on the fly, so both the BFS
-    and the harvested universe shrink by up to the group order. Sound for
-    equivariant protocols (the only ones that declare a spec — see
-    DESIGN.md); the sequential-spec and ground-truth stages run
-    unquotiented, since they explore the transformed program directly.
-    The symmetry identity is part of the warm-state instance key and of
-    every cache fingerprint, so quotiented runs never alias unquotiented
-    ones.
+    A cold run (no ``options.warm``) resets the process-level caches and
+    then runs against a fresh :class:`~repro.engine.warm.WarmState`, so
+    warm and cold runs share one code path.
     """
     from ..core.cache import reset_process_cache
     from ..core.context import GhostContext
@@ -343,131 +386,118 @@ def verify_protocol(
     from ..core.store import EMPTY_STORE
     from ..core.universe import StoreUniverse
     from ..engine.rcache import ObligationCache
+    from ..engine.warm import WarmState
 
-    # Each verification run starts from empty process-level caches: the
-    # intern table, the evaluation memos, and the columnar tables all grow
-    # monotonically during a run, and letting them persist across runs
-    # accumulated the previous protocols' stores forever (the historical
-    # module-level ``combine`` lru_cache had exactly this leak). A warm
-    # (daemon) run deliberately keeps them: the tables are
-    # content-addressed and the daemon's request mix revisits the same
-    # instances, so residency is a bounded win, not a leak.
+    warm = options.warm
     if warm is None:
+        # Each verification run starts from empty process-level caches:
+        # the intern table, the evaluation memos, and the columnar tables
+        # all grow monotonically during a run, and letting them persist
+        # across runs accumulated the previous protocols' stores forever
+        # (the historical module-level ``combine`` lru_cache had exactly
+        # this leak). A warm (daemon) run deliberately keeps them: the
+        # tables are content-addressed and the daemon's request mix
+        # revisits the same instances, so residency is a bounded win, not
+        # a leak.
         reset_process_cache()
-    elif cache is None:
-        cache = warm.rcache
-    cache = ObligationCache.ensure(cache)
-    report = ProtocolReport(name, dict(parameters))
-    instance_key = (
-        name,
+        warm = WarmState()
+    cache = (
+        warm.rcache
+        if options.cache is None
+        else ObligationCache.ensure(options.cache)
+    )
+    tracer = options.tracer
+    max_configs = options.max_configs
+    symmetry = None
+    parameters = dict(instance.parameters)
+    if options.symmetry and instance.symmetry is not None:
+        symmetry = instance.symmetry()
+        parameters["symmetry"] = symmetry.name
+    report = ProtocolReport(
+        instance.name, parameters, bounded=instance.walks is not None
+    )
+    key = (
+        instance.name,
         repr(sorted(parameters.items())),
         max_configs,
         symmetry.token() if symmetry is not None else None,
     )
-    if warm is not None:
-        applications = warm.pipeline(
-            ("apps",) + instance_key, lambda: list(applications)
+    applications = warm.pipeline(
+        ("apps",) + key, lambda: list(instance.applications)
+    )
+    original = final_program = applications[0][1].program
+    initials = [initial_config(instance.initial_global)]
+
+    def build_universe(program):
+        if instance.walks is None:
+            universe = StoreUniverse.from_reachable(
+                program, initials, max_configs=max_configs, symmetry=symmetry
+            )
+        else:
+            universe = StoreUniverse.from_random_walks(
+                program,
+                initials,
+                walks=instance.walks,
+                seed=instance.seed,
+                symmetry=symmetry,
+            )
+        return universe.with_context(GhostContext(GHOST))
+
+    def spec_holds():
+        summary = instance_summary(
+            final_program, instance.initial_global, max_configs=max_configs
         )
-    final_program = original
-    with tracer.scope(name) if tracer is not None else nullcontext():
+        return (
+            not summary.can_fail
+            and bool(summary.final_globals)
+            and all(instance.spec(final) for final in summary.final_globals)
+        )
+
+    def refines():
+        return check_program_refinement(
+            original,
+            final_program,
+            [(instance.initial_global, EMPTY_STORE)],
+            max_configs=max_configs,
+            name="P ≼ P' (exhaustive)",
+        )
+
+    with tracer.scope(instance.name) if tracer is not None else nullcontext():
         for label, application in applications:
-            try:
-                with timed(report, f"IS[{label}]", tracer=tracer):
-
-                    def build_universe(application=application):
-                        return StoreUniverse.from_reachable(
-                            application.program,
-                            [initial_config(initial_global)],
-                            max_configs=max_configs,
-                            symmetry=symmetry,
-                        ).with_context(GhostContext(GHOST))
-
-                    if warm is not None:
-                        universe = warm.universe(
-                            ("universe", label) + instance_key,
-                            build_universe,
-                        )
-                    else:
-                        universe = build_universe()
-                    with (
-                        tracer.scope(f"IS[{label}]")
-                        if tracer is not None
-                        else nullcontext()
-                    ):
-                        result = application.check(
-                            universe,
-                            jobs=jobs,
-                            fail_fast=fail_fast,
-                            tracer=tracer,
-                            resilience=resilience,
-                            checkpoint_label=f"{name}-IS-{label}",
-                            cache=cache,
-                        )
-            except ExplorationBudgetExceeded as exc:
-                report.budget = BudgetHit(f"IS[{label}]", exc.explored, exc.limit)
-                return report
-            except KeyboardInterrupt:
-                report.interrupted = True
-                return report
-            report.is_results.append((label, result))
-            report.explain_targets.append((label, application, universe))
-            if result.interrupted:
-                report.interrupted = True
+            stage = f"IS[{label}]"
+            with _stage(report, stage, tracer):
+                universe = warm.universe(
+                    ("universe", label) + key,
+                    lambda: build_universe(application.program),
+                )
+                with tracer.scope(stage) if tracer is not None else nullcontext():
+                    result = application.check(
+                        universe,
+                        jobs=options.jobs,
+                        fail_fast=options.fail_fast,
+                        tracer=tracer,
+                        resilience=options.resilience,
+                        checkpoint_label=f"{instance.name}-IS-{label}",
+                        cache=cache,
+                    )
+                report.is_results.append((label, result))
+                report.explain_targets.append((label, application, universe))
+                report.interrupted = result.interrupted
+            if report.budget is not None or report.interrupted:
                 return report
             final_program = application.apply_and_drop()
 
-        try:
-            with timed(report, "sequential spec", tracer=tracer):
-
-                def compute_spec(final_program=final_program):
-                    summary = instance_summary(
-                        final_program, initial_global, max_configs=max_configs
-                    )
-                    return (
-                        not summary.can_fail
-                        and bool(summary.final_globals)
-                        and all(
-                            spec_fn(final) for final in summary.final_globals
-                        )
-                    )
-
-                if warm is not None:
-                    report.spec_ok = warm.stage(
-                        ("spec",) + instance_key, compute_spec
-                    )
-                else:
-                    report.spec_ok = compute_spec()
-        except ExplorationBudgetExceeded as exc:
-            report.budget = BudgetHit("sequential spec", exc.explored, exc.limit)
-            return report
-        except KeyboardInterrupt:
-            report.interrupted = True
+        with _stage(report, "sequential spec", tracer):
+            report.spec_ok = warm.stage(("spec",) + key, spec_holds)
+        if report.budget is not None or report.interrupted:
             return report
 
+        ground_truth = options.ground_truth
+        if ground_truth is None:
+            ground_truth = instance.ground_truth
         if ground_truth:
-            try:
-                with timed(report, "ground truth", tracer=tracer):
-
-                    def compute_ground_truth(final_program=final_program):
-                        return check_program_refinement(
-                            original,
-                            final_program,
-                            [(initial_global, EMPTY_STORE)],
-                            max_configs=max_configs,
-                            name="P ≼ P' (exhaustive)",
-                        )
-
-                    if warm is not None:
-                        report.ground_truth = warm.stage(
-                            ("ground-truth",) + instance_key,
-                            compute_ground_truth,
-                        )
-                    else:
-                        report.ground_truth = compute_ground_truth()
-            except ExplorationBudgetExceeded as exc:
-                report.budget = BudgetHit("ground truth", exc.explored, exc.limit)
-            except KeyboardInterrupt:
-                report.interrupted = True
+            with _stage(report, "ground truth", tracer):
+                report.ground_truth = warm.stage(("ground-truth",) + key, refines)
     return report
 
 

@@ -17,7 +17,7 @@ assertion — the potentially interfering actions have already left the pool.
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Sequence, Tuple
 
 from ..core.action import Action, PendingAsync, Transition
 from ..core.mapping import FrozenDict
@@ -29,7 +29,9 @@ from ..core.store import EMPTY_STORE, Store
 from ..core.wellfounded import LexicographicMeasure, pa_potential
 from .common import (
     GHOST,
+    Instance,
     ProtocolReport,
+    RunOptions,
     ghost_step,
     sub_multisets,
     verify_protocol,
@@ -37,6 +39,7 @@ from .common import (
 
 __all__ = [
     "GLOBAL_VARS",
+    "PARAMETERS",
     "initial_global",
     "make_atomic",
     "make_measure",
@@ -47,6 +50,10 @@ __all__ = [
 ]
 
 GLOBAL_VARS = ("price", "contrib", "ordered", "order_total", "CH", GHOST)
+
+#: The instance parameters of :func:`verify`; every other keyword is a
+#: :class:`RunOptions` field.
+PARAMETERS = ("n", "prices", "contributions")
 
 #: Channel keys: the seller's request channel, one quote channel per buyer,
 #: and the decision channel collecting contributions.
@@ -428,39 +435,17 @@ def verify(
     n: int = 3,
     prices: Sequence[int] = (2, 3),
     contributions: Sequence[int] = (0, 1, 2),
-    ground_truth: bool = True,
-    max_configs: Optional[int] = None,
-    jobs: Optional[int] = None,
-    fail_fast: bool = False,
-    tracer=None,
-    resilience=None,
-    cache=None,
-    warm=None,
-    symmetry: bool = False,
+    **options,
 ) -> ProtocolReport:
-    """Full pipeline for N-Buyer.  ``symmetry=True`` quotients the
-    exploration and the IS universes by :func:`make_symmetry`'s
-    buyer-permutation group."""
-    applications = make_sequentializations(n, prices, contributions)
-    parameters = {"n": n, "prices": tuple(prices), "contributions": tuple(contributions)}
-    spec = None
-    if symmetry:
-        spec = make_symmetry(n)
-        parameters["symmetry"] = spec.name
-    return verify_protocol(
+    """Full pipeline for N-Buyer; ``options`` are :class:`RunOptions`
+    fields. ``symmetry=True`` quotients the exploration and the IS
+    universes by :func:`make_symmetry`'s buyer-permutation group."""
+    instance = Instance(
         "n-buyer",
-        parameters,
-        applications[0][1].program,
-        applications,
+        {"n": n, "prices": tuple(prices), "contributions": tuple(contributions)},
+        make_sequentializations(n, prices, contributions),
         initial_global(n),
         lambda final: spec_holds(final, n),
-        ground_truth=ground_truth,
-        max_configs=max_configs,
-        jobs=jobs,
-        fail_fast=fail_fast,
-        tracer=tracer,
-        resilience=resilience,
-        cache=cache,
-        warm=warm,
-        symmetry=spec,
+        symmetry=lambda: make_symmetry(n),
     )
+    return verify_protocol(instance, RunOptions(**options))

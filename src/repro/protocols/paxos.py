@@ -42,10 +42,19 @@ from ..core.schedule import choice_from_policy, invariant_from_policy, policy_by
 from ..core.sequentialize import ISApplication
 from ..core.store import EMPTY_STORE, Store
 from ..core.wellfounded import LexicographicMeasure, pa_potential
-from .common import GHOST, ProtocolReport, ghost_of, ghost_step, verify_protocol
+from .common import (
+    GHOST,
+    Instance,
+    ProtocolReport,
+    RunOptions,
+    ghost_of,
+    ghost_step,
+    verify_protocol,
+)
 
 __all__ = [
     "GLOBAL_VARS",
+    "PARAMETERS",
     "initial_global",
     "is_quorum",
     "make_atomic",
@@ -59,6 +68,10 @@ __all__ = [
 ]
 
 GLOBAL_VARS = ("joinedNodes", "voteInfo", "decision", GHOST)
+
+#: The instance parameters of :func:`verify`; every other keyword is a
+#: :class:`RunOptions` field.
+PARAMETERS = ("rounds", "num_nodes", "values")
 
 _MAIN_PA = PendingAsync(MAIN, EMPTY_STORE)
 
@@ -653,82 +666,53 @@ def spec_holds(final_global: Store, rounds: int) -> bool:
     return all(v == decided[0] for v in decided)
 
 
+def _instance(name, parameters, rounds, num_nodes, values, **universe) -> Instance:
+    return Instance(
+        name,
+        parameters,
+        [("Paxos", make_sequentialization(rounds, num_nodes, values))],
+        initial_global(rounds, num_nodes),
+        lambda final: spec_holds(final, rounds),
+        symmetry=lambda: make_symmetry(rounds, num_nodes, values),
+        ground_truth=False,
+        **universe,
+    )
+
+
 def verify_sampled(
     rounds: int = 2,
     num_nodes: int = 3,
     values: Sequence[int] = (1, 2),
     walks: int = 300,
     seed: int = 0,
-    jobs: Optional[int] = None,
-    fail_fast: bool = False,
-    tracer=None,
-    resilience=None,
+    **options,
 ) -> ProtocolReport:
     """Bounded variant for instances whose reachable state space defies
     enumeration (R=2, N=3 has ~6·10^5 configurations): the IS conditions
-    are checked over a universe harvested from random-scheduler walks.
-    A PASS is a bounded check; the exhaustive guarantee comes from the
-    smaller instances covered by :func:`verify` (see EXPERIMENTS.md)."""
-    from contextlib import nullcontext
-
-    from ..core.context import GhostContext
-    from ..core.explore import instance_summary
-    from ..core.semantics import initial_config
-    from ..core.universe import StoreUniverse
-    from .common import timed
-
-    application = make_sequentialization(rounds, num_nodes, values)
-    report = ProtocolReport(
+    are checked over a universe harvested from ``walks`` seeded
+    random-scheduler walks. A PASS is a bounded check; the exhaustive
+    guarantee comes from the smaller instances covered by :func:`verify`
+    (see EXPERIMENTS.md). ``options`` are :class:`RunOptions` fields."""
+    parameters = {"rounds": rounds, "nodes": num_nodes, "walks": walks, "seed": seed}
+    instance = _instance(
         "paxos (sampled)",
-        {"rounds": rounds, "nodes": num_nodes, "walks": walks, "seed": seed},
-        bounded=True,
+        parameters,
+        rounds,
+        num_nodes,
+        values,
+        walks=walks,
+        seed=seed,
     )
-    init = initial_config(initial_global(rounds, num_nodes))
-    with timed(report, "IS[Paxos]", tracer=tracer):
-        universe = StoreUniverse.from_random_walks(
-            application.program, [init], walks=walks, seed=seed
-        ).with_context(GhostContext(GHOST))
-        with (
-            tracer.scope("paxos (sampled)/IS[Paxos]")
-            if tracer is not None
-            else nullcontext()
-        ):
-            report.is_results.append(
-                (
-                    "Paxos",
-                    application.check(
-                        universe, jobs=jobs, fail_fast=fail_fast, tracer=tracer
-                    ),
-                )
-            )
-            report.explain_targets.append(("Paxos", application, universe))
-    with timed(report, "sequential spec"):
-        summary = instance_summary(
-            application.apply_and_drop(), initial_global(rounds, num_nodes)
-        )
-        report.spec_ok = (
-            not summary.can_fail
-            and bool(summary.final_globals)
-            and all(spec_holds(final, rounds) for final in summary.final_globals)
-        )
-    return report
+    return verify_protocol(instance, RunOptions(**options))
 
 
 def verify(
     rounds: int = 2,
     num_nodes: int = 3,
     values: Sequence[int] = (1, 2),
-    ground_truth: bool = False,
-    max_configs: Optional[int] = None,
-    jobs: Optional[int] = None,
-    fail_fast: bool = False,
-    tracer=None,
-    resilience=None,
-    cache=None,
-    warm=None,
-    symmetry: bool = False,
+    **options,
 ) -> ProtocolReport:
-    """Full pipeline for Paxos.
+    """Full pipeline for Paxos; ``options`` are :class:`RunOptions` fields.
 
     Ground-truth exploration of the concurrent program is exponential in
     rounds × nodes; it is off by default and exercised by a dedicated slow
@@ -736,26 +720,6 @@ def verify(
     and the IS universes by :func:`make_symmetry`'s node/value group —
     the lever that turns R=2, N=3 from a random-walk bounded check
     (:func:`verify_sampled`) into an exhaustive discharge."""
-    application = make_sequentialization(rounds, num_nodes, values)
     parameters = {"rounds": rounds, "nodes": num_nodes, "values": tuple(values)}
-    spec = None
-    if symmetry:
-        spec = make_symmetry(rounds, num_nodes, values)
-        parameters["symmetry"] = spec.name
-    return verify_protocol(
-        "paxos",
-        parameters,
-        application.program,
-        [("Paxos", application)],
-        initial_global(rounds, num_nodes),
-        lambda final: spec_holds(final, rounds),
-        ground_truth=ground_truth,
-        max_configs=max_configs,
-        jobs=jobs,
-        fail_fast=fail_fast,
-        tracer=tracer,
-        resilience=resilience,
-        cache=cache,
-        warm=warm,
-        symmetry=spec,
-    )
+    instance = _instance("paxos", parameters, rounds, num_nodes, values)
+    return verify_protocol(instance, RunOptions(**options))

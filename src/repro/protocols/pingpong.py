@@ -16,7 +16,7 @@ own PA with the next round's, the cooperation measure is a PA *potential*
 
 from __future__ import annotations
 
-from typing import Iterator, Optional
+from typing import Iterator
 
 from ..core.action import Action, PendingAsync, Transition
 from ..core.multiset import EMPTY, Multiset
@@ -25,10 +25,18 @@ from ..core.schedule import choice_from_policy, invariant_from_policy, policy_by
 from ..core.sequentialize import ISApplication
 from ..core.store import EMPTY_STORE, Store
 from ..core.wellfounded import LexicographicMeasure, pa_potential
-from .common import GHOST, ProtocolReport, ghost_step, verify_protocol
+from .common import (
+    GHOST,
+    Instance,
+    ProtocolReport,
+    RunOptions,
+    ghost_step,
+    verify_protocol,
+)
 
 __all__ = [
     "GLOBAL_VARS",
+    "PARAMETERS",
     "initial_global",
     "make_atomic",
     "make_abstractions",
@@ -40,6 +48,10 @@ __all__ = [
 ]
 
 GLOBAL_VARS = ("ping_ch", "pong_ch", "last_ping", "last_pong", GHOST)
+
+#: The instance parameters of :func:`verify`; every other keyword is a
+#: :class:`RunOptions` field.
+PARAMETERS = ("rounds",)
 
 _MAIN_PA = PendingAsync(MAIN, EMPTY_STORE)
 
@@ -310,37 +322,19 @@ def spec_holds(final_global: Store, rounds: int) -> bool:
     )
 
 
-def verify(
-    rounds: int = 3,
-    ground_truth: bool = True,
-    max_configs: Optional[int] = None,
-    jobs: Optional[int] = None,
-    fail_fast: bool = False,
-    tracer=None,
-    resilience=None,
-    cache=None,
-    warm=None,
-    symmetry: bool = False,
-) -> ProtocolReport:
-    """Full pipeline for Ping-Pong.
+def verify(rounds: int = 3, **options) -> ProtocolReport:
+    """Full pipeline for Ping-Pong; ``options`` are :class:`RunOptions`
+    fields.
 
     Ping-Pong has two distinguished roles and no replicated identity, so
     there is no nontrivial permutation group to quotient by; ``symmetry``
     is accepted for pipeline uniformity and ignored."""
     application = make_sequentialization(rounds)
-    return verify_protocol(
+    instance = Instance(
         "ping-pong",
         {"rounds": rounds},
-        application.program,
         [("Ping+Pong+Await", application)],
         initial_global(rounds),
         lambda final: spec_holds(final, rounds),
-        ground_truth=ground_truth,
-        max_configs=max_configs,
-        jobs=jobs,
-        fail_fast=fail_fast,
-        tracer=tracer,
-        resilience=resilience,
-        cache=cache,
-        warm=warm,
     )
+    return verify_protocol(instance, RunOptions(**options))

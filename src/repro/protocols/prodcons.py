@@ -12,7 +12,7 @@ in the paper.
 
 from __future__ import annotations
 
-from typing import Iterator, Optional
+from typing import Iterator
 
 from ..core.action import Action, PendingAsync, Transition
 from ..core.multiset import Multiset
@@ -21,10 +21,18 @@ from ..core.schedule import choice_from_policy, invariant_from_policy, policy_by
 from ..core.sequentialize import ISApplication
 from ..core.store import EMPTY_STORE, Store
 from ..core.wellfounded import LexicographicMeasure, pa_potential
-from .common import GHOST, ProtocolReport, ghost_step, verify_protocol
+from .common import (
+    GHOST,
+    Instance,
+    ProtocolReport,
+    RunOptions,
+    ghost_step,
+    verify_protocol,
+)
 
 __all__ = [
     "GLOBAL_VARS",
+    "PARAMETERS",
     "initial_global",
     "make_atomic",
     "make_consumer_abs",
@@ -37,6 +45,10 @@ __all__ = [
 ]
 
 GLOBAL_VARS = ("queue", "consumed", GHOST)
+
+#: The instance parameters of :func:`verify`; every other keyword is a
+#: :class:`RunOptions` field.
+PARAMETERS = ("bound",)
 
 _MAIN_PA = PendingAsync(MAIN, EMPTY_STORE)
 
@@ -214,37 +226,19 @@ def spec_holds(final_global: Store, bound: int) -> bool:
     return final_global["consumed"] == bound and final_global["queue"] == ()
 
 
-def verify(
-    bound: int = 4,
-    ground_truth: bool = True,
-    max_configs: Optional[int] = None,
-    jobs: Optional[int] = None,
-    fail_fast: bool = False,
-    tracer=None,
-    resilience=None,
-    cache=None,
-    warm=None,
-    symmetry: bool = False,
-) -> ProtocolReport:
-    """Full pipeline for Producer-Consumer.
+def verify(bound: int = 4, **options) -> ProtocolReport:
+    """Full pipeline for Producer-Consumer; ``options`` are
+    :class:`RunOptions` fields.
 
     The producer and consumer are distinguished roles and queue slots are
     ordered, so there is no nontrivial permutation group to quotient by;
     ``symmetry`` is accepted for pipeline uniformity and ignored."""
     application = make_sequentialization(bound)
-    return verify_protocol(
+    instance = Instance(
         "producer-consumer",
         {"bound": bound},
-        application.program,
         [("Produce+Consume", application)],
         initial_global(bound),
         lambda final: spec_holds(final, bound),
-        ground_truth=ground_truth,
-        max_configs=max_configs,
-        jobs=jobs,
-        fail_fast=fail_fast,
-        tracer=tracer,
-        resilience=resilience,
-        cache=cache,
-        warm=warm,
     )
+    return verify_protocol(instance, RunOptions(**options))

@@ -21,7 +21,7 @@ finalizations — established with four IS applications (Table 1: #IS = 4).
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Tuple
+from typing import Iterator, List, Tuple
 
 from ..core.action import Action, PendingAsync, Transition
 from ..core.mapping import FrozenDict
@@ -31,10 +31,18 @@ from ..core.schedule import choice_from_policy, invariant_from_policy, policy_by
 from ..core.sequentialize import ISApplication
 from ..core.store import EMPTY_STORE, Store
 from ..core.wellfounded import LexicographicMeasure, pa_count, pa_potential
-from .common import GHOST, ProtocolReport, ghost_step, verify_protocol
+from .common import (
+    GHOST,
+    Instance,
+    ProtocolReport,
+    RunOptions,
+    ghost_step,
+    verify_protocol,
+)
 
 __all__ = [
     "GLOBAL_VARS",
+    "PARAMETERS",
     "COMMIT",
     "ABORT",
     "YES",
@@ -49,6 +57,10 @@ __all__ = [
 ]
 
 GLOBAL_VARS = ("vote", "decision", "finalized", "CH", GHOST)
+
+#: The instance parameters of :func:`verify`; every other keyword is a
+#: :class:`RunOptions` field.
+PARAMETERS = ("n",)
 
 COMMIT, ABORT = "commit", "abort"
 YES, NO = "yes", "no"
@@ -505,41 +517,17 @@ def spec_holds(final_global: Store, n: int) -> bool:
     return True
 
 
-def verify(
-    n: int = 3,
-    ground_truth: bool = True,
-    max_configs: Optional[int] = None,
-    jobs: Optional[int] = None,
-    fail_fast: bool = False,
-    tracer=None,
-    resilience=None,
-    cache=None,
-    warm=None,
-    symmetry: bool = False,
-) -> ProtocolReport:
-    """Full pipeline for two-phase commit.  ``symmetry=True`` quotients
-    the exploration and the IS universes by :func:`make_symmetry`'s
+def verify(n: int = 3, **options) -> ProtocolReport:
+    """Full pipeline for two-phase commit; ``options`` are
+    :class:`RunOptions` fields. ``symmetry=True`` quotients the
+    exploration and the IS universes by :func:`make_symmetry`'s
     participant-permutation group."""
-    applications = make_sequentializations(n)
-    parameters = {"n": n}
-    spec = None
-    if symmetry:
-        spec = make_symmetry(n)
-        parameters["symmetry"] = spec.name
-    return verify_protocol(
+    instance = Instance(
         "two-phase-commit",
-        parameters,
-        applications[0][1].program,
-        applications,
+        {"n": n},
+        make_sequentializations(n),
         initial_global(n),
         lambda final: spec_holds(final, n),
-        ground_truth=ground_truth,
-        max_configs=max_configs,
-        jobs=jobs,
-        fail_fast=fail_fast,
-        tracer=tracer,
-        resilience=resilience,
-        cache=cache,
-        warm=warm,
-        symmetry=spec,
+        symmetry=lambda: make_symmetry(n),
     )
+    return verify_protocol(instance, RunOptions(**options))

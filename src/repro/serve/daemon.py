@@ -42,7 +42,6 @@ from __future__ import annotations
 
 import asyncio
 import ctypes
-import inspect
 import math
 import signal
 import sys
@@ -457,15 +456,9 @@ class ServeDaemon:
                     f"unknown protocol {request.protocol!r}; try: "
                     f"{', '.join(sorted(ALL_PROTOCOLS))}"
                 )
-            accepted = set(inspect.signature(module.verify).parameters)
-            reserved = {
-                "max_configs", "jobs", "fail_fast", "tracer",
-                "resilience", "cache", "warm", "ground_truth",
-            }
+            accepted = {*module.PARAMETERS, "symmetry"}
             bad = sorted(
-                name
-                for name, _ in request.params
-                if name not in accepted or name in reserved
+                name for name, _ in request.params if name not in accepted
             )
             if bad:
                 raise ValueError(

@@ -70,7 +70,7 @@ import subprocess
 import sys
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Dict, Optional, Set
 
@@ -152,14 +152,24 @@ def run_request(
     ``ServeDaemon._budgets`` (already operator-clamped); ``resilience``
     is an optional :class:`~repro.engine.resilience.ResilienceConfig`.
     """
+    from ..protocols.common import RunOptions
+
     rcache_before = None
     if warm.rcache is not None:
         rcache_before = warm.rcache.stats.snapshot()
     started = time.perf_counter()
+    options = RunOptions(
+        max_configs=budgets.get("max_configs"),
+        jobs=budgets.get("jobs"),
+        fail_fast=request.fail_fast,
+        tracer=tracer,
+        resilience=resilience,
+        warm=warm,
+    )
     if request.kind == "verify":
-        payload = _execute_verify(request, warm, budgets, resilience, tracer)
+        payload = _execute_verify(request, options)
     elif request.kind == "table1":
-        payload = _execute_table1(request, warm, budgets, resilience, tracer)
+        payload = _execute_table1(options)
     else:
         payload = _execute_explain(request)
     payload["seconds"] = round(time.perf_counter() - started, 6)
@@ -174,39 +184,26 @@ def run_request(
     return payload
 
 
-def _execute_verify(request, warm, budgets, resilience, tracer) -> dict:
+def _execute_verify(request, options) -> dict:
     from ..protocols import ALL_PROTOCOLS
 
-    module = ALL_PROTOCOLS[request.protocol]
-    kwargs = {
+    params = {
         key: list(value) if isinstance(value, tuple) else value
         for key, value in request.params
     }
-    if request.ground_truth is not None:
-        kwargs["ground_truth"] = request.ground_truth
-    report = module.verify(
-        max_configs=budgets.get("max_configs"),
-        jobs=budgets.get("jobs"),
-        fail_fast=request.fail_fast,
-        tracer=tracer,
-        resilience=resilience,
-        warm=warm,
-        **kwargs,
+    options = replace(
+        options,
+        symmetry=params.pop("symmetry", False),
+        ground_truth=request.ground_truth,
     )
+    report = ALL_PROTOCOLS[request.protocol].verify(**params, **vars(options))
     return report_payload(report)
 
 
-def _execute_table1(request, warm, budgets, resilience, tracer) -> dict:
+def _execute_table1(options) -> dict:
     from ..analysis.table1 import build_table1
 
-    rows = build_table1(
-        max_configs=budgets.get("max_configs"),
-        jobs=budgets.get("jobs"),
-        fail_fast=request.fail_fast,
-        tracer=tracer,
-        resilience=resilience,
-        warm=warm,
-    )
+    rows = build_table1(**vars(options))
     reports = [row.report for row in rows if row.report is not None]
     payload = {
         "kind": "table1",

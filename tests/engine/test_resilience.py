@@ -323,32 +323,20 @@ def test_pool_and_serial_agree_under_injection():
 # --------------------------------------------------------------------- #
 
 
-def test_every_protocol_verify_accepts_resilience():
+def test_every_protocol_verify_accepts_resilience(monkeypatch):
     """``build_table1`` passes ``resilience=`` to every registry entry; a
-    protocol whose ``verify`` lacks the parameter only blows up in the
-    slow sweep, so pin the signatures here in the fast lane."""
-    import inspect
+    protocol whose ``verify`` drops it only shows in the slow sweep, so
+    pin the forwarding into ``RunOptions`` here in the fast lane."""
+    from repro.protocols import ALL_PROTOCOLS
 
-    from repro.protocols import (
-        broadcast,
-        changroberts,
-        nbuyer,
-        paxos,
-        twophase,
-    )
-
-    for module in (
-        broadcast,
-        changroberts,
-        nbuyer,
-        paxos,
-        pingpong,
-        prodcons,
-        twophase,
-    ):
-        assert "resilience" in inspect.signature(module.verify).parameters, (
-            module.__name__
+    cfg = ResilienceConfig(timeout_per_obligation=1.5)
+    for module in ALL_PROTOCOLS.values():
+        seen = []
+        monkeypatch.setattr(
+            module, "verify_protocol", lambda _instance, options: seen.append(options)
         )
+        module.verify(resilience=cfg)
+        assert [options.resilience for options in seen] == [cfg], module.__name__
 
 
 def test_make_scheduler_forwards_resilience_to_serial():

@@ -162,6 +162,12 @@ def test_queue_full_returns_429_with_retry_after():
         faults.clear()
 
 
+#: Engine knobs: top-level request fields or operator settings, never
+#: instance ``params``.
+KNOBS = ("jobs", "warm", "tracer", "cache", "resilience", "max_configs",
+         "fail_fast", "ground_truth")
+
+
 def test_bad_requests_are_400_and_unknown_jobs_404():
     with DaemonHarness() as harness:
         for payload in (
@@ -169,6 +175,10 @@ def test_bad_requests_are_400_and_unknown_jobs_404():
             {"kind": "verify", "protocol": "not-a-protocol"},
             {"kind": "verify", "protocol": "pingpong", "params": {"zz": 1}},
             {"kind": "explain", "fixture": "not-a-fixture"},
+            *(
+                {"kind": "verify", "protocol": "pingpong", "params": {knob: 1}}
+                for knob in KNOBS
+            ),
         ):
             with pytest.raises(urllib.error.HTTPError) as excinfo:
                 harness.post("/jobs", payload)
@@ -176,6 +186,39 @@ def test_bad_requests_are_400_and_unknown_jobs_404():
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             harness.get("/jobs/job-9999-nope")
         assert excinfo.value.code == 404
+
+
+def test_each_protocol_admits_exactly_its_instance_params():
+    from repro.protocols import ALL_PROTOCOLS
+    from repro.serve.jobs import JobRequest
+
+    accepted = {
+        "broadcast": {"n", "values", "iterated", "symmetry"},
+        "pingpong": {"rounds", "symmetry"},
+        "prodcons": {"bound", "symmetry"},
+        "nbuyer": {"n", "prices", "contributions", "symmetry"},
+        "changroberts": {"n", "ids", "symmetry"},
+        "twophase": {"n", "symmetry"},
+        "paxos": {"rounds", "num_nodes", "values", "symmetry"},
+    }
+    assert set(accepted) == set(ALL_PROTOCOLS)
+    daemon = ServeDaemon(ServeConfig(host="127.0.0.1", port=0))
+
+    def admits(protocol, param):
+        request = JobRequest.from_payload(
+            {"kind": "verify", "protocol": protocol, "params": {param: 1}}
+        )
+        try:
+            daemon._validate_target(request)
+        except ValueError:
+            return False
+        return True
+
+    for protocol, params in accepted.items():
+        for param in params:
+            assert admits(protocol, param), (protocol, param)
+        for param in KNOBS + ("zz",):
+            assert not admits(protocol, param), (protocol, param)
 
 
 def test_sse_stream_replays_spans_and_terminates():

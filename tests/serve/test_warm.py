@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import pytest
+
 from repro.engine.warm import WarmState
-from repro.protocols import broadcast, pingpong
+from repro.protocols import ALL_PROTOCOLS, broadcast, pingpong
 
 
 def _typed_verdict(report):
@@ -21,11 +23,25 @@ def _typed_verdict(report):
     }
 
 
-def test_warm_reports_are_typed_identical_to_cold():
-    cold = pingpong.verify(rounds=2)
+#: A small instance of every protocol (each verifies in well under 1 s).
+SMALL = {
+    "broadcast": {"n": 2},
+    "pingpong": {"rounds": 2},
+    "prodcons": {"bound": 2},
+    "nbuyer": {"n": 2},
+    "changroberts": {"n": 3},
+    "twophase": {"n": 2},
+    "paxos": {"rounds": 1, "num_nodes": 2},
+}
+
+
+@pytest.mark.parametrize("name", list(SMALL))
+def test_warm_reports_are_typed_identical_to_cold(name):
+    verify = ALL_PROTOCOLS[name].verify
+    cold = verify(**SMALL[name])
     warm_state = WarmState()
-    first = pingpong.verify(rounds=2, warm=warm_state)
-    second = pingpong.verify(rounds=2, warm=warm_state)
+    first = verify(**SMALL[name], warm=warm_state)
+    second = verify(**SMALL[name], warm=warm_state)
     assert _typed_verdict(first) == _typed_verdict(cold)
     assert _typed_verdict(second) == _typed_verdict(cold)
 
@@ -62,7 +78,7 @@ def test_different_instances_do_not_collide():
     assert _typed_verdict(three) == _typed_verdict(pingpong.verify(rounds=3))
 
 
-def test_hand_rolled_broadcast_pipeline_supports_warm():
+def test_second_warm_broadcast_run_reuses_universes():
     warm_state = WarmState()
     cold = broadcast.verify(n=2)
     first = broadcast.verify(n=2, warm=warm_state)

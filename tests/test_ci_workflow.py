@@ -111,6 +111,25 @@ def test_smoke_and_trace_scripts_exist(workflow):
     assert (ROOT / "benchmarks" / "bench_obligations.py").exists()
 
 
+def test_trace_artifact_job_traces_broadcast_stages(workflow):
+    """Broadcast runs two IS applications through the shared pipeline;
+    its exported trace must frame every stage in a phase span."""
+    commands = [step["run"] for step in _steps(workflow, "trace-artifact")
+                if "run" in step]
+    assert any(
+        "repro verify broadcast" in cmd
+        and "--trace trace-broadcast.json" in cmd
+        and "--metrics metrics-broadcast.json" in cmd
+        for cmd in commands
+    )
+    check = next(cmd for cmd in commands
+                 if "trace-broadcast.json" in cmd and "phases" in cmd)
+    for stage in ("IS[Broadcast]", "IS[Collect]", "sequential spec",
+                  "ground truth"):
+        assert f'"{stage}"' in check, stage
+    assert 'metrics["totals"]["checked"] > 0' in check
+
+
 def test_bench_smoke_guards_representation_attribution(workflow):
     """The bench-smoke job must assert the per-layer representation
     attribution exists in the smoke JSON, and hold the committed full
