@@ -27,16 +27,22 @@ memos (warm), fresh hit/miss counters (honest per-worker accounting).
 Adoption is sound because memos are pure functions of the store — a warm
 entry is indistinguishable from one the child would recompute — and safe
 because the child's mutations land on its own copy-on-write pages, never
-in the parent. :func:`caching_disabled` switches the layer off for
-baseline measurements.
+in the parent.
+
+The layer has no off switch. Purity makes a memo entry indistinguishable
+from a fresh evaluation (``tests/core/test_cache.py`` checks exactly that
+on every protocol), and the reference oracle the fast path is tested
+against — the dict-shaped loops selected by a PA context whose
+``cache_key`` is ``None`` (:class:`repro.core.context.UncachableContext`)
+— shares these memos, so it differs from the fast path in the enumeration
+code only.
 """
 
 from __future__ import annotations
 
 import os
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .action import Action, Transition
 from .store import Store, memo_key, reset_store_interner
@@ -46,8 +52,6 @@ __all__ = [
     "CachedAction",
     "EvaluationCache",
     "process_cache",
-    "active_cache",
-    "caching_disabled",
     "reset_process_cache",
     "register_reset_hook",
     "counts_snapshot",
@@ -87,9 +91,7 @@ class _Memo:
 
     Keyed by :func:`repro.core.store.memo_key` — the store's intern id,
     an int, so lookups hash a machine word instead of a frozen item set.
-    (While interning is disabled for baseline measurements the key is the
-    store itself; int and Store keys never compare equal, so the modes
-    cannot alias.) Int keys are only meaningful against the intern table
+    Int keys are only meaningful against the intern table
     that minted them, which is why :func:`reset_process_cache` clears the
     interner and these memos together.
     """
@@ -252,7 +254,6 @@ class EvaluationCache:
 
 
 _PROCESS_CACHE: Optional[EvaluationCache] = None
-_DISABLED_DEPTH = 0
 
 
 def process_cache() -> EvaluationCache:
@@ -303,18 +304,9 @@ def reset_process_cache() -> None:
         hook()
 
 
-def active_cache() -> Optional[EvaluationCache]:
-    """The process cache, or ``None`` while caching is disabled."""
-    if _DISABLED_DEPTH:
-        return None
-    return process_cache()
-
-
 def counts_snapshot() -> Dict[str, Tuple[int, int]]:
     """The process cache's raw counters right now (see
-    :meth:`EvaluationCache.counts_snapshot`). Always reads the live
-    process cache — while caching is disabled the counters simply do not
-    move, so deltas come out zero, which is the honest report."""
+    :meth:`EvaluationCache.counts_snapshot`)."""
     return process_cache().counts_snapshot()
 
 
@@ -337,18 +329,3 @@ def snapshot_delta(
             "misses": max(0, misses_after - misses_before),
         }
     return delta
-
-
-@contextmanager
-def caching_disabled() -> Iterator[None]:
-    """Disable shared memoization in this process (re-entrant).
-
-    Used by benchmarks to measure the uncached baseline, and by tests to
-    cross-check that cached and uncached discharge agree.
-    """
-    global _DISABLED_DEPTH
-    _DISABLED_DEPTH += 1
-    try:
-        yield
-    finally:
-        _DISABLED_DEPTH -= 1

@@ -26,9 +26,12 @@ exact enumeration order (global-major, then locals, then transitions), the
 ``checked`` counters increment at the same points, and witnesses carry the
 same stores and transitions — ``tests/engine/test_columnar_differential.py``
 asserts typed-identical :class:`CheckResult`s on all seven protocols. The
-fast path steps aside (falling back to the oracle) while shared caching is
-disabled, while interning is disabled, inside :func:`columnar_disabled`
-blocks, and for PA contexts that declare their decisions uncachable.
+fast path has no off switch. It steps aside (falling back to the oracle)
+for exactly one input: a PA context that declares its decisions
+uncachable (``cache_key`` returns ``None``), because admissibility tables
+key by the context's equivalence classes. Wrapping a context in
+:class:`repro.core.context.UncachableContext` is therefore how tests and
+benchmarks reach the oracle.
 
 Forked pool workers inherit the column store through fork copy-on-write
 (the scheduler's warm-up pass builds the columns in the parent first), so
@@ -47,20 +50,16 @@ from typing import Dict, List, Optional, Tuple
 
 from ..diagnose.witness import CommutationWitness, GateWitness
 from .action import PendingAsync
-from .cache import active_cache, register_reset_hook
+from .cache import register_reset_hook
 from .refinement import CheckResult, _fail
-from .store import Store, interning_active, store_interner
+from .store import Store, store_interner
 
 __all__ = [
     "ColumnarStore",
     "columnar_store",
-    "columnar_active",
-    "columnar_disabled",
     "left_mover_condition_columnar",
     "i3_fast_path",
 ]
-
-_DISABLED_DEPTH = 0
 
 
 class _Uncachable(Exception):
@@ -317,35 +316,6 @@ register_reset_hook(_STORE.clear)
 def columnar_store() -> ColumnarStore:
     """The process's column store (forked children share it COW)."""
     return _STORE
-
-
-def columnar_active() -> bool:
-    """True when the columnar fast path applies: not explicitly disabled,
-    shared caching on (the uncached baseline must stay uncached), and
-    interning on (columns key by intern ids)."""
-    return (
-        not _DISABLED_DEPTH
-        and interning_active()
-        and active_cache() is not None
-    )
-
-
-class columnar_disabled:
-    """Force the dict-shaped oracle path (re-entrant).
-
-    The differential suite runs verification once under this switch and
-    once without to compare the two representations; benchmarks use it to
-    attribute the interning and batching layers separately.
-    """
-
-    def __enter__(self):
-        global _DISABLED_DEPTH
-        _DISABLED_DEPTH += 1
-        return self
-
-    def __exit__(self, *exc_info):
-        global _DISABLED_DEPTH
-        _DISABLED_DEPTH -= 1
 
 
 # ---------------------------------------------------------------------- #
@@ -726,11 +696,8 @@ _FNS = {
 def left_mover_condition_columnar(
     condition: str, l, x, universe, fail_fast: bool = False, globals_subset=None
 ) -> Optional[CheckResult]:
-    """Columnar evaluation of one left-mover condition, or ``None`` when
-    the fast path does not apply (disabled, interning off, caching off, or
-    an uncachable PA context) — the caller then runs the dict oracle."""
-    if not columnar_active():
-        return None
+    """Columnar evaluation of one left-mover condition, or ``None`` for
+    an uncachable PA context — the caller then runs the dict oracle."""
     try:
         return _FNS[condition](l, x, universe, fail_fast, globals_subset)
     except _Uncachable:
@@ -815,10 +782,8 @@ class I3Fast:
 def i3_fast_path(
     universe, globals_pool, m_name, locals_pool, invariant
 ) -> Optional[I3Fast]:
-    """An :class:`I3Fast` for this I3 shard, or ``None`` when the columnar
-    path does not apply."""
-    if not columnar_active():
-        return None
+    """An :class:`I3Fast` for this I3 shard, or ``None`` for an
+    uncachable PA context."""
     itn = store_interner()
     intern = itn.intern
     gids = [intern(g) for g in globals_pool]

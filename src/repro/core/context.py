@@ -20,6 +20,14 @@ to a :class:`~repro.core.universe.StoreUniverse`:
 :class:`GhostContext` reads a ghost multiset variable and requires joint
 multiset membership, exactly matching a program that keeps ``pendingAsyncs``
 in sync with :math:`\\Omega`.
+
+:class:`UncachableContext` wraps any context and declares its decisions
+uncachable. That one input property selects the checker's reference
+oracle: the dict-shaped loops of ``repro.core.movers`` and
+``ISApplication.check_i3``, which ask the context per store, with the
+columnar tables (``repro.core.columnar``) and the universe's single/pair
+memos stepping aside. The differential tests and the obligation benchmark
+reach the oracle through it.
 """
 
 from __future__ import annotations
@@ -30,7 +38,13 @@ from .action import PendingAsync
 from .multiset import Multiset
 from .store import Store
 
-__all__ = ["PAContext", "NoContext", "GhostContext", "InstanceContext"]
+__all__ = [
+    "PAContext",
+    "NoContext",
+    "GhostContext",
+    "InstanceContext",
+    "UncachableContext",
+]
 
 
 class PAContext:
@@ -158,3 +172,23 @@ class GhostContext(PAContext):
         if first == second:
             return ghost.count(first) >= 2
         return first in ghost and second in ghost
+
+
+@dataclass(frozen=True)
+class UncachableContext(PAContext):
+    """``inner``'s decisions, declared uncachable: ``cache_key`` is
+    ``None``, so every consumer asks ``inner`` per store and the checker
+    runs its reference oracle (see the module docstring)."""
+
+    inner: PAContext
+
+    def cache_key(self, global_store: Store):
+        return None
+
+    def single(self, global_store: Store, pending: PendingAsync) -> bool:
+        return self.inner.single(global_store, pending)
+
+    def pair(
+        self, global_store: Store, first: PendingAsync, second: PendingAsync
+    ) -> bool:
+        return self.inner.pair(global_store, first, second)

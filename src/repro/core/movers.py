@@ -15,6 +15,13 @@ reduction (``repro.reduction``). All conditions are discharged by exhaustive
 enumeration over a :class:`~repro.core.universe.StoreUniverse`, whose PA
 context encodes CIVL's linear-permission discipline (which PAs may coexist).
 
+The loops below are the checker's reference oracle for LM: a plain
+transcription of the four conditions. Each condition is first offered to
+the columnar fast path (``repro.core.columnar``), which runs the same
+enumeration over interned columns and declines only for a PA context
+whose ``cache_key`` is ``None``; wrapping a context in
+:class:`~repro.core.context.UncachableContext` therefore runs these loops.
+
 For bulk mover-type inference use :class:`MoverOracle`, which memoizes
 action outcomes and stops at the first counterexample.
 """
@@ -26,7 +33,7 @@ from typing import Dict, Iterable, Tuple
 
 from ..diagnose.witness import COUNTEREXAMPLE_KEEP, CommutationWitness, GateWitness
 from .action import Action
-from .cache import CachedAction, active_cache
+from .cache import CachedAction, process_cache
 from .columnar import left_mover_condition_columnar
 from .program import Program
 from .refinement import CheckResult, _fail
@@ -75,22 +82,15 @@ class MoverType(enum.Enum):
         return self in (MoverType.RIGHT, MoverType.BOTH)
 
 
-#: Memoizing action view, promoted to ``repro.core.cache`` (kept under the
-#: historical name for the mover-oracle internals).
-_CachedAction = CachedAction
-
-
 def _cached(action) -> CachedAction:
     """A memoized view of ``action`` through the process-wide evaluation
     cache, so gate/transition enumerations are shared across all mover and
-    IS obligations of a discharge run. Falls back to a private memo when
-    caching is disabled (see :func:`repro.core.cache.caching_disabled`)."""
-    if isinstance(action, CachedAction):
-        return action
-    cache = active_cache()
-    if cache is not None:
-        return cache.cached(action)
-    return CachedAction(action)
+    IS obligations of a discharge run. The columnar tables cache LM
+    evaluations too, but without these views LM re-evaluates what abs and
+    CO already memoized and holds second copies of the transition lists:
+    about 3% more peak memory on the benchmark ledger (EXPERIMENTS.md,
+    "Memo views under LM: kept")."""
+    return process_cache().cached(action)
 
 
 def _gate_forward_preserved(

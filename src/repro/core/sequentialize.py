@@ -42,8 +42,8 @@ from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, 
 
 from ..diagnose.witness import GateWitness, MissingTransitionWitness
 from .action import Action, PendingAsync, Transition
-from .cache import active_cache
-from .columnar import columnar_active, columnar_store, i3_fast_path
+from .cache import process_cache
+from .columnar import columnar_store, i3_fast_path
 from .movers import is_left_mover, is_left_mover_wrt_program
 from .multiset import Multiset
 from .program import Program
@@ -311,13 +311,6 @@ class ISApplication:
         """:math:`\\alpha(A)` (identity on unlisted actions)."""
         return self.abstractions.get(action_name, self.program[action_name])
 
-    @staticmethod
-    def _view(action):
-        """A memoized evaluation view of ``action`` (see ``repro.core.cache``);
-        the action itself when shared caching is disabled."""
-        cache = active_cache()
-        return cache.cached(action) if cache is not None else action
-
     # ------------------------------------------------------------------ #
     # Cache warm-up
     # ------------------------------------------------------------------ #
@@ -328,9 +321,10 @@ class ISApplication:
         right-hand sides), the invariant (enumerated by I1, I2 and I3
         alike), and the abstractions (I3's composition step, the LM
         left-hand sides, CO)."""
+        cached = process_cache().cached
         pairs = []
         for name, action in self.program.actions():
-            pairs.append((self._view(action), universe.locals_for(name)))
+            pairs.append((cached(action), universe.locals_for(name)))
         invariant_locals = list(
             dict.fromkeys(
                 [
@@ -339,12 +333,12 @@ class ISApplication:
                 ]
             )
         )
-        pairs.append((self._view(self.invariant), invariant_locals))
+        pairs.append((cached(self.invariant), invariant_locals))
         for name in self.eliminated:
             # Unabstracted actions of E are program actions, warmed above.
             if name in self.abstractions:
                 pairs.append(
-                    (self._view(self.abstractions[name]), universe.locals_for(name))
+                    (cached(self.abstractions[name]), universe.locals_for(name))
                 )
         return pairs
 
@@ -359,7 +353,7 @@ class ISApplication:
         true, over the global stores reachable in one transition from the
         grid, which is where the mover checks evaluate gates and
         transitions after a commuted step. Returns the number of stores
-        evaluated. A no-op (returning 0) while caching is disabled.
+        evaluated.
 
         Sound by purity: a memo entry is a function of the store alone, so
         warm entries are indistinguishable from recomputed ones. The
@@ -367,8 +361,6 @@ class ISApplication:
         every worker inherits the warm memos copy-on-write (see
         ``repro.core.cache``).
         """
-        if active_cache() is None:
-            return 0
         pairs = self._warm_views(universe)
         evaluated = 0
         successor_globals: set = set()
@@ -400,11 +392,8 @@ class ISApplication:
         The process-pool scheduler runs this in the parent before forking,
         so workers inherit filled columns copy-on-write instead of
         re-deriving them per shard (see ``repro.core.columnar``). Returns
-        the number of column entries filled; 0 when the columnar path is
-        inactive.
+        the number of column entries filled.
         """
-        if not columnar_active():
-            return 0
         cs = columnar_store()
         itn = store_interner()
         gids = [itn.intern(g) for g in universe.globals_]
@@ -433,8 +422,8 @@ class ISApplication:
         for name in pool:
             if name in self.abstractions:
                 results[f"abs[{name}]"] = check_action_refinement(
-                    self._view(self.program[name]),
-                    self._view(self.abstractions[name]),
+                    process_cache().cached(self.program[name]),
+                    process_cache().cached(self.abstractions[name]),
                     universe,
                     name=f"{name} ≼ α({name})",
                     pa_name=name,
@@ -447,9 +436,9 @@ class ISApplication:
         universe_for_m = universe.extended(
             extra_locals={self.invariant.name: universe.locals_for(self.m_name)}
         )
-        invariant = self._view(self.invariant)
+        invariant = process_cache().cached(self.invariant)
         return check_action_refinement(
-            self._view(self.program[self.m_name]),
+            process_cache().cached(self.program[self.m_name]),
             Action(
                 self.m_name,  # compare on M's locals
                 invariant.gate,
@@ -463,7 +452,7 @@ class ISApplication:
 
     def check_i2(self, universe: StoreUniverse) -> CheckResult:
         """(I2): I restricted to E-free transitions refines :math:`M'`."""
-        invariant = self._view(self.invariant)
+        invariant = process_cache().cached(self.invariant)
         restricted = derive_m_prime(invariant, self.eliminated, name="I|E-free")
         if self._m_prime_canonical:
             # Rebuild the canonical M' over the memoized invariant so both
@@ -500,9 +489,10 @@ class ISApplication:
         """
         result = CheckResult("I3: inductive step", True)
         names = set(self.eliminated)
-        invariant = self._view(self.invariant)
+        cached = process_cache().cached
+        invariant = cached(self.invariant)
         abstraction_views = {
-            name: self._view(self.abstraction_of(name)) for name in self.eliminated
+            name: cached(self.abstraction_of(name)) for name in self.eliminated
         }
         globals_pool = (
             universe.globals_ if globals_subset is None else globals_subset
@@ -647,10 +637,8 @@ class ISApplication:
         if universe_for_abs is None:
             universe_for_abs = self.lm_universe(universe, name)
         return is_left_mover(
-            self._view(
-                Action(name, abstraction.gate, abstraction.transitions, abstraction.params)
-            ),
-            self._view(self.program[other]),
+            Action(name, abstraction.gate, abstraction.transitions, abstraction.params),
+            self.program[other],
             universe_for_abs,
         )
 
@@ -669,7 +657,7 @@ class ISApplication:
         result = CheckResult("CO: cooperation", True)
         pool = self.eliminated if names is None else tuple(names)
         for name in pool:
-            abstraction = self._view(self.abstraction_of(name))
+            abstraction = process_cache().cached(self.abstraction_of(name))
             for g in universe.globals_:
                 for l in universe.locals_for(name):
                     if not universe.single_ok(g, name, l):

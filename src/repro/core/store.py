@@ -27,6 +27,11 @@ process-local and ephemeral — persistent fingerprints
 (``repro.engine.rcache``) always hash canonical store *contents*, never
 ids, so cached verification results survive interner resets and process
 boundaries.
+
+Interning has no off switch. The reference oracle the columnar fast path
+is tested against (see ``repro.core.context.UncachableContext``) uses the
+same interned stores and differs from the fast path only in its
+enumeration loops.
 """
 
 from __future__ import annotations
@@ -43,8 +48,6 @@ __all__ = [
     "store_interner",
     "intern_epoch",
     "reset_store_interner",
-    "interning_active",
-    "interning_disabled",
     "memo_key",
 ]
 
@@ -186,9 +189,7 @@ class StoreInterner:
         "_ids",
         "_stores",
         "_combined",
-        "_dict_combined",
         "_epoch",
-        "disabled_depth",
         "hits",
         "misses",
     )
@@ -197,17 +198,7 @@ class StoreInterner:
         self._ids: Dict[Store, int] = {}
         self._stores: List[Store] = []
         self._combined: Dict[Tuple[int, int], Store] = {}
-        # Store-keyed combine memo used only while interning is disabled —
-        # the faithful stand-in for the retired ``lru_cache`` so benchmarks
-        # can still measure the dict-shaped representation as a baseline.
-        self._dict_combined: Dict[Tuple[Store, Store], Store] = {}
         self._epoch = object()
-        # Re-entrant :class:`interning_disabled` nesting depth. Lives on
-        # the interner (not as a module global) so :func:`combine`'s only
-        # mutable referenced global is the interner itself, which the
-        # persistent result cache digests as a constant token (see
-        # ``repro.engine.rcache``) — memo contents never affect semantics.
-        self.disabled_depth = 0
         self.hits = 0
         self.misses = 0
 
@@ -231,10 +222,6 @@ class StoreInterner:
     def store_of(self, idx: int) -> Store:
         """The canonical store with id ``idx``."""
         return self._stores[idx]
-
-    def memo_key(self, store: Store):
-        """Alias of :meth:`intern` under the name the memo layers use."""
-        return self.intern(store)
 
     def combine(self, global_store: Store, local_store: Store) -> Store:
         """Memoized g·l, keyed by the ``(int, int)`` id pair."""
@@ -312,42 +299,9 @@ def intern_epoch() -> object:
     return _INTERNER._epoch
 
 
-def interning_active() -> bool:
-    """False inside :func:`interning_disabled` blocks."""
-    return not _INTERNER.disabled_depth
-
-
-def memo_key(store: Store):
-    """The key memo layers index evaluations by: the store's intern id
-    (an int) normally, the store itself while interning is disabled.
-
-    Int and Store keys can share a dict without aliasing (they never
-    compare equal), so flipping the mode mid-process is safe — benchmarks
-    still reset the caches between modes for honest measurements.
-    """
-    if _INTERNER.disabled_depth:
-        return store
+def memo_key(store: Store) -> int:
+    """The key memo layers index evaluations by: the store's intern id."""
     return _INTERNER.intern(store)
-
-
-class interning_disabled:
-    """Fall back to the dict-shaped representation (re-entrant).
-
-    Benchmarks use this to measure the pre-interning baseline for the
-    per-layer attribution in BENCH_obligations.json: ``combine`` memoizes
-    under ``(Store, Store)`` keys and evaluation memos key by the store
-    object, exactly the retired representation. Columnar evaluation keys
-    by intern ids, so disabling interning implies the columnar fast path
-    is skipped too (``repro.core.columnar`` checks this flag).
-    """
-
-    def __enter__(self):
-        _INTERNER.disabled_depth += 1
-        return self
-
-    def __exit__(self, *exc_info):
-        _INTERNER.disabled_depth -= 1
-        _INTERNER._dict_combined.clear()
 
 
 def reset_store_interner() -> None:
@@ -374,21 +328,4 @@ def combine(global_store: Store, local_store: Store) -> Store:
     interner) instead of the old module-level ``lru_cache``, which
     accumulated stores across runs forever.
     """
-    itn = _INTERNER
-    if itn.disabled_depth:
-        key = (global_store, local_store)
-        result = itn._dict_combined.get(key)
-        if result is None:
-            result = global_store.merge(local_store)
-            itn._dict_combined[key] = result
-        return result
-    return itn.combine(global_store, local_store)
-
-
-def _combine_cache_clear() -> None:
-    """Back-compat shim for the old ``combine.cache_clear()`` call sites:
-    clears the interner (table + memo) outright."""
-    _INTERNER.clear()
-
-
-combine.cache_clear = _combine_cache_clear  # type: ignore[attr-defined]
+    return _INTERNER.combine(global_store, local_store)

@@ -487,12 +487,12 @@ class ProcessPoolScheduler:
             finally:
                 self.last_events = serial.last_events
 
-        from ..core.cache import active_cache, process_cache
+        from ..core.cache import process_cache
 
         self.last_warmup_seconds = 0.0
         self.last_warmup_started = None
         self.last_warmed_evaluations = 0
-        if self.warm and active_cache() is not None:
+        if self.warm:
             started = time.perf_counter()
             self.last_warmed_evaluations = app.warm_evaluation_cache(universe)
             # Fill the columnar tables too: workers inherit the intern

@@ -19,8 +19,6 @@ from repro.core.store import (
     StoreInterner,
     combine,
     intern_epoch,
-    interning_active,
-    interning_disabled,
     memo_key,
     reset_store_interner,
     store_interner,
@@ -109,22 +107,9 @@ class TestModuleLifecycle:
         assert intern_epoch() is not before
 
     def test_memo_key_is_an_int_while_active(self):
-        assert interning_active()
-        assert isinstance(memo_key(Store({"x": 1})), int)
-
-    def test_memo_key_is_the_store_while_disabled(self):
         s = Store({"x": 1})
-        with interning_disabled():
-            assert not interning_active()
-            assert memo_key(s) is s
-        assert interning_active()
-
-    def test_interning_disabled_nests(self):
-        with interning_disabled():
-            with interning_disabled():
-                assert not interning_active()
-            assert not interning_active()
-        assert interning_active()
+        assert isinstance(memo_key(s), int)
+        assert memo_key(s) == store_interner().intern(s)
 
     def test_combine_is_memoized_through_the_interner(self):
         g, l = Store({"g": 1}), Store({"l": 2})
@@ -134,7 +119,7 @@ class TestModuleLifecycle:
     def test_combine_cache_clear_resets_the_memo(self):
         combine(Store({"g": 1}), Store({"l": 2}))
         assert store_interner().combined_entries >= 1
-        combine.cache_clear()
+        reset_store_interner()
         assert store_interner().combined_entries == 0
 
 

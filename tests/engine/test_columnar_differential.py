@@ -1,20 +1,22 @@
-"""Differential suite: interned/columnar evaluation vs the dict oracle.
+"""Differential suite: interned/columnar evaluation vs the reference oracle.
 
-Every Table 1 protocol is checked three times — once under the dict-shaped
-oracle (``columnar_disabled`` + ``interning_disabled``, the representation
-the engine shipped with), once on the default interned/columnar fast path
-serially, and once on the fast path through a real process pool.  The
-three condition maps must be **typed-identical**: same condition keys,
-same :class:`CheckResult` type, same (name, holds, checked,
-counterexamples) field for field.  ``checked`` equality is the strongest
-part of the contract — the columnar loops must enumerate exactly the
-(global, locals, transition) triples the oracle does, in the same order,
-or attribution and counterexample replay silently drift.
+Every Table 1 protocol is checked three times — once by the reference
+oracle (the dict-shaped loops of ``repro.core.movers`` and
+``ISApplication.check_i3``, selected by wrapping the PA context in
+:class:`~repro.core.context.UncachableContext`), once on the default
+columnar fast path serially, and once on the fast path through a real
+process pool.  The three condition maps must be **typed-identical**: same
+condition keys, same :class:`CheckResult` type, same (name, holds,
+checked, counterexamples) field for field.  ``checked`` equality is the
+strongest part of the contract — the columnar loops must enumerate
+exactly the (global, locals, transition) triples the oracle does, in the
+same order, or attribution and counterexample replay silently drift.
 
-The final test pins the representation-independence of the persistent
+The final tests pin the representation-independence of the persistent
 result cache: fingerprints hash store *contents*, never intern ids, so a
-cache written by the oracle representation must warm-hit the columnar
-one with **zero** obligations executed.
+cache written under one assignment of intern ids must warm-hit a run in
+which every universe store carries a different id, with **zero**
+obligations executed.
 """
 
 from __future__ import annotations
@@ -23,10 +25,10 @@ import pytest
 
 from repro.core import initial_config
 from repro.core.cache import reset_process_cache
-from repro.core.columnar import columnar_active, columnar_disabled
-from repro.core.context import GhostContext
+from repro.core.columnar import columnar_store
+from repro.core.context import GhostContext, UncachableContext
 from repro.core.refinement import CheckResult
-from repro.core.store import interning_active, interning_disabled
+from repro.core.store import Store, store_interner
 from repro.core.universe import StoreUniverse
 from repro.engine.scheduler import ProcessPoolScheduler
 from repro.protocols import (
@@ -85,10 +87,11 @@ PROTOCOL_CASES = {
 SLOW = {"broadcast", "paxos"}
 
 
-def _universe(app, init_global):
+def _universe(app, init_global, oracle=False):
+    context = GhostContext(GHOST)
     return StoreUniverse.from_reachable(
         app.program, [initial_config(init_global)]
-    ).with_context(GhostContext(GHOST))
+    ).with_context(UncachableContext(context) if oracle else context)
 
 
 def _typed_condition_map(result):
@@ -119,19 +122,18 @@ def _fresh_caches():
 def test_columnar_matches_dict_oracle(name):
     app, init_global = PROTOCOL_CASES[name]()
 
-    # Oracle: the dict-shaped representation end to end — Store-keyed
-    # memos, per-pair combine, no columns.  Its universe is built inside
-    # the switch so even reachability exploration keys the old way.
-    with interning_disabled(), columnar_disabled():
-        assert not interning_active() and not columnar_active()
-        oracle = app.check(_universe(app, init_global), jobs=1)
+    # Oracle: the dict-shaped loops, asking the PA context per store.  No
+    # column may be filled and no admissibility decision memoized.
+    oracle_universe = _universe(app, init_global, oracle=True)
+    oracle = app.check(oracle_universe, jobs=1)
+    assert columnar_store().gate_fills == 0
+    assert oracle_universe.context_cache_stats.total == 0
 
     reset_process_cache()
 
     # Fast path, serial: interned stores + columnar batch evaluation.
-    universe = _universe(app, init_global)
-    assert columnar_active()
-    serial = app.check(universe, jobs=1)
+    serial = app.check(_universe(app, init_global), jobs=1)
+    assert columnar_store().gate_fills > 0
 
     assert _typed_condition_map(serial) == _typed_condition_map(oracle)
     assert serial.holds == oracle.holds
@@ -149,38 +151,79 @@ def test_columnar_matches_dict_oracle(name):
     assert pooled.total_checked == oracle.total_checked
 
 
-def test_oracle_cold_cache_warm_hits_columnar(tmp_path):
-    """Result-cache fingerprints are content-addressed: a cache populated
-    under the dict oracle must serve the columnar run with zero
-    obligations executed (and byte-identical verdicts)."""
+def _universe_stores(universe):
+    """Every store a discharge quantifies over: globals, then locals."""
+    stores = list(universe.globals_)
+    for pool in universe.locals_by_action.values():
+        stores.extend(pool)
+    return list(dict.fromkeys(stores))
+
+
+def _reintern_reversed(stores, avoid):
+    """Reset the process caches and intern ``stores`` back to front, so a
+    run built next sees every one of them under a different id than in
+    ``avoid`` (store -> id); returns the new ids.  Reversal alone can
+    leave a store on its old id, so the fewest padding stores that move
+    all of them are interned first."""
+    n = len(stores)
+    pad = next(
+        k
+        for k in range(n + 1)
+        if all(k + n - 1 - i != avoid[s] for i, s in enumerate(stores))
+    )
+    reset_process_cache()
+    itn = store_interner()
+    for k in range(pad):
+        itn.intern(Store({"__pad__": k}))
+    for store in reversed(stores):
+        itn.intern(store)
+    return {store: itn.intern(store) for store in stores}
+
+
+def _current_ids(stores):
+    """Each store's id in the process intern table right now."""
+    itn = store_interner()
+    return {store: itn.intern(store) for store in stores}
+
+
+def test_cold_cache_warm_hits_reversed_intern_ids(tmp_path):
+    """Result-cache fingerprints are content-addressed: a cache filled
+    under natural intern ids serves a re-verify whose universe stores all
+    carry different ids with zero obligations executed (and identical
+    verdicts)."""
     app, init_global = PROTOCOL_CASES["pingpong"]()
 
-    with interning_disabled(), columnar_disabled():
-        cold = app.check(_universe(app, init_global), jobs=1, cache=tmp_path)
+    universe = _universe(app, init_global)
+    cold = app.check(universe, jobs=1, cache=tmp_path)
     assert cold.holds
+    stores = _universe_stores(universe)
+    cold_ids = _current_ids(stores)
 
-    reset_process_cache()
+    warm_ids = _reintern_reversed(stores, avoid=cold_ids)
+    assert all(warm_ids[s] != cold_ids[s] for s in stores)
     with count_executions() as executed:
-        warm = app.check(
-            _universe(app, init_global), jobs=1, cache=tmp_path
-        )
+        warm = app.check(_universe(app, init_global), jobs=1, cache=tmp_path)
     assert not executed, f"warm re-verify executed {sorted(executed)}"
+    assert _current_ids(stores) == warm_ids
     assert _typed_condition_map(warm) == _typed_condition_map(cold)
 
 
-def test_columnar_cold_cache_warm_hits_oracle(tmp_path):
-    """The reverse direction: intern ids never leak into fingerprints, so
-    an oracle re-verify warm-hits a columnar-written cache too."""
+def test_reversed_intern_cold_cache_warm_hits_natural_ids(tmp_path):
+    """The reverse direction: a cache filled while every universe store
+    carries a reversed-order id warm-hits a natural-order re-verify."""
     app, init_global = PROTOCOL_CASES["pingpong"]()
+    stores = _universe_stores(_universe(app, init_global))
+    natural_ids = _current_ids(stores)
 
+    cold_ids = _reintern_reversed(stores, avoid=natural_ids)
     cold = app.check(_universe(app, init_global), jobs=1, cache=tmp_path)
     assert cold.holds
+    assert _current_ids(stores) == cold_ids
 
     reset_process_cache()
+    universe = _universe(app, init_global)
+    assert _current_ids(stores) == natural_ids
     with count_executions() as executed:
-        with interning_disabled(), columnar_disabled():
-            warm = app.check(
-                _universe(app, init_global), jobs=1, cache=tmp_path
-            )
+        warm = app.check(universe, jobs=1, cache=tmp_path)
     assert not executed, f"warm re-verify executed {sorted(executed)}"
     assert _typed_condition_map(warm) == _typed_condition_map(cold)

@@ -23,11 +23,7 @@ import os
 import pytest
 
 from repro.core import Action, ISApplication, initial_config
-from repro.core.cache import (
-    caching_disabled,
-    process_cache,
-    reset_process_cache,
-)
+from repro.core.cache import process_cache, reset_process_cache
 from repro.core.context import GhostContext
 from repro.core.store import Store
 from repro.core.universe import StoreUniverse
@@ -146,10 +142,6 @@ def test_warm_evaluation_cache_populates_and_counts(good, universe):
     evaluated = good.warm_evaluation_cache(universe)
     assert evaluated > 0
     assert process_cache().stats().total > 0
-    # With caching off there is nothing to warm.
-    reset_process_cache()
-    with caching_disabled():
-        assert good.warm_evaluation_cache(universe) == 0
 
 
 # --------------------------------------------------------------------- #
