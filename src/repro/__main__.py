@@ -262,13 +262,13 @@ def _cmd_table1(args) -> int:
         render_table1,
         verify_trace_consistency,
     )
-    from .engine.journal import StaleJournalError
+    from .engine.recordlog import StaleLogError
 
     options = _run_options(args)
     tracer, cache = options.tracer, options.cache
     try:
         rows = build_table1(**vars(options))
-    except StaleJournalError as exc:
+    except StaleLogError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     print(render_table1(rows))
@@ -294,7 +294,7 @@ def _cmd_table1(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    from .engine.journal import StaleJournalError
+    from .engine.recordlog import StaleLogError
     from .protocols import ALL_PROTOCOLS
 
     module = ALL_PROTOCOLS.get(args.protocol)
@@ -306,7 +306,7 @@ def _cmd_verify(args) -> int:
     tracer, cache = options.tracer, options.cache
     try:
         report = module.verify(**vars(options))
-    except StaleJournalError as exc:
+    except StaleLogError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     print(report.summary())

@@ -40,13 +40,13 @@ Injectors are installed two ways, both inherited by ``fork`` workers:
 Filesystem faults
 -----------------
 Beyond obligation faults, the injector models *disk* failures for the
-persistence layers (``repro.engine.rcache``, ``repro.engine.journal``,
-``repro.serve.jobs``). A spec whose mode is one of :data:`_FS_MODES` —
-``enospc`` (disk full), ``eio`` (I/O error), ``eperm`` (permission
-denied), ``torn`` (partial write lands on disk, then the write errors) —
-is keyed by a *write site* rather than an obligation key
+persistence layers (``repro.engine.rcache``, and
+``repro.engine.recordlog`` under both journals). A spec whose mode is
+one of :data:`_FS_MODES` — ``enospc`` (disk full), ``eio`` (I/O
+error), ``eperm`` (permission denied), ``torn`` (partial write lands on
+disk, then the write errors) — is keyed by a *write site* rather than an obligation key
 (``rcache.store``, ``rcache.index``, ``journal.append``,
-``jobs.append``) and consulted through :func:`maybe_fs_fault` at the
+``jobs.append``) and consulted through :func:`maybe_fail_write` at the
 moment of the write. ``times`` bounds firings per process via an
 injector-internal counter (writes have no scheduler attempt number), so
 ``REPRO_FAULTS="rcache.store=enospc:4"`` models transient disk pressure
@@ -73,6 +73,7 @@ __all__ = [
     "clear",
     "active_injector",
     "maybe_fs_fault",
+    "maybe_fail_write",
     "fs_error",
 ]
 
@@ -247,6 +248,22 @@ def maybe_fs_fault(key: str) -> Optional[str]:
     if injector is None:
         return None
     return injector.fs_fault(key)
+
+
+def maybe_fail_write(key: str, path, data, write) -> None:
+    """The write-site hook: raise the OSError of an fs fault due at
+    ``key``, after landing the first half of ``data`` through ``write``
+    when the mode is ``torn`` — the damage a reader must then absorb.
+    Returns normally when no fault is due."""
+    mode = maybe_fs_fault(key)
+    if mode is None:
+        return
+    if mode == "torn":
+        try:
+            write(data[: max(1, len(data) // 2)])
+        except OSError:
+            pass
+    raise fs_error(mode, str(path))
 
 
 def fs_error(mode: str, path: str = "") -> OSError:

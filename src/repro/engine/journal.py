@@ -5,16 +5,18 @@ A long verification run that dies at obligation 47/50 should not restart
 from zero. Under ``--checkpoint DIR`` the schedulers append one JSON
 record per *completed* obligation to a journal file and fsync at wave
 boundaries (the pool), at most once a second (the serial backend — see
-:meth:`CheckpointJournal.maybe_sync`), and on interrupt, so the file on
-disk is always a valid prefix of the run; ``--resume`` loads the journal
-on restart and skips
-every journaled obligation, seeding its recorded verdict into the
-fail-fast logic so downstream skipping decisions are unchanged.
+:meth:`repro.engine.recordlog.RecordLog.maybe_sync`), and on interrupt,
+so the file on disk is always a valid prefix of the run; ``--resume``
+loads the journal on restart and skips every journaled obligation,
+seeding its recorded verdict into the fail-fast logic so downstream
+skipping decisions are unchanged.
 
-Layout — one file per discharge run (one IS application), named after
-the checkpoint label, JSON Lines:
+The file is a :class:`~repro.engine.recordlog.RecordLog` (schema-tagged
+header, one JSON object per line, torn-tail recovery, fsync policy,
+disk-fault degradation), one per discharge run (one IS application),
+named after the checkpoint label:
 
-* line 1 is the header: schema tag, the run *fingerprint*, the label,
+* the header carries the schema tag, the run *fingerprint*, the label,
   and the obligation count;
 * every further line is one completed obligation:
   ``{"key", "name", "holds", "checked", "elapsed", "attempts",
@@ -27,20 +29,17 @@ The **staleness guard**: the fingerprint hashes the obligation keys, the
 application frame (``M``, ``E``, abstraction names, program actions) and
 the universe size. A journal whose fingerprint does not match the
 current run — the program changed, the instance parameters changed, the
-sharding layout changed — is refused with :class:`StaleJournalError`
-rather than silently merging verdicts from a different proof. A
-*truncated trailing line* (the run died mid-write) is tolerated: the
-valid prefix is loaded and the partial record is dropped, exactly like a
-write-ahead log.
+sharding layout changed — is refused with
+:class:`~repro.engine.recordlog.StaleLogError` rather than silently
+merging verdicts from a different proof. The load is a *prefix* fold:
+nothing after the first record that fails to decode is trusted.
 
 Only genuinely completed outcomes are journaled. Timeouts, crashes, and
 fail-fast skips are not: a resumed run should re-attempt them.
 
-**Disk faults degrade, never abort.** A journal append (or fsync) that
-fails with ``OSError`` — disk full, I/O error, revoked permissions —
-must not kill a verification that is otherwise succeeding: the journal
-*degrades* (``write_errors`` counts the failures, ``degraded`` latches,
-further appends become no-ops) and the run continues without
+**Disk faults degrade, never abort.** A failed append or fsync closes
+the log (see :mod:`repro.engine.recordlog`), and the journal stays
+*degraded* for the rest of its run: the run continues without
 checkpoints, exactly as if ``--checkpoint`` had not been passed. The
 cost is bounded and sound: a later resume re-executes what was never
 journaled; it can never load a wrong verdict, because nothing was
@@ -52,21 +51,18 @@ from __future__ import annotations
 
 import base64
 import hashlib
-import json
 import os
 import pickle
 import re
-import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ..core.refinement import CheckResult
-from . import faults
+from .recordlog import RecordLog, StaleLogError, read_log
 
 __all__ = [
     "JOURNAL_SCHEMA",
-    "StaleJournalError",
     "JournaledOutcome",
     "CheckpointJournal",
     "run_fingerprint",
@@ -74,10 +70,7 @@ __all__ = [
 
 JOURNAL_SCHEMA = "repro.engine/journal/v1"
 
-
-class StaleJournalError(RuntimeError):
-    """A resume journal that does not belong to this run (or is corrupt
-    where it must not be: the header)."""
+_KIND = "an obligation journal"
 
 
 def run_fingerprint(app, universe, obligations: Sequence) -> str:
@@ -115,22 +108,10 @@ def _slug(label: Optional[str]) -> str:
     return re.sub(r"[^A-Za-z0-9._-]+", "-", label).strip("-")
 
 
-def _has_journal_header(path) -> bool:
-    """True when the file's first line parses as a journal header —
-    i.e. it is (some run's) genuine journal, not a torn/empty stub."""
-    try:
-        with open(path, "rb") as handle:
-            first = handle.readline()
-        header = json.loads(first.decode("utf-8"))
-    except Exception:
-        return False
-    return isinstance(header, dict) and header.get("schema") == JOURNAL_SCHEMA
-
-
 @dataclass
 class JournaledOutcome:
-    """One record loaded from a journal: enough to rebuild the
-    ``CheckResult`` and seed the fail-fast verdict map."""
+    """One record loaded from a journal (or the result cache): enough to
+    rebuild the ``CheckResult`` and seed the fail-fast verdict map."""
 
     key: str
     holds: bool
@@ -139,6 +120,40 @@ class JournaledOutcome:
     elapsed: float
     attempts: int
     witnesses_b64: Optional[str] = None
+
+    @staticmethod
+    def record_of(outcome) -> dict:
+        """The JSON record of one completed scheduler outcome."""
+        result = outcome.result
+        return {
+            "key": outcome.key,
+            "name": result.name,
+            "holds": result.holds,
+            "checked": result.checked,
+            "elapsed": round(outcome.elapsed, 6),
+            "attempts": getattr(outcome, "attempts", 1),
+            "witnesses": (
+                base64.b64encode(pickle.dumps(result.counterexamples)).decode()
+                if result.counterexamples
+                else None
+            ),
+        }
+
+    @classmethod
+    def from_record(cls, record: dict) -> "JournaledOutcome":
+        """Decode one record; raises on anything malformed — the witness
+        payload included, which must decode now, not at merge time."""
+        outcome = cls(
+            key=record["key"],
+            holds=bool(record["holds"]),
+            checked=int(record["checked"]),
+            name=record["name"],
+            elapsed=float(record.get("elapsed", 0.0)),
+            attempts=int(record.get("attempts", 1)),
+            witnesses_b64=record.get("witnesses"),
+        )
+        outcome.to_result()
+        return outcome
 
     def to_result(self) -> CheckResult:
         counterexamples: List = []
@@ -152,27 +167,26 @@ class JournaledOutcome:
 class CheckpointJournal:
     """Append-only writer (and loader) of one run's outcome journal."""
 
-    def __init__(self, path: Path, fingerprint: str, label: str = ""):
-        self.path = Path(path)
-        self.fingerprint = fingerprint
-        self.label = label
-        self._handle = None
-        self._last_fsync = 0.0
+    def __init__(self, log: RecordLog):
+        self._log = log
+        self.path = log.path
         self.appended = 0
-        #: Failed journal writes, each degraded to a skipped checkpoint.
-        self.write_errors = 0
-        #: Latched after the first failed write: the journal stops trying
-        #: (a half-written file must not keep absorbing partial records).
-        self.degraded = False
 
-    # ------------------------------------------------------------------ #
-    # Opening and loading
-    # ------------------------------------------------------------------ #
+    @property
+    def write_errors(self) -> int:
+        """Failed journal writes, each degraded to a skipped checkpoint."""
+        return self._log.write_errors
+
+    @property
+    def degraded(self) -> bool:
+        """Latched by the first failed write: the log closed and this
+        run never reopens it."""
+        return self._log.write_errors > 0
 
     @classmethod
     def open(
         cls,
-        directory,
+        directory: Union[str, os.PathLike],
         label: Optional[str],
         fingerprint: str,
         num_obligations: int,
@@ -184,129 +198,59 @@ class CheckpointJournal:
         empty unless ``resume`` found a matching journal. Without
         ``resume`` an existing journal is truncated and restarted (the
         caller asked for a fresh run). With ``resume``, a journal whose
-        fingerprint mismatches raises :class:`StaleJournalError`.
+        fingerprint mismatches raises :class:`StaleLogError`; one with
+        no valid header (this run's own disk-fault artifact) restarts
+        fresh on open, so resuming it is resuming from zero.
         """
-        directory = Path(directory)
         name = _slug(label) or f"run-{fingerprint[:12]}"
-        path = directory / f"{name}.jsonl"
-        journal = cls(path, fingerprint, label=label or "")
-        try:
-            directory.mkdir(parents=True, exist_ok=True)
-        except OSError:
-            journal._fail()
+        header = {
+            "schema": JOURNAL_SCHEMA,
+            "fingerprint": fingerprint,
+            "label": label or "",
+            "obligations": num_obligations,
+        }
+        log = RecordLog(
+            Path(directory) / f"{name}.jsonl", header, _KIND, "journal.append"
+        )
+        journal = cls(log)
+        opened = log.open(fresh=not resume)
+        if not (opened and resume):
             return journal, {}
-        completed: Dict[str, JournaledOutcome] = {}
-        if resume and path.exists():
-            try:
-                completed = cls.load(path, fingerprint)
-            except OSError:
-                # An unreadable journal (EIO, revoked permissions) is a
-                # missing journal, not a fatal one: resume from zero.
-                completed = {}
-            except StaleJournalError:
-                # Only a *parseable* header deserves the loud refusal —
-                # it proves a genuine journal of some other run. An
-                # empty or headerless file is this run's own disk-fault
-                # artifact (the header append died on ENOSPC/EIO/torn);
-                # degrading to resume-from-zero only re-executes, so it
-                # is always sound.
-                if _has_journal_header(path):
-                    raise
-                completed = {}
         try:
-            journal._start(
-                resume=bool(completed), num_obligations=num_obligations
-            )
+            return journal, cls.load(log.path, fingerprint)
         except OSError:
-            journal._fail()
-        return journal, completed
+            # An unreadable journal (EIO, revoked permissions) is a
+            # missing journal, not a fatal one: resume from zero.
+            return journal, {}
+        except StaleLogError:
+            journal.close()
+            raise
 
     @classmethod
     def load(cls, path, fingerprint: Optional[str]) -> Dict[str, JournaledOutcome]:
         """Load a journal's completed outcomes, newest record winning.
 
-        Raises :class:`StaleJournalError` when the header is missing,
+        Raises :class:`StaleLogError` when the header is missing,
         unreadable, has the wrong schema, or carries a different
-        fingerprint. A truncated/corrupt *trailing* record is dropped
-        (the run died mid-append); corruption before the end also stops
-        the load there — everything after an unreadable line is
-        untrusted.
+        fingerprint. The load stops at the first record that does not
+        decode — everything after an unreadable line is untrusted.
         """
-        path = Path(path)
-        # Read bytes, not text: a header torn mid-multibyte-sequence (or
-        # binary garbage) must degrade to StaleJournalError, not escape
-        # as a raw UnicodeDecodeError before any guard runs.
-        raw_lines = path.read_bytes().splitlines()
-        if not raw_lines:
-            raise StaleJournalError(f"{path}: empty journal (no header)")
-        try:
-            header = json.loads(raw_lines[0].decode("utf-8"))
-        except UnicodeDecodeError as exc:
-            raise StaleJournalError(
-                f"{path}: unreadable header (not valid UTF-8 — torn or "
-                f"binary write): {exc}"
-            ) from exc
-        except json.JSONDecodeError as exc:
-            raise StaleJournalError(f"{path}: unreadable header: {exc}") from exc
-        if not isinstance(header, dict) or header.get("schema") != JOURNAL_SCHEMA:
-            raise StaleJournalError(
-                f"{path}: not an obligation journal "
-                f"(schema {header.get('schema') if isinstance(header, dict) else None!r})"
-            )
+        header, records = read_log(path, JOURNAL_SCHEMA, _KIND)
         if fingerprint is not None and header.get("fingerprint") != fingerprint:
-            raise StaleJournalError(
+            raise StaleLogError(
                 f"{path}: stale journal — it records a different run "
                 f"(journal fingerprint {str(header.get('fingerprint'))[:12]}…, "
                 f"this run {fingerprint[:12]}…); refusing to resume. "
                 f"Delete the journal or drop --resume to start fresh."
             )
         completed: Dict[str, JournaledOutcome] = {}
-        for raw in raw_lines[1:]:
+        for record in records:
             try:
-                line = raw.decode("utf-8")
-            except UnicodeDecodeError:
-                # Torn-tail semantics, byte-level: a record truncated
-                # mid-multibyte-sequence drops like any other bad line.
-                break
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-                outcome = JournaledOutcome(
-                    key=record["key"],
-                    holds=bool(record["holds"]),
-                    checked=int(record["checked"]),
-                    name=record["name"],
-                    elapsed=float(record.get("elapsed", 0.0)),
-                    attempts=int(record.get("attempts", 1)),
-                    witnesses_b64=record.get("witnesses"),
-                )
-                # Witness payloads must decode now, not at merge time.
-                outcome.to_result()
-            except Exception:
-                # Torn tail (the writer died mid-append): keep the valid
-                # prefix, trust nothing after the first bad line.
+                outcome = JournaledOutcome.from_record(record)
+            except Exception:  # None (undecodable line) or a bad record
                 break
             completed[outcome.key] = outcome
         return completed
-
-    def _start(self, resume: bool, num_obligations: int) -> None:
-        mode = "a" if resume else "w"
-        self._handle = open(self.path, mode, encoding="utf-8")
-        if not resume:
-            self._write_line(
-                {
-                    "schema": JOURNAL_SCHEMA,
-                    "fingerprint": self.fingerprint,
-                    "label": self.label,
-                    "obligations": num_obligations,
-                }
-            )
-            self.sync()
-
-    # ------------------------------------------------------------------ #
-    # Appending
-    # ------------------------------------------------------------------ #
 
     def record(self, outcome) -> bool:
         """Append one scheduler outcome; returns True when written.
@@ -316,101 +260,23 @@ class CheckpointJournal:
         must re-attempt them; resumed ones are already on disk).
         """
         result = getattr(outcome, "result", None)
-        if result is None or getattr(outcome, "resumed", False) or self.degraded:
+        if result is None or getattr(outcome, "resumed", False):
             return False
-        record = {
-            "key": outcome.key,
-            "name": result.name,
-            "holds": result.holds,
-            "checked": result.checked,
-            "elapsed": round(outcome.elapsed, 6),
-            "attempts": getattr(outcome, "attempts", 1),
-            "witnesses": (
-                base64.b64encode(pickle.dumps(result.counterexamples)).decode()
-                if result.counterexamples
-                else None
-            ),
-        }
-        try:
-            self._write_line(record)
-        except OSError:
-            self._fail()
+        if not self._log.append(JournaledOutcome.record_of(outcome)):
             return False
         self.appended += 1
         return True
 
-    def _fail(self) -> None:
-        """Degrade after a failed write: count it, latch, stop writing."""
-        self.write_errors += 1
-        self.degraded = True
-        handle, self._handle = self._handle, None
-        if handle is not None:
-            try:
-                handle.close()
-            except OSError:
-                pass
-
-    def _write_line(self, payload: dict) -> None:
-        if self._handle is None:
-            if self.degraded:
-                return
-            raise RuntimeError("journal is closed")
-        text = json.dumps(payload) + "\n"
-        mode = faults.maybe_fs_fault("journal.append")
-        if mode is not None:
-            if mode == "torn":
-                # Land a partial record (no newline) before failing —
-                # the torn tail a resume must tolerate.
-                try:
-                    self._handle.write(text[: max(1, len(text) // 2)])
-                    self._handle.flush()
-                except OSError:
-                    pass
-            raise faults.fs_error(mode, str(self.path))
-        self._handle.write(text)
-
     def sync(self) -> None:
-        """Flush to the OS *and* fsync — called at wave boundaries and on
-        interrupt, so a kill between waves never loses a completed wave."""
-        if self._handle is None:
-            return
-        try:
-            self._handle.flush()
-            os.fsync(self._handle.fileno())
-        except OSError:
-            self._fail()
-            return
-        self._last_fsync = time.perf_counter()
+        """fsync — at wave boundaries and on interrupt, so a kill between
+        waves never loses a completed wave."""
+        self._log.sync()
 
     def maybe_sync(self, min_interval: float = 1.0) -> None:
-        """Flush every call; fsync at most once per ``min_interval``.
-
-        The serial backend's per-obligation throttle: fsync per record
-        would dominate short obligations (and blow the happy-path
-        overhead budget), while a flush is cheap and already survives the
-        *process* dying. Only a machine-level kill inside the interval
-        can lose outcomes — at most the last interval's worth, which a
-        resume simply re-executes.
-        """
-        if self._handle is None:
-            return
-        try:
-            self._handle.flush()
-            if time.perf_counter() - self._last_fsync >= min_interval:
-                os.fsync(self._handle.fileno())
-                self._last_fsync = time.perf_counter()
-        except OSError:
-            self._fail()
+        self._log.maybe_sync(min_interval)
 
     def close(self) -> None:
-        if self._handle is not None:
-            self.sync()
-            if self._handle is not None:
-                try:
-                    self._handle.close()
-                except OSError:
-                    pass
-            self._handle = None
+        self._log.close()
 
     def __repr__(self) -> str:
         return f"CheckpointJournal({self.path}, appended={self.appended})"

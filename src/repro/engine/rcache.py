@@ -74,13 +74,11 @@ discharge, preserving the tracing layer's no-perturbation guarantee.
 
 from __future__ import annotations
 
-import base64
 import dataclasses
 import functools
 import hashlib
 import json
 import os
-import pickle
 import re
 import time
 import types
@@ -699,18 +697,10 @@ class ObligationCache:
         self, path: Path, text: str, fault_key: Optional[str] = None
     ) -> None:
         if fault_key is not None:
-            mode = faults.maybe_fs_fault(fault_key)
-            if mode == "torn":
-                # A torn write damages the *final* path before failing —
-                # the worst case the read side must absorb (it does:
-                # undecodable entries are misses).
-                try:
-                    path.write_text(text[: max(1, len(text) // 2)])
-                except OSError:
-                    pass
-                raise faults.fs_error(mode, str(path))
-            if mode is not None:
-                raise faults.fs_error(mode, str(path))
+            # A torn fault damages the *final* path, not the temp file:
+            # the worst case the read side must absorb (it does:
+            # undecodable entries are misses).
+            faults.maybe_fail_write(fault_key, path, text, path.write_text)
         tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
         try:
             tmp.write_text(text)
@@ -776,18 +766,7 @@ class ObligationCache:
             if record.get("key") != key:
                 # sha256 collision or tampering; never trust it.
                 return None
-            outcome = JournaledOutcome(
-                key=record["key"],
-                holds=bool(record["holds"]),
-                checked=int(record["checked"]),
-                name=record["name"],
-                elapsed=float(record.get("elapsed", 0.0)),
-                attempts=int(record.get("attempts", 1)),
-                witnesses_b64=record.get("witnesses"),
-            )
-            # The witness payload must decode now, not at merge time.
-            outcome.to_result()
-            return outcome
+            return JournaledOutcome.from_record(record)
         except FileNotFoundError:
             return None
         except Exception:
@@ -816,17 +795,7 @@ class ObligationCache:
         record = {
             "schema": RCACHE_SCHEMA,
             "fingerprint": fingerprint,
-            "key": key,
-            "name": result.name,
-            "holds": result.holds,
-            "checked": result.checked,
-            "elapsed": round(outcome.elapsed, 6),
-            "attempts": getattr(outcome, "attempts", 1),
-            "witnesses": (
-                base64.b64encode(pickle.dumps(result.counterexamples)).decode()
-                if result.counterexamples
-                else None
-            ),
+            **JournaledOutcome.record_of(outcome),
         }
         try:
             self._atomic_write(

@@ -51,6 +51,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional
 
+from ..engine.recordlog import StaleLogError
 from ..engine.warm import WarmState
 from ..obs.stream import StreamingTracer, sse_event
 from .config import ServeConfig
@@ -68,7 +69,7 @@ from .http import (
     Router,
     json_response,
 )
-from .jobs import Job, JobRequest, JobStore, StaleJobStoreError
+from .jobs import Job, JobRequest, JobStore
 
 __all__ = ["EventChannel", "ServeDaemon"]
 
@@ -323,7 +324,7 @@ class ServeDaemon:
         if path.exists():
             try:
                 restored, _events = JobStore.load(path)
-            except StaleJobStoreError as exc:
+            except StaleLogError as exc:
                 stale = path.with_suffix(".jsonl.stale")
                 path.replace(stale)
                 print(

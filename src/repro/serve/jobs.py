@@ -8,30 +8,30 @@ re-enqueued on restart and its obligation-level progress survives in the
 engine's checkpoint journal) and ``failed`` (the request itself was
 unservable: unknown protocol, bad parameters).
 
-Persistence follows the engine journal's pattern
-(:mod:`repro.engine.journal`): one append-only JSONL file,
-schema-versioned header, fingerprint-guarded records, torn-tail
-tolerance. The *fingerprint* here is the canonical hash of the request
-payload: every record carries both the id and the fingerprint, a loaded
-record whose embedded request no longer hashes to its recorded
-fingerprint is dropped as corrupt, and the fingerprint also names the
-job's engine checkpoint directory — so a restarted daemon resumes the
-same obligation journal for the same question, and the engine's own
-staleness guard (:class:`~repro.engine.journal.StaleJournalError`)
-refuses it if the code changed underneath.
+Persistence is one :class:`~repro.engine.recordlog.RecordLog` (the
+same append-only JSONL log as the engine's checkpoint journal:
+schema-tagged header, torn-tail recovery, disk-fault degradation) with
+fingerprint-guarded records. The *fingerprint* here is the canonical
+hash of the request payload: every record carries both the id and the
+fingerprint, a loaded record whose embedded request no longer hashes to
+its recorded fingerprint is dropped as corrupt, and the fingerprint
+also names the job's engine checkpoint directory — so a restarted
+daemon resumes the same obligation journal for the same question, and
+the engine's own staleness guard
+(:class:`~repro.engine.recordlog.StaleLogError`) refuses it if the code
+changed underneath.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
-from ..engine import faults
+from ..engine.recordlog import RecordLog, read_log
 
 __all__ = [
     "JOBS_SCHEMA",
@@ -39,10 +39,10 @@ __all__ = [
     "Job",
     "JobRequest",
     "JobStore",
-    "StaleJobStoreError",
 ]
 
 JOBS_SCHEMA = "repro.serve/jobs/v1"
+_KIND = "a job journal"
 JOB_KINDS = ("verify", "table1", "explain")
 
 #: Job parameters forwarded verbatim to ``<protocol>.verify(...)``; an
@@ -51,10 +51,6 @@ JOB_KINDS = ("verify", "table1", "explain")
 #: n, num_nodes, ...) ride in the nested ``params`` object.
 REQUEST_FIELDS = ("kind", "protocol", "fixture", "params", "max_configs",
                   "jobs", "fail_fast", "ground_truth")
-
-
-class StaleJobStoreError(RuntimeError):
-    """A job journal that is not ours: wrong schema, unreadable header."""
 
 
 @dataclass(frozen=True)
@@ -219,68 +215,57 @@ class Job:
 class JobStore:
     """Append-only journal of job lifecycle events.
 
-    Layout: line 1 a schema header, then one record per event —
-    ``submitted`` (carries the full request), ``started``, ``finished``
-    (carries the result payload), ``interrupted``. :meth:`load` folds
-    the events newest-wins into per-job state; jobs whose latest event
-    is not ``finished`` are the restart backlog.
+    Layout: a :class:`~repro.engine.recordlog.RecordLog` whose records
+    are events — ``submitted`` (carries the full request), ``started``,
+    ``finished`` (carries the result payload), ``interrupted``.
+    :meth:`load` folds the events newest-wins into per-job state; jobs
+    whose latest event is not ``finished`` are the restart backlog.
+    ``finished`` and ``interrupted`` are fsync'd; ``submitted`` and
+    ``started`` are only flushed, which survives the daemon dying but
+    not the machine.
 
-    Disk faults degrade, never abort: a failed append counts in
-    ``write_errors`` and closes the handle, and the *next* record
-    retries a reopen (a long-lived daemon should resume journaling once
-    disk pressure clears — unlike the engine journal, which latches off
-    for the remainder of its single run). Reopening repairs an
-    unterminated tail (the torn half-record a failed append may have
-    left) by appending a newline, so the damaged line is isolated
-    instead of fusing with the next record.
+    Disk faults degrade, never abort — the header write at boot
+    included: a failed write counts in ``write_errors`` and closes the
+    log, and the *next* record reopens it (a long-lived daemon should
+    resume journaling once disk pressure clears — unlike the engine
+    journal, which latches off for the remainder of its single run).
     """
 
     def __init__(self, path) -> None:
         self.path = Path(path)
-        self._handle = None
+        self._log = RecordLog(
+            self.path, {"schema": JOBS_SCHEMA}, _KIND, "jobs.append"
+        )
         self._opened = False
-        #: Failed appends, each degraded to a lost journal record (the
-        #: in-memory job state is unaffected; /healthz surfaces these).
-        self.write_errors = 0
 
-    # -------------------------------------------------------------- #
-    # Loading
-    # -------------------------------------------------------------- #
+    @property
+    def write_errors(self) -> int:
+        """Failed appends, each degraded to a lost journal record (the
+        in-memory job state is unaffected; /healthz surfaces these)."""
+        return self._log.write_errors
 
     @classmethod
     def load(cls, path) -> Tuple[List[Job], List[dict]]:
         """Replay a journal into ``(jobs, raw_events)``, in submit order.
 
-        Raises :class:`StaleJobStoreError` when the header is missing or
-        belongs to another schema. Undecodable lines and records whose
-        embedded request no longer matches their recorded fingerprint
-        are dropped *individually* — every record carries its own
-        fingerprint guard, so a line torn by a mid-file disk fault (or a
-        hand-edit) only loses itself, never the jobs journaled after it.
+        Raises :class:`~repro.engine.recordlog.StaleLogError` when the
+        header is missing or belongs to another schema. Undecodable
+        lines and records whose embedded request no longer matches their
+        recorded fingerprint are dropped *individually* — every record
+        carries its own fingerprint guard, so a line torn by a mid-file
+        disk fault (or a hand-edit) only loses itself, never the jobs
+        journaled after it.
         """
-        path = Path(path)
-        raw_lines = path.read_bytes().splitlines()
-        if not raw_lines:
-            raise StaleJobStoreError(f"{path}: empty job journal (no header)")
-        try:
-            header = json.loads(raw_lines[0].decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise StaleJobStoreError(f"{path}: unreadable header: {exc}") from exc
-        if not isinstance(header, dict) or header.get("schema") != JOBS_SCHEMA:
-            raise StaleJobStoreError(
-                f"{path}: not a job journal (schema "
-                f"{header.get('schema') if isinstance(header, dict) else None!r})"
-            )
+        _header, records = read_log(path, JOBS_SCHEMA, _KIND)
         jobs: Dict[str, Job] = {}
         order: List[str] = []
         events: List[dict] = []
-        for raw in raw_lines[1:]:
+        for record in records:
             try:
-                record = json.loads(raw.decode("utf-8"))
                 event = record["event"]
                 job_id = record["id"]
-            except Exception:
-                continue  # torn/damaged line: drop it, records are
+            except (TypeError, KeyError):
+                continue  # damaged line: drop it, records are
                 # individually fingerprint-guarded below
             if event == "submitted":
                 try:
@@ -316,41 +301,18 @@ class JobStore:
             events.append(record)
         return [jobs[job_id] for job_id in order], events
 
-    # -------------------------------------------------------------- #
-    # Appending
-    # -------------------------------------------------------------- #
-
     def open(self, fresh: bool = False) -> None:
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        mode = "w" if fresh or not self.path.exists() else "a"
-        if mode == "a":
-            self._repair_tail()
-        self._handle = open(self.path, mode, encoding="utf-8")
+        """Open for appending (see :meth:`RecordLog.open`); a failure
+        only counts, and the next :meth:`record` retries."""
         self._opened = True
-        if mode == "w":
-            self._append({"schema": JOBS_SCHEMA})
-            self.sync()
-
-    def _repair_tail(self) -> None:
-        """Terminate an unterminated final line (torn by a failed append)
-        so the next record starts on its own line. Best-effort."""
-        try:
-            with open(self.path, "rb+") as handle:
-                handle.seek(0, os.SEEK_END)
-                if handle.tell() == 0:
-                    return
-                handle.seek(-1, os.SEEK_END)
-                if handle.read(1) != b"\n":
-                    handle.write(b"\n")
-        except OSError:
-            pass
+        self._log.open(fresh)
 
     def record(self, event: str, job: Job, **extra) -> bool:
         """Append one lifecycle event; False when the disk refused it.
 
-        A failed write closes the handle; the next call retries a
-        reopen, so journaling resumes once transient disk pressure
-        (ENOSPC, EIO) clears.
+        A failed write closes the log; the next call reopens it, so
+        journaling resumes once transient disk pressure (ENOSPC, EIO)
+        clears.
         """
         payload: Dict[str, object] = {
             "event": event,
@@ -368,55 +330,14 @@ class JobStore:
             if job.error is not None:
                 payload["error"] = job.error
         payload.update(extra)
-        try:
-            if self._handle is None:
-                if not self._opened:
-                    raise RuntimeError("job store is closed")
-                self.open()
-            self._append(payload)
-            if event in ("finished", "interrupted"):
-                self.sync()
-            else:
-                self._handle.flush()
-        except OSError:
-            self.write_errors += 1
-            self._close_quietly()
-            return False
-        return True
-
-    def _append(self, payload: dict) -> None:
-        if self._handle is None:
-            raise RuntimeError("job store is closed")
-        text = json.dumps(payload) + "\n"
-        mode = faults.maybe_fs_fault("jobs.append")
-        if mode is not None:
-            if mode == "torn":
-                try:
-                    self._handle.write(text[: max(1, len(text) // 2)])
-                    self._handle.flush()
-                except OSError:
-                    pass
-            raise faults.fs_error(mode, str(self.path))
-        self._handle.write(text)
-
-    def sync(self) -> None:
-        if self._handle is None:
-            return
-        self._handle.flush()
-        os.fsync(self._handle.fileno())
-
-    def _close_quietly(self) -> None:
-        handle, self._handle = self._handle, None
-        if handle is not None:
-            try:
-                handle.close()
-            except OSError:
-                pass
+        if not self._log.is_open:
+            if not self._opened:
+                raise RuntimeError("job store is closed")
+            if not self._log.open():
+                return False
+        return self._log.append(
+            payload, sync=event in ("finished", "interrupted")
+        )
 
     def close(self) -> None:
-        if self._handle is not None:
-            try:
-                self.sync()
-            except OSError:
-                self.write_errors += 1
-            self._close_quietly()
+        self._log.close()

@@ -167,7 +167,9 @@ def test_journal_append_fault_latches_degraded(tmp_path):
 
 def test_torn_journal_append_leaves_loadable_prefix(tmp_path):
     """A torn append writes half a record; the established torn-tail
-    recovery must drop exactly that line on reload."""
+    recovery must drop exactly that line on reload — and the resumed
+    run's own appends must survive it (the reopen truncates the torn
+    half-line instead of fusing the next record onto it)."""
     fingerprint = run_fingerprint(None, None, CHAIN)
     journal, _ = CheckpointJournal.open(tmp_path, "case", fingerprint, len(CHAIN))
     assert journal.record(_outcome("A"))
@@ -179,14 +181,17 @@ def test_torn_journal_append_leaves_loadable_prefix(tmp_path):
     reopened, completed = CheckpointJournal.open(
         tmp_path, "case", fingerprint, len(CHAIN), resume=True
     )
-    reopened.close()
     assert set(completed) == {"A"}
+    assert reopened.record(_outcome("C"))
+    reopened.close()
+    reloaded = CheckpointJournal.load(tmp_path / "case.jsonl", fingerprint)
+    assert set(reloaded) == {"A", "C"}
 
 
 def test_headerless_journal_resumes_from_zero_not_stale(tmp_path):
     """Found by the chaos soak: a header append killed by EIO leaves an
     empty journal file; a later ``resume=True`` open must degrade to
-    resume-from-zero, not refuse with StaleJournalError (which failed
+    resume-from-zero, not refuse with StaleLogError (which failed
     the retried job). A *parseable* foreign header must still refuse."""
     fingerprint = run_fingerprint(None, None, CHAIN)
     install(FaultInjector.from_env("journal.append=eio:1"))
@@ -204,12 +209,12 @@ def test_headerless_journal_resumes_from_zero_not_stale(tmp_path):
     journal.close()
     # The loud path is untouched: a genuine journal of a different run
     # still refuses to resume.
-    from repro.engine.journal import StaleJournalError
+    from repro.engine.recordlog import StaleLogError
 
     other, _ = CheckpointJournal.open(tmp_path, "case", "b" * 64, len(CHAIN))
     other.record(_outcome("A"))
     other.close()
-    with pytest.raises(StaleJournalError, match="different run"):
+    with pytest.raises(StaleLogError, match="different run"):
         CheckpointJournal.open(
             tmp_path, "case", fingerprint, len(CHAIN), resume=True
         )
@@ -285,3 +290,20 @@ def test_job_store_torn_append_damages_only_one_record(tmp_path):
     assert "job-1" in ids
     assert "job-2" not in ids
     assert "job-3" in ids
+
+
+def test_job_store_header_fault_at_boot_degrades(tmp_path):
+    """A disk fault on the very first write — the header of a fresh job
+    journal — must not raise out of ``open()`` (the daemon would fail to
+    boot). It counts, and the next record lands behind a fresh header."""
+    path = tmp_path / "jobs.jsonl"
+    install(FaultInjector.from_env("jobs.append=enospc:1"))
+    store = JobStore(path)
+    store.open()
+    assert store.write_errors == 1
+    assert store.record("submitted", _job("job-1"))
+    store.close()
+    clear()
+    assert store.write_errors == 1
+    jobs, _events = JobStore.load(path)
+    assert [j.id for j in jobs] == ["job-1"]

@@ -19,10 +19,10 @@ from repro.core.refinement import CheckResult
 from repro.engine.journal import (
     JOURNAL_SCHEMA,
     CheckpointJournal,
-    StaleJournalError,
     run_fingerprint,
 )
 from repro.engine.obligations import Obligation
+from repro.engine.recordlog import StaleLogError
 from repro.engine.scheduler import ObligationOutcome, SerialScheduler
 
 CHAIN = [
@@ -170,32 +170,32 @@ def test_resume_refuses_mismatched_fingerprint(tmp_path):
     journal, _ = CheckpointJournal.open(tmp_path, "demo", FP, 4)
     journal.record(_completed("A"))
     journal.close()
-    with pytest.raises(StaleJournalError, match="different run"):
+    with pytest.raises(StaleLogError, match="different run"):
         CheckpointJournal.open(tmp_path, "demo", "0" * 64, 4, resume=True)
 
 
 def test_load_refuses_corrupted_header(tmp_path):
     path = tmp_path / "demo.jsonl"
     path.write_text("{not json\n")
-    with pytest.raises(StaleJournalError, match="unreadable header"):
+    with pytest.raises(StaleLogError, match="unreadable header"):
         CheckpointJournal.load(path, FP)
 
 
 def test_torn_multibyte_header_raises_stale_not_unicode_error(tmp_path):
     """Regression: a header torn mid-UTF-8-sequence used to escape as a
     raw ``UnicodeDecodeError`` from ``read_text`` before any guard ran —
-    it must degrade to the same StaleJournalError as other corruption."""
+    it must degrade to the same StaleLogError as other corruption."""
     path = tmp_path / "demo.jsonl"
     torn = '{"label": "café"'.encode("utf-8")[:-2]  # cut inside 'é'
     path.write_bytes(torn + b"\n")
-    with pytest.raises(StaleJournalError, match="unreadable header"):
+    with pytest.raises(StaleLogError, match="unreadable header"):
         CheckpointJournal.load(path, FP)
 
 
 def test_binary_garbage_header_raises_stale_not_unicode_error(tmp_path):
     path = tmp_path / "demo.jsonl"
     path.write_bytes(b"\xff\xfe\x00garbage\n")
-    with pytest.raises(StaleJournalError, match="unreadable header"):
+    with pytest.raises(StaleLogError, match="unreadable header"):
         CheckpointJournal.load(path, FP)
 
 
@@ -215,10 +215,10 @@ def test_torn_multibyte_trailing_record_is_dropped(tmp_path):
 def test_load_refuses_wrong_schema_and_empty_file(tmp_path):
     path = tmp_path / "demo.jsonl"
     path.write_text(json.dumps({"schema": "something/else"}) + "\n")
-    with pytest.raises(StaleJournalError, match="not an obligation journal"):
+    with pytest.raises(StaleLogError, match="not an obligation journal"):
         CheckpointJournal.load(path, FP)
     path.write_text("")
-    with pytest.raises(StaleJournalError, match="empty journal"):
+    with pytest.raises(StaleLogError, match="empty journal"):
         CheckpointJournal.load(path, FP)
 
 

@@ -294,6 +294,24 @@ def test_sigterm_midjob_journals_then_restart_resumes(tmp_path):
         assert detail["attempts"] >= 2
 
 
+def test_job_journal_header_fault_at_boot_is_not_fatal(tmp_path):
+    """A disk fault on the fresh job journal's header write must not
+    stop the daemon from listening: it counts in /healthz, and the next
+    job event lands behind a fresh header."""
+    faults.install(faults.FaultInjector.from_env("jobs.append=enospc:1"))
+    try:
+        with DaemonHarness(state_dir=str(tmp_path)) as harness:
+            _status, health = harness.get("/healthz")
+            assert health["store"]["write_errors"] == 1
+            detail = harness.run_job(PINGPONG)
+            assert detail["status"] == "done"
+    finally:
+        faults.clear()
+    lines = (tmp_path / "jobs.jsonl").read_text().splitlines()
+    assert json.loads(lines[0])["schema"] == "repro.serve/jobs/v1"
+    assert json.loads(lines[-1])["event"] == "finished"
+
+
 def test_stale_job_journal_is_set_aside_not_fatal(tmp_path):
     (tmp_path / "jobs.jsonl").write_text('{"schema": "other/v1"}\n')
     with DaemonHarness(state_dir=str(tmp_path)) as harness:

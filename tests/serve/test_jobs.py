@@ -6,12 +6,12 @@ import json
 
 import pytest
 
+from repro.engine.recordlog import StaleLogError
 from repro.serve.jobs import (
     JOBS_SCHEMA,
     Job,
     JobRequest,
     JobStore,
-    StaleJobStoreError,
 )
 
 # ------------------------------------------------------------------ #
@@ -170,7 +170,7 @@ def test_fingerprint_mismatch_drops_the_record(tmp_path):
 def test_wrong_schema_raises_stale(tmp_path):
     path = tmp_path / "jobs.jsonl"
     path.write_text('{"schema": "someone/elses/v9"}\n')
-    with pytest.raises(StaleJobStoreError):
+    with pytest.raises(StaleLogError):
         JobStore.load(path)
 
 
@@ -189,3 +189,27 @@ def test_reopen_appends_instead_of_truncating(tmp_path):
     assert len(lines) == 3
     loaded, _ = JobStore.load(path)
     assert [j.id for j in loaded] == ["job-0001-abc", "job-0002-def"]
+
+
+def test_fsync_policy_header_finished_interrupted_only(tmp_path, monkeypatch):
+    """The serve path's durability cost is pinned: one fsync for the
+    header and one per ``finished``/``interrupted`` event; ``submitted``
+    and ``started`` are flushed, never fsync'd."""
+    fsyncs = []
+    monkeypatch.setattr("repro.engine.recordlog.os.fsync", fsyncs.append)
+    path = tmp_path / "jobs.jsonl"
+    store = JobStore(path)
+    store.open()
+    assert len(fsyncs) == 1  # the header
+    done, stopped = _job("a"), _job("b")
+    for job in (done, stopped):
+        store.record("submitted", job)
+        store.record("started", job)
+    assert len(fsyncs) == 1
+    assert len(path.read_text().splitlines()) == 5  # flushed all the same
+    done.status = "done"
+    store.record("finished", done)
+    assert len(fsyncs) == 2
+    store.record("interrupted", stopped)
+    assert len(fsyncs) == 3
+    store.close()

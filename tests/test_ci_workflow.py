@@ -181,16 +181,24 @@ def test_artifact_upload_requires_files(workflow, job):
 
 def test_fault_injection_job_interrupts_then_resumes(workflow):
     """The resilience job must be hang-bounded (``timeout-minutes``), run
-    the fault/journal regression files, demand the partial-report exit
-    code (130) from the injected-interrupt run, and resume from the
-    salvaged journal afterwards."""
+    the fault/journal regression files — the record log's crash-point
+    suite and both of its owners' disk-fault tests included — demand the
+    partial-report exit code (130) from the injected-interrupt run, and
+    resume from the salvaged journal afterwards."""
     job = workflow["jobs"]["fault-injection"]
     assert 0 < job["timeout-minutes"] <= 30
     commands = [step["run"] for step in job["steps"] if "run" in step]
     suite = next(cmd for cmd in commands if "pytest" in cmd)
-    for name in ("test_faults.py", "test_resilience.py", "test_journal.py"):
-        assert name in suite
-        assert (ROOT / "tests" / "engine" / name).exists()
+    for path in (
+        "tests/engine/test_faults.py",
+        "tests/engine/test_resilience.py",
+        "tests/engine/test_journal.py",
+        "tests/engine/test_fs_faults.py",
+        "tests/serve/test_jobs.py",
+        "tests/engine/test_recordlog.py",
+    ):
+        assert path in suite
+        assert (ROOT / path).exists()
     interrupted = next(
         step
         for step in job["steps"]
