@@ -1,42 +1,54 @@
 """Columnar batch evaluation of IS predicates over interned universes.
 
-The LM and I3 obligations enumerate millions of (global, local) combos per
-discharge run, and the dict-shaped hot path paid a Python call plus a
-hashed-dict probe per predicate per combo (``gate(combine(g, l))``,
-``universe.pair_ok(...)``, ``transitions(...)`` — see the profile in
-ROADMAP item 3). This module replaces those per-store calls with
+The LM and I3 obligations quantify over millions of (global, local)
+combos per discharge run. This module serves their hot predicates from
 *columns*: per-(action-view, local) arrays indexed by the global store's
-intern id (``repro.core.store.StoreInterner``), filled in one batch pass
-over the universe and extended lazily for successor globals discovered
-while commuting actions. The inner loops of the four left-mover conditions
-and of I3 then run on list indexing and small-int compares:
+intern id (``repro.core.store.StoreInterner``), filled on probe and
+extended for successor globals discovered while commuting actions:
 
 * **gate columns** — ``col[gid] -> bool`` for one (view, local) pair;
 * **successor columns** — ``col[gid] -> ((tr, new_gid, created_cid), …)``
   with the transition's new global interned and its created-PA multiset
   mapped to a small int, so the commutation diagram chase
   (``_has_swapped``) compares ints instead of multisets;
-* **admissibility tables** — pair/single decisions per PA context, keyed
-  by the context's ``cache_key`` equivalence class of globals (the ghost
-  multiset), computed once per class and shared by every global in it.
+* **admissibility** — decisions of the PA context, asked once per
+  ``cache_key`` equivalence class of globals (the ghost multiset) and
+  shared by every global in the class.
 
-Semantics are *identical* to the dict-shaped oracle in
-``repro.core.movers`` / ``ISApplication.check_i3``: the loops preserve the
-exact enumeration order (global-major, then locals, then transitions), the
-``checked`` counters increment at the same points, and witnesses carry the
-same stores and transitions — ``tests/engine/test_columnar_differential.py``
-asserts typed-identical :class:`CheckResult`s on all seven protocols. The
-fast path has no off switch. It steps aside (falling back to the oracle)
-for exactly one input: a PA context that declares its decisions
-uncachable (``cache_key`` returns ``None``), because admissibility tables
-key by the context's equivalence classes. Wrapping a context in
+The four left-mover conditions enumerate *admissibility-first*. Most
+(global, l-local) cells have no admissible partner under the PA context,
+so the loops start from the context, not from the gates:
+
+1. the globals of the enumerated gids list are grouped by class, one
+   Python-int position bitmask per class;
+2. per (l-local, class), the context decides a whole row at once —
+   ``PAContext.pair_row`` gives the admissible x-local indices (for
+   non-blocking, ``single`` decides the l-local alone);
+3. the OR of the masks of the classes that admit anything is scanned in
+   ascending bit order (global-major, as the oracle enumerates), and each
+   position visits only its class's admitted l-locals, in index order;
+4. only then is the l-gate probed, filled lazily, and the inner loops run
+   unchanged over the admitted x-locals and the successor columns.
+
+A skipped cell is one where the oracle's inner loops do nothing (no
+admissible x-local), so semantics are *identical* to the dict-shaped
+oracle in ``repro.core.movers`` / ``ISApplication.check_i3``: the same
+enumeration order, ``checked`` incremented at the same points, and
+witnesses with the same stores and transitions.
+``tests/engine/test_columnar_differential.py`` asserts typed-identical
+:class:`CheckResult`s on the Table 1 protocols and on failing mutants.
+One difference is observable: an l-gate is never evaluated on a cell the
+context rules out, so a gate that raises there raises only under the
+oracle. The fast path has no off switch. It steps aside (falling back to
+the oracle) for exactly one input: a PA context that declares its
+decisions uncachable (``cache_key`` returns ``None``), because the class
+masks key by the context's equivalence classes. Wrapping a context in
 :class:`repro.core.context.UncachableContext` is therefore how tests and
 benchmarks reach the oracle.
 
 Forked pool workers inherit the column store through fork copy-on-write
-(the scheduler's warm-up pass builds the columns in the parent first), so
-a worker starts from filled tables instead of re-deriving them. Columns
-key by intern ids, so the store registers with
+(the scheduler's warm-up pass batch-fills columns in the parent first).
+Columns key by intern ids, so the store registers with
 ``repro.core.cache.register_reset_hook`` and resets together with the
 interner and the evaluation cache. Persistent result fingerprints
 (``repro.engine.rcache``) never see ids or columns — they hash canonical
@@ -78,14 +90,18 @@ def _view_key(view) -> Tuple[object, object]:
 
 
 class _Admissibility:
-    """Pair/single admissibility tables for one PA context.
+    """Admissibility decisions for one PA context, per context class.
 
     ``ck_col[gid]`` maps a global's intern id to the dense index of its
     ``cache_key`` equivalence class; ``reps[ck]`` keeps one representative
-    global per class for lazy decision fills. Decisions are stored per
-    class in small dicts keyed by that index — for the ghost context this
-    collapses the ~2800 globals of a Paxos universe onto a few hundred
-    ghost multisets, which is what removes ``pair_ok`` from the profile.
+    global per class. Decisions depend only on the class, so they are
+    asked once per class — for the ghost context the ~2800 globals of a
+    Paxos universe collapse onto a few hundred ghost multisets.
+
+    ``masks`` groups the positions of the last prefilled gids list by
+    class: ``masks[ck]`` has bit ``i`` set when ``gids[i]`` is in class
+    ``ck``. The left-mover loops OR together the masks of the classes that
+    admit anything and visit only those positions.
     """
 
     __slots__ = (
@@ -93,7 +109,7 @@ class _Admissibility:
         "ck_col",
         "ck_ids",
         "reps",
-        "pair_cells",
+        "masks",
         "single_cells",
         "row_memos",
         "_prefilled",
@@ -104,12 +120,14 @@ class _Admissibility:
         self.ck_col: List[Optional[int]] = []
         self.ck_ids: Dict[object, int] = {}
         self.reps: List[Store] = []
-        self.pair_cells: Dict[Tuple, Dict[int, bool]] = {}
+        self.masks: Dict[int, int] = {}
         self.single_cells: Dict[Tuple, Dict[int, bool]] = {}
         self.row_memos: Dict[Tuple, Dict[int, tuple]] = {}
         self._prefilled: object = None
 
     def prefill(self, globals_pool, gids, table_size: int) -> None:
+        """Classify every global of ``gids`` and build its class masks,
+        once per gids list (compared by identity)."""
         if self._prefilled is gids:
             return
         col = self.ck_col
@@ -117,8 +135,10 @@ class _Admissibility:
             col.extend([None] * (table_size - len(col)))
         cache_key = self.context.cache_key
         ck_ids = self.ck_ids
+        masks: Dict[int, int] = {}
         for i, gid in enumerate(gids):
-            if col[gid] is None:
+            ck = col[gid]
+            if ck is None:
                 key = cache_key(globals_pool[i])
                 if key is None:
                     raise _Uncachable
@@ -128,21 +148,9 @@ class _Admissibility:
                     ck_ids[key] = ck
                     self.reps.append(globals_pool[i])
                 col[gid] = ck
+            masks[ck] = masks.get(ck, 0) | (1 << i)
+        self.masks = masks
         self._prefilled = gids
-
-    def pair_row(self, name1: str, lid1: int, name2: str, locals2, lids2):
-        """One row of lazy pair cells: ``(cell, local2)`` per right-hand
-        local, where ``cell`` maps a class index to the decision."""
-        cells = self.pair_cells
-        row = []
-        for l2, lid2 in zip(locals2, lids2):
-            key = (name1, lid1, name2, lid2)
-            cell = cells.get(key)
-            if cell is None:
-                cell = {}
-                cells[key] = cell
-            row.append((cell, l2))
-        return row
 
     def single_cell(self, name: str, lid: int) -> Dict[int, bool]:
         key = (name, lid)
@@ -152,16 +160,55 @@ class _Admissibility:
             self.single_cells[key] = cell
         return cell
 
-    def row_memo(self, name1: str, lid1: int, name2: str, lids2_key) -> dict:
-        """Class-index → admissible right-local indices, shared across the
-        four LM conditions of the same (left, right) pair.  ``lids2_key``
-        pins the right-hand locals pool the indices point into."""
-        key = (name1, lid1, name2, lids2_key)
-        memo = self.row_memos.get(key)
-        if memo is None:
-            memo = {}
-            self.row_memos[key] = memo
-        return memo
+    def single_classes(self, classes, name: str, locals_, lids) -> list:
+        """Per class index in ``classes``, ``(il, True)`` for every local
+        ``il`` whose PA the class admits (``context.single``)."""
+        single = self.context.single
+        return self._by_class(
+            classes,
+            [self.single_cell(name, lid) for lid in lids],
+            lambda rep, il: single(rep, PendingAsync(name, locals_[il])),
+        )
+
+    def pair_classes(
+        self, classes, name_l, locals_l, lids_l, name_x, locals_x, lids_x
+    ) -> list:
+        """Per class index in ``classes``, ``(il, row)`` for every left
+        local ``il`` whose row — the right-local indices the class admits
+        alongside it (``context.pair_row``) — is non-empty. Rows are
+        memoized per (left local, right locals pool, class), so the three
+        pair conditions of one (l, x) share them."""
+        key_x = tuple(lids_x)
+        pair_row = self.context.pair_row
+        firsts = [PendingAsync(name_l, ll) for ll in locals_l]
+        seconds = [PendingAsync(name_x, lx) for lx in locals_x]
+        return self._by_class(
+            classes,
+            [
+                self.row_memos.setdefault((name_l, lid, name_x, key_x), {})
+                for lid in lids_l
+            ],
+            lambda rep, il: pair_row(rep, firsts[il], seconds),
+        )
+
+    def _by_class(self, classes, memos, decide) -> list:
+        """``out[ck]`` lists ``(il, decision)``, in index order, for every
+        local ``il`` whose decision under class ``ck`` is truthy; it is
+        ``()`` for class indices outside ``classes``. ``memos[il]`` caches
+        ``decide(representative, il)`` per class."""
+        out = [()] * len(self.reps)
+        for ck in classes:
+            rep = self.reps[ck]
+            live = []
+            for il, memo in enumerate(memos):
+                decision = memo.get(ck)
+                if decision is None:
+                    decision = decide(rep, il)
+                    memo[ck] = decision
+                if decision:
+                    live.append((il, decision))
+            out[ck] = tuple(live)
+        return out
 
 
 class ColumnarStore:
@@ -212,14 +259,13 @@ class ColumnarStore:
 
     def gate_column_lazy(self, view, lid: int) -> list:
         """The gate column of (view, local) with no batch fill: entries
-        are ``None`` until probed (``fill_gate``).  Right-hand movers are
-        probed only where the left gate and admissibility already passed,
-        so batch-evaluating their gates over the whole pool is wasted
-        work — Main-typed right columns dominated the cold profile."""
+        are ``None`` until probed (``fill_gate``). The left-mover loops
+        probe gates only on admitted cells, so a batch fill over the
+        whole pool would be mostly wasted work."""
         return self._column(self.gate_cols, view, lid, len(store_interner()))
 
     def fill_gate(self, col: list, view, lid: int, gid: int) -> bool:
-        """Lazy gate fill for an out-of-universe (successor) global."""
+        """Fill one gate entry on probe (any global, successors included)."""
         itn = store_interner()
         if gid >= len(col):
             col.extend([None] * (len(itn) - len(col)))
@@ -346,178 +392,232 @@ def _locals_ids(itn, universe, name):
     return locals_, [intern(l) for l in locals_]
 
 
-def _adm_row_ix(row, ck, ctx_pair, reps, name_l, ll, name_x):
-    """Indices of right-locals admissible with ``ll`` under class ``ck``.
+def _positions(mask: int) -> List[int]:
+    """The set bits of ``mask``, ascending."""
+    return [i for i, bit in enumerate(bin(mask)[:1:-1]) if bit == "1"]
 
-    The pair-admissibility of (ll, lx) depends only on the context's
-    cache_key class of the global, so the whole inner probe collapses to
-    one tuple per (left-local, class) that every global in the class —
-    and every successor entry — reuses.  Ascending index order matches
-    the oracle's enumeration of right-locals.
-    """
-    out = []
-    rep = None
-    left = None
-    for ix, (cell, lx) in enumerate(row):
-        ok = cell.get(ck)
-        if ok is None:
-            if rep is None:
-                rep = reps[ck]
-                left = PendingAsync(name_l, ll)
-            ok = ctx_pair(rep, left, PendingAsync(name_x, lx))
-            cell[ck] = ok
-        if ok:
-            out.append(ix)
-    return tuple(out)
+
+class _Frame:
+    """What each left-mover condition of ``l`` w.r.t. ``x`` starts from:
+    the interned globals and locals, the class masks, lazy columns, and
+    the admitted cells."""
+
+    def __init__(self, l, x, universe, globals_subset):
+        itn, self.pool, self.gids = _universe_ids(universe, globals_subset)
+        self.itn = itn
+        self.locals_l, self.lids_l = _locals_ids(itn, universe, l.name)
+        self.locals_x, self.lids_x = _locals_ids(itn, universe, x.name)
+        self.adm = _STORE.admissibility(universe, self.pool, self.gids)
+        self.masks = self.adm.masks
+        self.l, self.x = l, x
+        self.lcols = self.gates(l, self.lids_l)
+
+    @staticmethod
+    def gates(view, lids) -> list:
+        return [_STORE.gate_column_lazy(view, lid) for lid in lids]
+
+    @staticmethod
+    def succs(view, lids) -> list:
+        return [_STORE.succ_column(view, lid) for lid in lids]
+
+    def pair_cells(self):
+        """``(gi, gid, il, row)`` per admitted cell whose l-gate holds,
+        ``row`` being the admissible right-local indices."""
+        return self._scan(
+            self.adm.pair_classes(
+                self.masks,
+                self.l.name,
+                self.locals_l,
+                self.lids_l,
+                self.x.name,
+                self.locals_x,
+                self.lids_x,
+            )
+        )
+
+    def single_cells(self):
+        """``(gi, gid, il, True)`` per cell whose PA the context admits
+        and whose l-gate holds."""
+        return self._scan(
+            self.adm.single_classes(
+                self.masks, self.l.name, self.locals_l, self.lids_l
+            )
+        )
+
+    def _scan(self, by_class):
+        """The cells of the classes that admit something, in the oracle's
+        order (global-major, then locals), through the l-gate, filled on
+        probe. Every skipped cell is one where the oracle's inner loops do
+        nothing."""
+        live = 0
+        for ck, mask in self.masks.items():
+            if by_class[ck]:
+                live |= mask
+        gids, ck_col, lcols = self.gids, self.adm.ck_col, self.lcols
+        l, lids_l, fill_gate = self.l, self.lids_l, _STORE.fill_gate
+        for gi in _positions(live):
+            gid = gids[gi]
+            for il, row in by_class[ck_col[gid]]:
+                lcol = lcols[il]
+                ok = lcol[gid]
+                if ok is None:
+                    ok = fill_gate(lcol, l, lids_l[il], gid)
+                if ok:
+                    yield gi, gid, il, row
 
 
 def _gate_forward_preserved(l, x, universe, fail_fast, globals_subset):
     result = CheckResult(f"gate of {l.name} forward-preserved by {x.name}", True)
-    cs = _STORE
-    itn, globals_pool, gids = _universe_ids(universe, globals_subset)
-    locals_l, lids_l = _locals_ids(itn, universe, l.name)
-    locals_x, lids_x = _locals_ids(itn, universe, x.name)
-    adm = cs.admissibility(universe, globals_pool, gids)
-    lcols = [cs.gate_column(l, lid, gids) for lid in lids_l]
-    xcols = [cs.gate_column_lazy(x, lid) for lid in lids_x]
-    xsucc = [cs.succ_column(x, lid) for lid in lids_x]
-    pair_rows = [
-        adm.pair_row(l.name, lid_l, x.name, locals_x, lids_x) for lid_l in lids_l
-    ]
-    ck_col = adm.ck_col
-    ctx_pair = adm.context.pair
-    reps = adm.reps
-    name_l, name_x = l.name, x.name
-    n_l, n_x = len(locals_l), len(locals_x)
+    f = _Frame(l, x, universe, globals_subset)
+    lids_l, lids_x, lcols = f.lids_l, f.lids_x, f.lcols
+    xcols, xsucc = f.gates(x, lids_x), f.succs(x, lids_x)
+    fill_gate, fill_succ = _STORE.fill_gate, _STORE.fill_succ
     checked = 0
-    fill_gate, fill_succ = cs.fill_gate, cs.fill_succ
-    lids_x_key = tuple(lids_x)
-    adm_memos = [
-        adm.row_memo(name_l, lid_l, name_x, lids_x_key) for lid_l in lids_l
-    ]
-    for gi in range(len(gids)):
-        gid = gids[gi]
-        ck = ck_col[gid]
-        for il in range(n_l):
-            lcol = lcols[il]
-            if not lcol[gid]:
+    for gi, gid, il, adm_ix in f.pair_cells():
+        lcol = lcols[il]
+        for ix in adm_ix:
+            xcol = xcols[ix]
+            xg = xcol[gid]
+            if xg is None:
+                xg = fill_gate(xcol, x, lids_x[ix], gid)
+            if not xg:
                 continue
-            ll = locals_l[il]
-            lid_l = lids_l[il]
-            memo = adm_memos[il]
-            adm_ix = memo.get(ck)
-            if adm_ix is None:
-                adm_ix = _adm_row_ix(
-                    pair_rows[il], ck, ctx_pair, reps, name_l, ll, name_x
-                )
-                memo[ck] = adm_ix
-            for ix in adm_ix:
-                xcol = xcols[ix]
-                xg = xcol[gid]
-                if xg is None:
-                    xg = fill_gate(xcol, x, lids_x[ix], gid)
-                if not xg:
-                    continue
-                lx = locals_x[ix]
-                succs = xsucc[ix][gid]
-                if succs is None:
-                    succs = fill_succ(xsucc[ix], x, lids_x[ix], gid)
-                for entry in succs:
-                    checked += 1
-                    ngid = entry[1]
-                    after = lcol[ngid] if ngid < len(lcol) else None
-                    if after is None:
-                        after = fill_gate(lcol, l, lid_l, ngid)
-                    if not after:
-                        _fail(
-                            result,
-                            CommutationWitness(
-                                reason="gate lost",
-                                check="forward-preservation",
-                                actors=(name_l, name_x),
-                                global_store=globals_pool[gi],
-                                left_locals=ll,
-                                right_locals=lx,
-                                first_transition=entry[0],
-                            ),
-                        )
-                        if fail_fast:
-                            result.checked = checked
-                            return result
+            succs = xsucc[ix][gid]
+            if succs is None:
+                succs = fill_succ(xsucc[ix], x, lids_x[ix], gid)
+            for entry in succs:
+                checked += 1
+                ngid = entry[1]
+                after = lcol[ngid] if ngid < len(lcol) else None
+                if after is None:
+                    after = fill_gate(lcol, l, lids_l[il], ngid)
+                if not after:
+                    _fail(
+                        result,
+                        CommutationWitness(
+                            reason="gate lost",
+                            check="forward-preservation",
+                            actors=(l.name, x.name),
+                            global_store=f.pool[gi],
+                            left_locals=f.locals_l[il],
+                            right_locals=f.locals_x[ix],
+                            first_transition=entry[0],
+                        ),
+                    )
+                    if fail_fast:
+                        result.checked = checked
+                        return result
     result.checked = checked
     return result
 
 
 def _gate_backward_preserved(l, x, universe, fail_fast, globals_subset):
     result = CheckResult(f"gate of {x.name} backward-preserved by {l.name}", True)
-    cs = _STORE
-    itn, globals_pool, gids = _universe_ids(universe, globals_subset)
-    locals_l, lids_l = _locals_ids(itn, universe, l.name)
-    locals_x, lids_x = _locals_ids(itn, universe, x.name)
-    adm = cs.admissibility(universe, globals_pool, gids)
-    lcols = [cs.gate_column(l, lid, gids) for lid in lids_l]
-    xcols = [cs.gate_column_lazy(x, lid) for lid in lids_x]
-    lsucc = [cs.succ_column(l, lid) for lid in lids_l]
-    pair_rows = [
-        adm.pair_row(l.name, lid_l, x.name, locals_x, lids_x) for lid_l in lids_l
-    ]
-    ck_col = adm.ck_col
-    ctx_pair = adm.context.pair
-    reps = adm.reps
-    name_l, name_x = l.name, x.name
-    n_l, n_x = len(locals_l), len(locals_x)
+    f = _Frame(l, x, universe, globals_subset)
+    lids_l, lids_x = f.lids_l, f.lids_x
+    xcols, lsucc = f.gates(x, lids_x), f.succs(l, lids_l)
+    fill_gate, fill_succ = _STORE.fill_gate, _STORE.fill_succ
     checked = 0
-    fill_gate, fill_succ = cs.fill_gate, cs.fill_succ
-    lids_x_key = tuple(lids_x)
-    adm_memos = [
-        adm.row_memo(name_l, lid_l, name_x, lids_x_key) for lid_l in lids_l
-    ]
-    for gi in range(len(gids)):
-        gid = gids[gi]
-        ck = ck_col[gid]
-        for il in range(n_l):
-            if not lcols[il][gid]:
+    for gi, gid, il, adm_ix in f.pair_cells():
+        succs = lsucc[il][gid]
+        if succs is None:
+            succs = fill_succ(lsucc[il], l, lids_l[il], gid)
+        for entry in succs:
+            ngid = entry[1]
+            for ix in adm_ix:
+                checked += 1
+                xcol = xcols[ix]
+                after = xcol[ngid] if ngid < len(xcol) else None
+                if after is None:
+                    after = fill_gate(xcol, x, lids_x[ix], ngid)
+                if not after:
+                    continue
+                before = xcol[gid]
+                if before is None:
+                    before = fill_gate(xcol, x, lids_x[ix], gid)
+                if not before:
+                    _fail(
+                        result,
+                        CommutationWitness(
+                            reason="gate introduced",
+                            check="backward-preservation",
+                            actors=(l.name, x.name),
+                            global_store=f.pool[gi],
+                            left_locals=f.locals_l[il],
+                            right_locals=f.locals_x[ix],
+                            first_transition=entry[0],
+                        ),
+                    )
+                    if fail_fast:
+                        result.checked = checked
+                        return result
+    result.checked = checked
+    return result
+
+
+def _commutes_left(l, x, universe, fail_fast, globals_subset):
+    result = CheckResult(f"{l.name} commutes to the left of {x.name}", True)
+    f = _Frame(l, x, universe, globals_subset)
+    lids_l, lids_x = f.lids_l, f.lids_x
+    xcols, xsucc, lsucc = f.gates(x, lids_x), f.succs(x, lids_x), f.succs(l, lids_l)
+    fill_gate, fill_succ = _STORE.fill_gate, _STORE.fill_succ
+    checked = 0
+    for gi, gid, il, adm_ix in f.pair_cells():
+        lid_l = lids_l[il]
+        lsucc_il = lsucc[il]
+        for ix in adm_ix:
+            xcol = xcols[ix]
+            xg = xcol[gid]
+            if xg is None:
+                xg = fill_gate(xcol, x, lids_x[ix], gid)
+            if not xg:
                 continue
-            ll = locals_l[il]
-            # Admissibility before the successor fill: when no right-hand
-            # local is admissible under this class, the (often expensive)
-            # transition evaluation is never needed.
-            memo = adm_memos[il]
-            adm_ix = memo.get(ck)
-            if adm_ix is None:
-                adm_ix = _adm_row_ix(
-                    pair_rows[il], ck, ctx_pair, reps, name_l, ll, name_x
-                )
-                memo[ck] = adm_ix
-            if not adm_ix:
-                continue
-            succs = lsucc[il][gid]
-            if succs is None:
-                succs = fill_succ(lsucc[il], l, lids_l[il], gid)
-            for entry in succs:
-                ngid = entry[1]
-                for ix in adm_ix:
+            xsucc_ix = xsucc[ix]
+            succs_x = xsucc_ix[gid]
+            if succs_x is None:
+                succs_x = fill_succ(xsucc_ix, x, lids_x[ix], gid)
+            for entry_x in succs_x:
+                mid_gid = entry_x[1]
+                cid_x = entry_x[2]
+                succs_mid = lsucc_il[mid_gid] if mid_gid < len(lsucc_il) else None
+                if succs_mid is None:
+                    succs_mid = fill_succ(lsucc_il, l, lid_l, mid_gid)
+                for entry_l in succs_mid:
                     checked += 1
-                    xcol = xcols[ix]
-                    after = xcol[ngid] if ngid < len(xcol) else None
-                    if after is None:
-                        after = fill_gate(xcol, x, lids_x[ix], ngid)
-                    if not after:
-                        continue
-                    before = xcol[gid]
-                    if before is None:
-                        before = fill_gate(xcol, x, lids_x[ix], gid)
-                    if not before:
+                    # ∃ĝ: l from g reaches ĝ with entry_l's PAs, then x
+                    # from ĝ reaches the same final global with
+                    # entry_x's PAs — the oracle's ``_has_swapped``
+                    # on interned ids.
+                    cid_l = entry_l[2]
+                    ngid_l = entry_l[1]
+                    swapped = False
+                    succs_l0 = lsucc_il[gid]
+                    if succs_l0 is None:
+                        succs_l0 = fill_succ(lsucc_il, l, lid_l, gid)
+                    for e2 in succs_l0:
+                        if e2[2] != cid_l:
+                            continue
+                        xsucc2 = xsucc_ix[e2[1]] if e2[1] < len(xsucc_ix) else None
+                        if xsucc2 is None:
+                            xsucc2 = fill_succ(xsucc_ix, x, lids_x[ix], e2[1])
+                        for e3 in xsucc2:
+                            if e3[2] == cid_x and e3[1] == ngid_l:
+                                swapped = True
+                                break
+                        if swapped:
+                            break
+                    if not swapped:
                         _fail(
                             result,
                             CommutationWitness(
-                                reason="gate introduced",
-                                check="backward-preservation",
-                                actors=(name_l, name_x),
-                                global_store=globals_pool[gi],
-                                left_locals=ll,
-                                right_locals=locals_x[ix],
-                                first_transition=entry[0],
+                                reason="no matching l-then-x execution",
+                                check="commutation",
+                                actors=(l.name, x.name),
+                                global_store=f.pool[gi],
+                                left_locals=f.locals_l[il],
+                                right_locals=f.locals_x[ix],
+                                first_transition=entry_x[0],
+                                second_transition=entry_l[0],
                             ),
                         )
                         if fail_fast:
@@ -527,160 +627,31 @@ def _gate_backward_preserved(l, x, universe, fail_fast, globals_subset):
     return result
 
 
-def _commutes_left(l, x, universe, fail_fast, globals_subset):
-    result = CheckResult(f"{l.name} commutes to the left of {x.name}", True)
-    cs = _STORE
-    itn, globals_pool, gids = _universe_ids(universe, globals_subset)
-    locals_l, lids_l = _locals_ids(itn, universe, l.name)
-    locals_x, lids_x = _locals_ids(itn, universe, x.name)
-    adm = cs.admissibility(universe, globals_pool, gids)
-    lcols = [cs.gate_column(l, lid, gids) for lid in lids_l]
-    xcols = [cs.gate_column_lazy(x, lid) for lid in lids_x]
-    xsucc = [cs.succ_column(x, lid) for lid in lids_x]
-    lsucc = [cs.succ_column(l, lid) for lid in lids_l]
-    pair_rows = [
-        adm.pair_row(l.name, lid_l, x.name, locals_x, lids_x) for lid_l in lids_l
-    ]
-    ck_col = adm.ck_col
-    ctx_pair = adm.context.pair
-    reps = adm.reps
-    name_l, name_x = l.name, x.name
-    n_l, n_x = len(locals_l), len(locals_x)
-    checked = 0
-    fill_gate, fill_succ = cs.fill_gate, cs.fill_succ
-    lids_x_key = tuple(lids_x)
-    adm_memos = [
-        adm.row_memo(name_l, lid_l, name_x, lids_x_key) for lid_l in lids_l
-    ]
-    for gi in range(len(gids)):
-        gid = gids[gi]
-        ck = ck_col[gid]
-        for il in range(n_l):
-            if not lcols[il][gid]:
-                continue
-            ll = locals_l[il]
-            lid_l = lids_l[il]
-            lsucc_il = lsucc[il]
-            memo = adm_memos[il]
-            adm_ix = memo.get(ck)
-            if adm_ix is None:
-                adm_ix = _adm_row_ix(
-                    pair_rows[il], ck, ctx_pair, reps, name_l, ll, name_x
-                )
-                memo[ck] = adm_ix
-            for ix in adm_ix:
-                xcol = xcols[ix]
-                xg = xcol[gid]
-                if xg is None:
-                    xg = fill_gate(xcol, x, lids_x[ix], gid)
-                if not xg:
-                    continue
-                lx = locals_x[ix]
-                xsucc_ix = xsucc[ix]
-                succs_x = xsucc_ix[gid]
-                if succs_x is None:
-                    succs_x = fill_succ(xsucc_ix, x, lids_x[ix], gid)
-                for entry_x in succs_x:
-                    mid_gid = entry_x[1]
-                    cid_x = entry_x[2]
-                    succs_mid = (
-                        lsucc_il[mid_gid] if mid_gid < len(lsucc_il) else None
-                    )
-                    if succs_mid is None:
-                        succs_mid = fill_succ(lsucc_il, l, lid_l, mid_gid)
-                    for entry_l in succs_mid:
-                        checked += 1
-                        # ∃ĝ: l from g reaches ĝ with entry_l's PAs, then x
-                        # from ĝ reaches the same final global with
-                        # entry_x's PAs — the oracle's ``_has_swapped``
-                        # on interned ids.
-                        cid_l = entry_l[2]
-                        ngid_l = entry_l[1]
-                        swapped = False
-                        succs_l0 = lsucc_il[gid]
-                        if succs_l0 is None:
-                            succs_l0 = fill_succ(lsucc_il, l, lid_l, gid)
-                        for e2 in succs_l0:
-                            if e2[2] != cid_l:
-                                continue
-                            xsucc2 = (
-                                xsucc_ix[e2[1]] if e2[1] < len(xsucc_ix) else None
-                            )
-                            if xsucc2 is None:
-                                xsucc2 = fill_succ(xsucc_ix, x, lids_x[ix], e2[1])
-                            for e3 in xsucc2:
-                                if e3[2] == cid_x and e3[1] == ngid_l:
-                                    swapped = True
-                                    break
-                            if swapped:
-                                break
-                        if not swapped:
-                            _fail(
-                                result,
-                                CommutationWitness(
-                                    reason="no matching l-then-x execution",
-                                    check="commutation",
-                                    actors=(name_l, name_x),
-                                    global_store=globals_pool[gi],
-                                    left_locals=ll,
-                                    right_locals=lx,
-                                    first_transition=entry_x[0],
-                                    second_transition=entry_l[0],
-                                ),
-                            )
-                            if fail_fast:
-                                result.checked = checked
-                                return result
-    result.checked = checked
-    return result
-
-
 def _non_blocking(l, x, universe, fail_fast, globals_subset):
     result = CheckResult(f"{l.name} non-blocking", True)
-    cs = _STORE
-    itn, globals_pool, gids = _universe_ids(universe, globals_subset)
-    locals_l, lids_l = _locals_ids(itn, universe, l.name)
-    adm = cs.admissibility(universe, globals_pool, gids)
-    lcols = [cs.gate_column(l, lid, gids) for lid in lids_l]
-    lsucc = [cs.succ_column(l, lid) for lid in lids_l]
-    cells = [adm.single_cell(l.name, lid) for lid in lids_l]
-    ck_col = adm.ck_col
-    ctx_single = adm.context.single
-    reps = adm.reps
-    name_l = l.name
-    n_l = len(locals_l)
+    f = _Frame(l, x, universe, globals_subset)
+    lids_l = f.lids_l
+    lsucc = f.succs(l, lids_l)
+    fill_succ = _STORE.fill_succ
     checked = 0
-    fill_succ = cs.fill_succ
-    for gi in range(len(gids)):
-        gid = gids[gi]
-        ck = ck_col[gid]
-        for il in range(n_l):
-            cell = cells[il]
-            ok = cell.get(ck)
-            if ok is None:
-                ok = ctx_single(reps[ck], PendingAsync(name_l, locals_l[il]))
-                cell[ck] = ok
-            if not ok:
-                continue
-            if not lcols[il][gid]:
-                continue
-            checked += 1
-            succs = lsucc[il][gid]
-            if succs is None:
-                succs = fill_succ(lsucc[il], l, lids_l[il], gid)
-            if not succs:
-                _fail(
-                    result,
-                    GateWitness(
-                        reason="blocks in gate-satisfying store",
-                        check="non-blocking",
-                        actors=(name_l,),
-                        state=itn.combine_ids(gid, lids_l[il]),
-                    ),
-                )
-                if fail_fast:
-                    result.checked = checked
-                    return result
+    for gi, gid, il, _ in f.single_cells():
+        checked += 1
+        succs = lsucc[il][gid]
+        if succs is None:
+            succs = fill_succ(lsucc[il], l, lids_l[il], gid)
+        if not succs:
+            _fail(
+                result,
+                GateWitness(
+                    reason="blocks in gate-satisfying store",
+                    check="non-blocking",
+                    actors=(l.name,),
+                    state=f.itn.combine_ids(gid, lids_l[il]),
+                ),
+            )
+            if fail_fast:
+                result.checked = checked
+                return result
     result.checked = checked
     return result
 

@@ -15,6 +15,8 @@ to a :class:`~repro.core.universe.StoreUniverse`:
 
 * :meth:`PAContext.single` — may PA ``(ℓ, A)`` execute from global ``g``?
 * :meth:`PAContext.pair` — may the two PAs coexist in one configuration?
+* :meth:`PAContext.pair_row` — the ``pair`` decisions of one PA against a
+  row of others, as the indices that pass (what the columnar LM loops ask).
 
 :class:`NoContext` imposes nothing (the fully general check);
 :class:`GhostContext` reads a ghost multiset variable and requires joint
@@ -33,6 +35,7 @@ reach the oracle through it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Tuple
 
 from .action import PendingAsync
 from .multiset import Multiset
@@ -79,6 +82,17 @@ class PAContext:
         with global store ``global_store`` (distinct PAs: an identical pair
         requires multiplicity two)."""
         raise NotImplementedError
+
+    def pair_row(
+        self, global_store: Store, first: PendingAsync, seconds
+    ) -> Tuple[int, ...]:
+        """The indices ``i``, ascending, for which ``pair(global_store,
+        first, seconds[i])`` holds. Overrides must keep exactly that
+        meaning; they exist only to decide a whole row at once."""
+        pair = self.pair
+        return tuple(
+            i for i, second in enumerate(seconds) if pair(global_store, first, second)
+        )
 
 
 class NoContext(PAContext):
@@ -172,6 +186,19 @@ class GhostContext(PAContext):
         if first == second:
             return ghost.count(first) >= 2
         return first in ghost and second in ghost
+
+    def pair_row(
+        self, global_store: Store, first: PendingAsync, seconds
+    ) -> Tuple[int, ...]:
+        ghost = self._ghost(global_store)
+        count = ghost.count(first)
+        if not count:
+            return ()
+        return tuple(
+            i
+            for i, second in enumerate(seconds)
+            if second in ghost and (count >= 2 or second != first)
+        )
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,11 @@ strongest part of the contract — the columnar loops must enumerate
 exactly the (global, locals, transition) triples the oracle does, in the
 same order, or attribution and counterexample replay silently drift.
 
+Three failing applications (two seeded broadcast mutants and the
+``drop_left_mover`` Ping-Pong mutation) pin the same contract on the
+failing path: witness order and content, and the ``fail_fast`` cut point
+of every left-mover check of the stuck mutant.
+
 The final tests pin the representation-independence of the persistent
 result cache: fingerprints hash store *contents*, never intern ids, so a
 cache written under one assignment of intern ids must warm-hit a run in
@@ -23,13 +28,15 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import initial_config
+from repro.core import Action, initial_config
 from repro.core.cache import reset_process_cache
 from repro.core.columnar import columnar_store
 from repro.core.context import GhostContext, UncachableContext
+from repro.core.movers import is_left_mover
 from repro.core.refinement import CheckResult
 from repro.core.store import Store, store_interner
 from repro.core.universe import StoreUniverse
+from repro.diagnose.fixtures import FIXTURES
 from repro.engine.scheduler import ProcessPoolScheduler
 from repro.protocols import (
     broadcast,
@@ -43,16 +50,17 @@ from repro.protocols import (
 from repro.protocols.common import GHOST
 
 from .rcache_cases import count_executions
+from .test_obligation_mutations import ROUNDS, _drop_left_mover
 
 
 def _first_app(pairs):
     return pairs[0][1]
 
 
-#: One (application, initial global) per Table 1 protocol.  Broadcast at
-#: n=3 and Paxos at R=2/N=2 dominate wall time (their universes are the
-#: benchmark instances) and run in the slow lane; the other five cover
-#: the representation semantics fast.
+#: One (application, initial global) per Table 1 protocol, plus Paxos at
+#: R=1/N=2.  Broadcast at n=3 and Paxos at R=2/N=2 dominate wall time
+#: (their universes are the benchmark instances) and run in the slow
+#: lane; the others cover the representation semantics fast.
 PROTOCOL_CASES = {
     "broadcast": lambda: (
         broadcast.make_sequentialization(3),
@@ -81,6 +89,11 @@ PROTOCOL_CASES = {
     "paxos": lambda: (
         paxos.make_sequentialization(2, 2),
         paxos.initial_global(2, 2),
+    ),
+    # Many ghost classes (24 over 58 globals) at a fast-lane price.
+    "paxos-r1n2": lambda: (
+        paxos.make_sequentialization(1, 2),
+        paxos.initial_global(1, 2),
     ),
 }
 
@@ -149,6 +162,65 @@ def test_columnar_matches_dict_oracle(name):
     )
     assert _typed_condition_map(pooled) == _typed_condition_map(oracle)
     assert pooled.total_checked == oracle.total_checked
+
+
+def _pingpong_drop_left_mover():
+    """The ``drop_left_mover`` mutation: Ping-Pong checking the concrete
+    (blocking) Pong, which fails ``LM[Pong]``."""
+    good = pingpong.make_sequentialization(ROUNDS)
+    universe = StoreUniverse.from_reachable(
+        good.program, [initial_config(pingpong.initial_global(ROUNDS))]
+    ).with_context(GhostContext(GHOST))
+    return _drop_left_mover(good), universe
+
+
+#: Failing applications: (build, a condition each one must fail).
+FAILING_CASES = {
+    "stuck-broadcast": (FIXTURES["stuck-broadcast"].build, "LM[Collect]"),
+    "broken-broadcast": (FIXTURES["broken-broadcast"].build, "abs[Collect]"),
+    "pingpong-drop-left-mover": (_pingpong_drop_left_mover, "LM[Pong]"),
+}
+
+
+def _oracle(universe):
+    return universe.with_context(UncachableContext(universe.context))
+
+
+@pytest.mark.parametrize("name", sorted(FAILING_CASES))
+def test_failing_columnar_matches_dict_oracle(name):
+    """Witness order and counts on the failing path: every field of every
+    condition, failed ones included, matches the oracle."""
+    build, failing = FAILING_CASES[name]
+    app, universe = build()
+    oracle = app.check(_oracle(universe), jobs=1)
+    assert not oracle.conditions[failing].holds
+
+    reset_process_cache()
+    fast = app.check(universe, jobs=1)
+    assert _typed_condition_map(fast) == _typed_condition_map(oracle)
+
+
+def test_fail_fast_left_mover_cut_matches_oracle():
+    """``fail_fast`` stops at the first witness; the cut point (``checked``)
+    and the witness are the oracle's for every (l, x) of the stuck mutant."""
+    app, universe = FIXTURES["stuck-broadcast"].build()
+    failed = 0
+    for name in app.eliminated:
+        abstraction = app.abstraction_of(name)
+        l = Action(name, abstraction.gate, abstraction.transitions, abstraction.params)
+        lm_universe = app.lm_universe(universe, name)
+        for _, x in app.program.actions():
+            reset_process_cache()
+            oracle = is_left_mover(l, x, _oracle(lm_universe), fail_fast=True)
+            reset_process_cache()
+            fast = is_left_mover(l, x, lm_universe, fail_fast=True)
+            assert (fast.holds, fast.checked, fast.counterexamples) == (
+                oracle.holds,
+                oracle.checked,
+                oracle.counterexamples,
+            ), (name, x.name)
+            failed += not oracle.holds
+    assert failed
 
 
 def _universe_stores(universe):

@@ -86,7 +86,9 @@ def test_digest_ignores_multiset_and_set_order(elements, rng):
 def test_any_single_field_change_changes_the_digest(data, draw):
     key = draw.draw(st.sampled_from(sorted(data, key=repr)))
     replacement = draw.draw(SCALARS)
-    if replacement == data[key] and type(replacement) is type(data[key]):
+    # Equal values are no change, across types too: True == 1 makes
+    # Store({k: True}) == Store({k: 1}), and the digest agrees by design.
+    if replacement == data[key]:
         replacement = (replacement, "changed")
     mutated = dict(data)
     mutated[key] = replacement
