@@ -7,7 +7,7 @@ Configurations of the same check (Paxos, R rounds x N nodes):
     The reference oracle: the PA context wrapped in
     :class:`repro.core.context.UncachableContext`, so the dict-shaped
     loops run, asking the context per store, with the columnar tables
-    and the universe's single/pair memos stepping aside. The evaluation
+    and class masks stepping aside. The evaluation
     memos stay on; they have no off switch.
 ``serial``
     The engine's serial backend with all memoization layers on — the

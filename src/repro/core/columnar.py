@@ -1,10 +1,13 @@
 """Columnar batch evaluation of IS predicates over interned universes.
 
-The LM and I3 obligations quantify over millions of (global, local)
-combos per discharge run. This module serves their hot predicates from
-*columns*: per-(action-view, local) arrays indexed by the global store's
-intern id (``repro.core.store.StoreInterner``), filled on probe and
-extended for successor globals discovered while commuting actions:
+Every IS condition quantifies over (global, local) cells of a store
+universe, restricted to the cells the PA context admits (CIVL's linear
+permissions: the PA is pending, and two commuted PAs are distinct). The
+LM and I3 obligations visit millions of such cells per discharge run.
+This module serves their hot predicates from *columns*: per-(action-view,
+local) arrays indexed by the global store's intern id
+(``repro.core.store.StoreInterner``), filled on probe and extended for
+successor globals discovered while commuting actions:
 
 * **gate columns** — ``col[gid] -> bool`` for one (view, local) pair;
 * **successor columns** — ``col[gid] -> ((tr, new_gid, created_cid), …)``
@@ -13,28 +16,34 @@ extended for successor globals discovered while commuting actions:
   (``_has_swapped``) compares ints instead of multisets;
 * **admissibility** — decisions of the PA context, asked once per
   ``cache_key`` equivalence class of globals (the ghost multiset) and
-  shared by every global in the class.
+  shared by every global in the class. ``_Admissibility`` is the one
+  class index; the universe keeps no admissibility memo of its own.
 
-The four left-mover conditions enumerate *admissibility-first*. Most
-(global, l-local) cells have no admissible partner under the PA context,
-so the loops start from the context, not from the gates:
+Every condition enumerates *admissibility-first*: most cells are ruled
+out by the context, so the loops start from the context, not from the
+stores:
 
 1. the globals of the enumerated gids list are grouped by class, one
    Python-int position bitmask per class;
-2. per (l-local, class), the context decides a whole row at once —
-   ``PAContext.pair_row`` gives the admissible x-local indices (for
-   non-blocking, ``single`` decides the l-local alone);
+2. per (local, class), the context decides a whole row at once — for
+   the single-PA conditions (abs, I1, I2, I3, CO and non-blocking)
+   ``single`` decides the local alone, for the three pair conditions of
+   LM ``PAContext.pair_row`` gives the admissible x-local indices;
 3. the OR of the masks of the classes that admit anything is scanned in
    ascending bit order (global-major, as the oracle enumerates), and each
-   position visits only its class's admitted l-locals, in index order;
-4. only then is the l-gate probed, filled lazily, and the inner loops run
-   unchanged over the admitted x-locals and the successor columns.
+   position visits only its class's admitted locals, in index order;
+4. only then does the condition's body run: :func:`admitted_cells` hands
+   abs, I1, I2 and CO their (global, local) cells, I3 reads its invariant
+   gate column, and the left-mover loops probe the l-gate (filled
+   lazily) before running unchanged over the admitted x-locals and the
+   successor columns.
 
-A skipped cell is one where the oracle's inner loops do nothing (no
-admissible x-local), so semantics are *identical* to the dict-shaped
-oracle in ``repro.core.movers`` / ``ISApplication.check_i3``: the same
-enumeration order, ``checked`` incremented at the same points, and
-witnesses with the same stores and transitions.
+A skipped cell is one where the oracle's loop body does nothing, so
+semantics are *identical* to the oracle — the dict-shaped loops in
+``repro.core.movers`` and ``ISApplication.check_i3``, and the per-cell
+``context.single`` loop of :func:`admitted_cells`: the same enumeration
+order, ``checked`` incremented at the same points, and witnesses with the
+same stores and transitions.
 ``tests/engine/test_columnar_differential.py`` asserts typed-identical
 :class:`CheckResult`s on the Table 1 protocols and on failing mutants.
 One difference is observable: an l-gate is never evaluated on a cell the
@@ -69,6 +78,7 @@ from .store import Store, store_interner
 __all__ = [
     "ColumnarStore",
     "columnar_store",
+    "admitted_cells",
     "left_mover_condition_columnar",
     "i3_fast_path",
 ]
@@ -100,8 +110,8 @@ class _Admissibility:
 
     ``masks`` groups the positions of the last prefilled gids list by
     class: ``masks[ck]`` has bit ``i`` set when ``gids[i]`` is in class
-    ``ck``. The left-mover loops OR together the masks of the classes that
-    admit anything and visit only those positions.
+    ``ck``. Every scan ORs together the masks of the classes that admit
+    anything and visits only those positions.
     """
 
     __slots__ = (
@@ -152,22 +162,21 @@ class _Admissibility:
         self.masks = masks
         self._prefilled = gids
 
-    def single_cell(self, name: str, lid: int) -> Dict[int, bool]:
-        key = (name, lid)
-        cell = self.single_cells.get(key)
-        if cell is None:
-            cell = {}
-            self.single_cells[key] = cell
-        return cell
-
-    def single_classes(self, classes, name: str, locals_, lids) -> list:
+    def single_classes(self, classes, name: str, locals_, lids, stats) -> list:
         """Per class index in ``classes``, ``(il, True)`` for every local
-        ``il`` whose PA the class admits (``context.single``)."""
+        ``il`` whose PA the class admits (``context.single``), memoized
+        per (PA name, local id). Each ``single`` call counts as a miss in
+        ``stats``."""
         single = self.context.single
+
+        def decide(rep, il):
+            stats.misses += 1
+            return single(rep, PendingAsync(name, locals_[il]))
+
         return self._by_class(
             classes,
-            [self.single_cell(name, lid) for lid in lids],
-            lambda rep, il: single(rep, PendingAsync(name, locals_[il])),
+            [self.single_cells.setdefault((name, lid), {}) for lid in lids],
+            decide,
         )
 
     def pair_classes(
@@ -365,7 +374,7 @@ def columnar_store() -> ColumnarStore:
 
 
 # ---------------------------------------------------------------------- #
-# Columnar left-mover conditions (order-exact oracle replacements)
+# Admitted cells
 # ---------------------------------------------------------------------- #
 
 
@@ -397,20 +406,84 @@ def _positions(mask: int) -> List[int]:
     return [i for i, bit in enumerate(bin(mask)[:1:-1]) if bit == "1"]
 
 
-class _Frame:
-    """What each left-mover condition of ``l`` w.r.t. ``x`` starts from:
-    the interned globals and locals, the class masks, lazy columns, and
-    the admitted cells."""
+class _Cells:
+    """One action's cells: the interned globals (the universe's, or a
+    shard of them), the action's interned locals, and the PA context's
+    class masks over those globals."""
 
-    def __init__(self, l, x, universe, globals_subset):
+    def __init__(self, universe, name, globals_subset):
         itn, self.pool, self.gids = _universe_ids(universe, globals_subset)
         self.itn = itn
-        self.locals_l, self.lids_l = _locals_ids(itn, universe, l.name)
-        self.locals_x, self.lids_x = _locals_ids(itn, universe, x.name)
+        self.locals_, self.lids = _locals_ids(itn, universe, name)
         self.adm = _STORE.admissibility(universe, self.pool, self.gids)
         self.masks = self.adm.masks
+        self.stats = universe.context_cache_stats
+
+    def singles(self, pa_name: str):
+        """``(gi, il, True)`` per cell whose PA ``(pa_name, locals_[il])``
+        the context admits, in the oracle's order. Every cell counts in
+        the universe's ``context_cache_stats``: a miss per ``single``
+        call, a hit per cell served from a memoized class decision."""
+        stats = self.stats
+        asked = stats.misses
+        by_class = self.adm.single_classes(
+            self.masks, pa_name, self.locals_, self.lids, stats
+        )
+        stats.hits += len(self.gids) * len(self.lids) - (stats.misses - asked)
+        return self.scan(by_class)
+
+    def scan(self, by_class):
+        """``(gi, il, decision)`` for the cells of the classes that admit
+        something, in the oracle's order (global-major, then locals).
+        Every skipped cell is one where the oracle's loop body does
+        nothing."""
+        live = 0
+        for ck, mask in self.masks.items():
+            if by_class[ck]:
+                live |= mask
+        gids, ck_col = self.gids, self.adm.ck_col
+        for gi in _positions(live):
+            for il, decision in by_class[ck_col[gids[gi]]]:
+                yield gi, il, decision
+
+
+def admitted_cells(universe, name: str, pa_name=None, globals_subset=None):
+    """The cells ``(g, l)`` of the universe's globals (or
+    ``globals_subset``) × ``locals_for(name)`` from which the PA context
+    admits PA ``(pa_name, l)`` (``pa_name`` defaults to ``name``), in the
+    oracle's order: global-major, then locals in pool order.
+
+    Served by the admissibility scan; an uncachable context gets the
+    reference loop, which asks ``context.single`` per cell."""
+    pa_name = name if pa_name is None else pa_name
+    try:
+        cells = _Cells(universe, name, globals_subset)
+    except _Uncachable:
+        single = universe.context.single
+        return (
+            (g, l)
+            for g in (universe.globals_ if globals_subset is None else globals_subset)
+            for l in universe.locals_for(name)
+            if single(g, PendingAsync(pa_name, l))
+        )
+    pool, locals_ = cells.pool, cells.locals_
+    return ((pool[gi], locals_[il]) for gi, il, _ in cells.singles(pa_name))
+
+
+# ---------------------------------------------------------------------- #
+# Columnar left-mover conditions (order-exact oracle replacements)
+# ---------------------------------------------------------------------- #
+
+
+class _Frame(_Cells):
+    """What each left-mover condition of ``l`` w.r.t. ``x`` starts from:
+    ``l``'s cells, ``x``'s interned locals, and lazy columns."""
+
+    def __init__(self, l, x, universe, globals_subset):
+        super().__init__(universe, l.name, globals_subset)
+        self.locals_x, self.lids_x = _locals_ids(self.itn, universe, x.name)
         self.l, self.x = l, x
-        self.lcols = self.gates(l, self.lids_l)
+        self.lcols = self.gates(l, self.lids)
 
     @staticmethod
     def gates(view, lids) -> list:
@@ -423,53 +496,43 @@ class _Frame:
     def pair_cells(self):
         """``(gi, gid, il, row)`` per admitted cell whose l-gate holds,
         ``row`` being the admissible right-local indices."""
-        return self._scan(
-            self.adm.pair_classes(
-                self.masks,
-                self.l.name,
-                self.locals_l,
-                self.lids_l,
-                self.x.name,
-                self.locals_x,
-                self.lids_x,
+        return self._gated(
+            self.scan(
+                self.adm.pair_classes(
+                    self.masks,
+                    self.l.name,
+                    self.locals_,
+                    self.lids,
+                    self.x.name,
+                    self.locals_x,
+                    self.lids_x,
+                )
             )
         )
 
     def single_cells(self):
         """``(gi, gid, il, True)`` per cell whose PA the context admits
         and whose l-gate holds."""
-        return self._scan(
-            self.adm.single_classes(
-                self.masks, self.l.name, self.locals_l, self.lids_l
-            )
-        )
+        return self._gated(self.singles(self.l.name))
 
-    def _scan(self, by_class):
-        """The cells of the classes that admit something, in the oracle's
-        order (global-major, then locals), through the l-gate, filled on
-        probe. Every skipped cell is one where the oracle's inner loops do
-        nothing."""
-        live = 0
-        for ck, mask in self.masks.items():
-            if by_class[ck]:
-                live |= mask
-        gids, ck_col, lcols = self.gids, self.adm.ck_col, self.lcols
-        l, lids_l, fill_gate = self.l, self.lids_l, _STORE.fill_gate
-        for gi in _positions(live):
+    def _gated(self, cells):
+        """The cells whose l-gate holds, filled on probe."""
+        gids, lcols = self.gids, self.lcols
+        l, lids, fill_gate = self.l, self.lids, _STORE.fill_gate
+        for gi, il, row in cells:
             gid = gids[gi]
-            for il, row in by_class[ck_col[gid]]:
-                lcol = lcols[il]
-                ok = lcol[gid]
-                if ok is None:
-                    ok = fill_gate(lcol, l, lids_l[il], gid)
-                if ok:
-                    yield gi, gid, il, row
+            lcol = lcols[il]
+            ok = lcol[gid]
+            if ok is None:
+                ok = fill_gate(lcol, l, lids[il], gid)
+            if ok:
+                yield gi, gid, il, row
 
 
 def _gate_forward_preserved(l, x, universe, fail_fast, globals_subset):
     result = CheckResult(f"gate of {l.name} forward-preserved by {x.name}", True)
     f = _Frame(l, x, universe, globals_subset)
-    lids_l, lids_x, lcols = f.lids_l, f.lids_x, f.lcols
+    lids_l, lids_x, lcols = f.lids, f.lids_x, f.lcols
     xcols, xsucc = f.gates(x, lids_x), f.succs(x, lids_x)
     fill_gate, fill_succ = _STORE.fill_gate, _STORE.fill_succ
     checked = 0
@@ -499,7 +562,7 @@ def _gate_forward_preserved(l, x, universe, fail_fast, globals_subset):
                             check="forward-preservation",
                             actors=(l.name, x.name),
                             global_store=f.pool[gi],
-                            left_locals=f.locals_l[il],
+                            left_locals=f.locals_[il],
                             right_locals=f.locals_x[ix],
                             first_transition=entry[0],
                         ),
@@ -514,7 +577,7 @@ def _gate_forward_preserved(l, x, universe, fail_fast, globals_subset):
 def _gate_backward_preserved(l, x, universe, fail_fast, globals_subset):
     result = CheckResult(f"gate of {x.name} backward-preserved by {l.name}", True)
     f = _Frame(l, x, universe, globals_subset)
-    lids_l, lids_x = f.lids_l, f.lids_x
+    lids_l, lids_x = f.lids, f.lids_x
     xcols, lsucc = f.gates(x, lids_x), f.succs(l, lids_l)
     fill_gate, fill_succ = _STORE.fill_gate, _STORE.fill_succ
     checked = 0
@@ -543,7 +606,7 @@ def _gate_backward_preserved(l, x, universe, fail_fast, globals_subset):
                             check="backward-preservation",
                             actors=(l.name, x.name),
                             global_store=f.pool[gi],
-                            left_locals=f.locals_l[il],
+                            left_locals=f.locals_[il],
                             right_locals=f.locals_x[ix],
                             first_transition=entry[0],
                         ),
@@ -558,7 +621,7 @@ def _gate_backward_preserved(l, x, universe, fail_fast, globals_subset):
 def _commutes_left(l, x, universe, fail_fast, globals_subset):
     result = CheckResult(f"{l.name} commutes to the left of {x.name}", True)
     f = _Frame(l, x, universe, globals_subset)
-    lids_l, lids_x = f.lids_l, f.lids_x
+    lids_l, lids_x = f.lids, f.lids_x
     xcols, xsucc, lsucc = f.gates(x, lids_x), f.succs(x, lids_x), f.succs(l, lids_l)
     fill_gate, fill_succ = _STORE.fill_gate, _STORE.fill_succ
     checked = 0
@@ -614,7 +677,7 @@ def _commutes_left(l, x, universe, fail_fast, globals_subset):
                                 check="commutation",
                                 actors=(l.name, x.name),
                                 global_store=f.pool[gi],
-                                left_locals=f.locals_l[il],
+                                left_locals=f.locals_[il],
                                 right_locals=f.locals_x[ix],
                                 first_transition=entry_x[0],
                                 second_transition=entry_l[0],
@@ -630,7 +693,7 @@ def _commutes_left(l, x, universe, fail_fast, globals_subset):
 def _non_blocking(l, x, universe, fail_fast, globals_subset):
     result = CheckResult(f"{l.name} non-blocking", True)
     f = _Frame(l, x, universe, globals_subset)
-    lids_l = f.lids_l
+    lids_l = f.lids
     lsucc = f.succs(l, lids_l)
     fill_succ = _STORE.fill_succ
     checked = 0
@@ -681,84 +744,52 @@ def left_mover_condition_columnar(
 
 
 class I3Fast:
-    """Column-backed predicate lookups for ``ISApplication.check_i3``.
+    """Column-backed cells and gates for ``ISApplication.check_i3``.
 
-    Serves the I3 inner loop's three hot predicates from columns — the
-    single-PA admissibility of M's candidates, the invariant's gate, and
-    the abstractions' gates on post-transition stores — while the
-    composition chase itself stays object-level (it is not the hot part).
+    Serves M's admitted cells (the single-PA scan) through the
+    invariant's batch-filled gate columns, and the abstractions' gates on
+    post-transition stores from lazy columns, while the composition chase
+    itself stays object-level (it is not the hot part).
     """
 
-    __slots__ = (
-        "gids",
-        "_itn",
-        "_adm",
-        "_m_name",
-        "_locals",
-        "_lids",
-        "_inv_cols",
-        "_single",
-        "_abs_cols",
-        "_store",
-    )
+    __slots__ = ("_cells", "_m_name", "_inv_cols", "_abs_cols")
 
-    def __init__(self, universe, globals_pool, gids, m_name, locals_pool, invariant):
-        cs = _STORE
-        itn = store_interner()
-        self.gids = gids
-        self._store = cs
-        self._itn = itn
+    def __init__(self, universe, globals_subset, m_name, invariant):
+        self._cells = cells = _Cells(universe, m_name, globals_subset)
         self._m_name = m_name
-        self._locals = locals_pool
-        self._lids = [itn.intern(l) for l in locals_pool]
-        self._adm = cs.admissibility(universe, globals_pool, gids)
         self._inv_cols = [
-            cs.gate_column(invariant, lid, gids) for lid in self._lids
-        ]
-        self._single = [
-            self._adm.single_cell(m_name, lid) for lid in self._lids
+            _STORE.gate_column(invariant, lid, cells.gids) for lid in cells.lids
         ]
         self._abs_cols: Dict[Tuple, list] = {}
 
-    def single_ok(self, li: int, gid: int) -> bool:
-        adm = self._adm
-        ck = adm.ck_col[gid]
-        cell = self._single[li]
-        ok = cell.get(ck)
-        if ok is None:
-            ok = adm.context.single(
-                adm.reps[ck], PendingAsync(self._m_name, self._locals[li])
-            )
-            cell[ck] = ok
-        return ok
-
-    def invariant_gate(self, li: int, gid: int) -> bool:
-        return self._inv_cols[li][gid]
+    def cells(self):
+        """``(g, l)`` per admitted cell whose invariant gate holds, in
+        the oracle's order."""
+        c = self._cells
+        pool, gids, locals_, inv_cols = c.pool, c.gids, c.locals_, self._inv_cols
+        for gi, il, _ in c.singles(self._m_name):
+            if inv_cols[il][gids[gi]]:
+                yield pool[gi], locals_[il]
 
     def abstraction_gate(self, view, locals_store: Store, new_global: Store) -> bool:
-        itn = self._itn
+        itn = self._cells.itn
         lid = itn.intern(locals_store)
         key = (_view_key(view), lid)
         col = self._abs_cols.get(key)
         if col is None:
-            col = self._store._column(self._store.gate_cols, view, lid, len(itn))
+            col = _STORE._column(_STORE.gate_cols, view, lid, len(itn))
             self._abs_cols[key] = col
         gid = itn.intern(new_global)
         value = col[gid] if gid < len(col) else None
         if value is None:
-            value = self._store.fill_gate(col, view, lid, gid)
+            value = _STORE.fill_gate(col, view, lid, gid)
         return value
 
 
-def i3_fast_path(
-    universe, globals_pool, m_name, locals_pool, invariant
-) -> Optional[I3Fast]:
+def i3_fast_path(universe, globals_subset, m_name, invariant) -> Optional[I3Fast]:
     """An :class:`I3Fast` for this I3 shard, or ``None`` for an
     uncachable PA context."""
-    itn = store_interner()
-    intern = itn.intern
-    gids = [intern(g) for g in globals_pool]
     try:
-        return I3Fast(universe, globals_pool, gids, m_name, locals_pool, invariant)
+        return I3Fast(universe, globals_subset, m_name, invariant)
     except _Uncachable:
         return None

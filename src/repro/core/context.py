@@ -26,10 +26,11 @@ in sync with :math:`\\Omega`.
 :class:`UncachableContext` wraps any context and declares its decisions
 uncachable. That one input property selects the checker's reference
 oracle: the dict-shaped loops of ``repro.core.movers`` and
-``ISApplication.check_i3``, which ask the context per store, with the
-columnar tables (``repro.core.columnar``) and the universe's single/pair
-memos stepping aside. The differential tests and the obligation benchmark
-reach the oracle through it.
+``ISApplication.check_i3`` and the per-cell loop of
+``repro.core.columnar.admitted_cells``, which ask the context per store,
+with the columnar tables and class masks (``repro.core.columnar``)
+stepping aside. The differential tests and the obligation benchmark reach
+the oracle through it.
 """
 
 from __future__ import annotations
@@ -60,8 +61,8 @@ class PAContext:
     def cache_key(self, global_store: Store):
         """The part of ``global_store`` this context's decisions depend on.
 
-        Returning a hashable key lets a :class:`~repro.core.universe.
-        StoreUniverse` memoize ``single``/``pair`` decisions under that key
+        Returning a hashable key lets the columnar layer
+        (``repro.core.columnar``) decide ``single``/``pair`` once per key
         (many globals share one key: e.g. all stores with the same ghost
         multiset). Return ``None`` to declare the decision uncachable.
         State-independent contexts depend on nothing, hence the constant.

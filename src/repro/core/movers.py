@@ -32,7 +32,7 @@ import enum
 from typing import Dict, Iterable, Tuple
 
 from ..diagnose.witness import COUNTEREXAMPLE_KEEP, CommutationWitness, GateWitness
-from .action import Action
+from .action import Action, PendingAsync
 from .cache import CachedAction, process_cache
 from .columnar import left_mover_condition_columnar
 from .program import Program
@@ -103,12 +103,13 @@ def _gate_forward_preserved(
     if fast is not None:
         return fast
     result = CheckResult(f"gate of {l.name} forward-preserved by {x.name}", True)
+    pair = universe.context.pair
     for g in universe.globals_ if globals_subset is None else globals_subset:
         for ll in universe.locals_for(l.name):
             if not l.gate(combine(g, ll)):
                 continue
             for lx in universe.locals_for(x.name):
-                if not universe.pair_ok(g, l.name, ll, x.name, lx):
+                if not pair(g, PendingAsync(l.name, ll), PendingAsync(x.name, lx)):
                     continue
                 state_x = combine(g, lx)
                 if not x.gate(state_x):
@@ -143,6 +144,7 @@ def _gate_backward_preserved(
     if fast is not None:
         return fast
     result = CheckResult(f"gate of {x.name} backward-preserved by {l.name}", True)
+    pair = universe.context.pair
     for g in universe.globals_ if globals_subset is None else globals_subset:
         for ll in universe.locals_for(l.name):
             state_l = combine(g, ll)
@@ -150,7 +152,7 @@ def _gate_backward_preserved(
                 continue
             for tr in l.transitions(state_l):
                 for lx in universe.locals_for(x.name):
-                    if not universe.pair_ok(g, l.name, ll, x.name, lx):
+                    if not pair(g, PendingAsync(l.name, ll), PendingAsync(x.name, lx)):
                         continue
                     result.checked += 1
                     if x.gate(combine(tr.new_global, lx)) and not x.gate(
@@ -183,12 +185,13 @@ def _commutes_left(
     if fast is not None:
         return fast
     result = CheckResult(f"{l.name} commutes to the left of {x.name}", True)
+    pair = universe.context.pair
     for g in universe.globals_ if globals_subset is None else globals_subset:
         for ll in universe.locals_for(l.name):
             if not l.gate(combine(g, ll)):
                 continue
             for lx in universe.locals_for(x.name):
-                if not universe.pair_ok(g, l.name, ll, x.name, lx):
+                if not pair(g, PendingAsync(l.name, ll), PendingAsync(x.name, lx)):
                     continue
                 state_x = combine(g, lx)
                 if not x.gate(state_x):
@@ -241,7 +244,7 @@ def _non_blocking(
     result = CheckResult(f"{l.name} non-blocking", True)
     for g in universe.globals_ if globals_subset is None else globals_subset:
         for ll in universe.locals_for(l.name):
-            if not universe.single_ok(g, l.name, ll):
+            if not universe.context.single(g, PendingAsync(l.name, ll)):
                 continue
             state = combine(g, ll)
             if not l.gate(state):

@@ -114,12 +114,23 @@ def check_action_refinement(
     from the universe's locals for the concrete action (an abstraction in
     the paper always has the same parameter signature as the action it
     abstracts). When ``pa_name`` is given, only stores where a PA of that
-    name could be scheduled (per the universe's PA context) are considered.
+    name could be scheduled (per the universe's PA context) are considered,
+    and only those are combined
+    (:func:`~repro.core.columnar.admitted_cells`).
     """
+    from .columnar import admitted_cells
+
     result = CheckResult(name or f"{concrete.name} ≼ {abstract.name}", True)
-    for g, l, state in universe.combined(concrete.name):
-        if pa_name is not None and not universe.single_ok(g, pa_name, l):
-            continue
+    if pa_name is None:
+        cells = (
+            (g, l)
+            for g in universe.globals_
+            for l in universe.locals_for(concrete.name)
+        )
+    else:
+        cells = admitted_cells(universe, concrete.name, pa_name)
+    for g, l in cells:
+        state = combine(g, l)
         result.checked += 1
         abstract_ok = abstract.gate(state)
         concrete_ok = concrete.gate(state)

@@ -43,7 +43,7 @@ from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, 
 from ..diagnose.witness import GateWitness, MissingTransitionWitness
 from .action import Action, PendingAsync, Transition
 from .cache import process_cache
-from .columnar import columnar_store, i3_fast_path
+from .columnar import admitted_cells, columnar_store, i3_fast_path
 from .movers import is_left_mover, is_left_mover_wrt_program
 from .multiset import Multiset
 from .program import Program
@@ -494,90 +494,82 @@ class ISApplication:
         abstraction_views = {
             name: cached(self.abstraction_of(name)) for name in self.eliminated
         }
-        globals_pool = (
-            universe.globals_ if globals_subset is None else globals_subset
-        )
-        locals_pool = universe.locals_for(self.m_name)
-        # Column-backed lookups for the three hot predicates (admissibility,
-        # invariant gate, abstraction gates); None -> dict-shaped oracle.
-        # Both sides enumerate in the same order and count the same checks.
-        fast = i3_fast_path(
-            universe, globals_pool, self.m_name, locals_pool, invariant
-        )
-        for gi, g in enumerate(globals_pool):
-            for li, l in enumerate(locals_pool):
+        # M's admitted cells whose invariant gate holds: the admissibility
+        # scan through column-backed invariant gates, or for an uncachable
+        # context the dict-shaped oracle. Both enumerate in the same order
+        # and count the same checks.
+        fast = i3_fast_path(universe, globals_subset, self.m_name, invariant)
+        if fast is not None:
+            cells = fast.cells()
+        else:
+            cells = (
+                (g, l)
+                for g, l in admitted_cells(
+                    universe, self.m_name, globals_subset=globals_subset
+                )
+                if invariant.gate(combine(g, l))
+            )
+        for g, l in cells:
+            sigma = combine(g, l)
+            outcomes = list(invariant.transitions(sigma))
+            outcome_set = set(outcomes)
+            for t in outcomes:
+                if not any(p.action in names for p in t.created.support()):
+                    continue
+                chosen = self.choice(sigma, t)
+                if chosen.action not in names or chosen not in t.created:
+                    _fail(
+                        result,
+                        GateWitness(
+                            reason="choice function selected an invalid PA",
+                            check="choice",
+                            actors=(chosen.action,),
+                            state=sigma,
+                            context=(t, chosen),
+                        ),
+                    )
+                    continue
+                abstraction = abstraction_views[chosen.action]
+                state_a = combine(t.new_global, chosen.locals)
+                result.checked += 1
                 if fast is not None:
-                    gid = fast.gids[gi]
-                    if not fast.single_ok(li, gid):
-                        continue
-                    if not fast.invariant_gate(li, gid):
-                        continue
-                    sigma = combine(g, l)
+                    gate_a = fast.abstraction_gate(
+                        abstraction, chosen.locals, t.new_global
+                    )
                 else:
-                    sigma = combine(g, l)
-                    if not universe.single_ok(g, self.m_name, l):
-                        continue
-                    if not invariant.gate(sigma):
-                        continue
-                outcomes = list(invariant.transitions(sigma))
-                outcome_set = set(outcomes)
-                for t in outcomes:
-                    if not any(p.action in names for p in t.created.support()):
-                        continue
-                    chosen = self.choice(sigma, t)
-                    if chosen.action not in names or chosen not in t.created:
-                        _fail(
-                            result,
-                            GateWitness(
-                                reason="choice function selected an invalid PA",
-                                check="choice",
-                                actors=(chosen.action,),
-                                state=sigma,
-                                context=(t, chosen),
-                            ),
-                        )
-                        continue
-                    abstraction = abstraction_views[chosen.action]
-                    state_a = combine(t.new_global, chosen.locals)
+                    gate_a = abstraction.gate(state_a)
+                if not gate_a:
+                    _fail(
+                        result,
+                        GateWitness(
+                            reason=f"gate of α({chosen.action}) fails "
+                            "after I-transition",
+                            check="i3-gate",
+                            actors=(chosen.action,),
+                            state=sigma,
+                            context=(t, chosen),
+                        ),
+                    )
+                    continue
+                remaining = t.created.remove(chosen)
+                for tr_a in abstraction.transitions(state_a):
+                    composed = Transition(
+                        tr_a.new_global, remaining.union(tr_a.created)
+                    )
                     result.checked += 1
-                    if fast is not None:
-                        gate_a = fast.abstraction_gate(
-                            abstraction, chosen.locals, t.new_global
-                        )
-                    else:
-                        gate_a = abstraction.gate(state_a)
-                    if not gate_a:
+                    if composed not in outcome_set:
                         _fail(
                             result,
-                            GateWitness(
-                                reason=f"gate of α({chosen.action}) fails "
-                                "after I-transition",
-                                check="i3-gate",
+                            MissingTransitionWitness(
+                                reason="composition of I with "
+                                f"α({chosen.action}) escapes τ_I",
+                                check="i3-composition",
                                 actors=(chosen.action,),
                                 state=sigma,
+                                transition=tr_a,
                                 context=(t, chosen),
                             ),
                         )
-                        continue
-                    remaining = t.created.remove(chosen)
-                    for tr_a in abstraction.transitions(state_a):
-                        composed = Transition(
-                            tr_a.new_global, remaining.union(tr_a.created)
-                        )
-                        result.checked += 1
-                        if composed not in outcome_set:
-                            _fail(
-                                result,
-                                MissingTransitionWitness(
-                                    reason="composition of I with "
-                                    f"α({chosen.action}) escapes τ_I",
-                                    check="i3-composition",
-                                    actors=(chosen.action,),
-                                    state=sigma,
-                                    transition=tr_a,
-                                    context=(t, chosen),
-                                ),
-                            )
         return result
 
     def check_lm(
@@ -630,8 +622,8 @@ class ISApplication:
         ``check_lm(universe)[f"LM[{name}]"]`` (the engine merges them).
 
         ``universe_for_abs`` lets callers reuse one :meth:`lm_universe`
-        across all pairs of the same ``name`` (its pair-admissibility cache
-        is per-instance).
+        across all pairs of the same ``name`` (its interned gids list, and
+        with it the admissibility class masks, is per-instance).
         """
         abstraction = self.abstraction_of(name)
         if universe_for_abs is None:
@@ -658,31 +650,28 @@ class ISApplication:
         pool = self.eliminated if names is None else tuple(names)
         for name in pool:
             abstraction = process_cache().cached(self.abstraction_of(name))
-            for g in universe.globals_:
-                for l in universe.locals_for(name):
-                    if not universe.single_ok(g, name, l):
-                        continue
-                    state = combine(g, l)
-                    if not abstraction.gate(state):
-                        continue
-                    result.checked += 1
-                    before = Config(g, Multiset([PendingAsync(name, l)]))
-                    decreasing = False
-                    for tr in abstraction.transitions(state):
-                        after = Config(tr.new_global, tr.created)
-                        if self.measure.decreases(before, after):
-                            decreasing = True
-                            break
-                    if not decreasing:
-                        _fail(
-                            result,
-                            GateWitness(
-                                reason=f"α({name}) cannot decrease the measure",
-                                check="cooperation",
-                                actors=(name,),
-                                context=(g, l),
-                            ),
-                        )
+            for g, l in admitted_cells(universe, name):
+                state = combine(g, l)
+                if not abstraction.gate(state):
+                    continue
+                result.checked += 1
+                before = Config(g, Multiset([PendingAsync(name, l)]))
+                decreasing = False
+                for tr in abstraction.transitions(state):
+                    after = Config(tr.new_global, tr.created)
+                    if self.measure.decreases(before, after):
+                        decreasing = True
+                        break
+                if not decreasing:
+                    _fail(
+                        result,
+                        GateWitness(
+                            reason=f"α({name}) cannot decrease the measure",
+                            check="cooperation",
+                            actors=(name,),
+                            context=(g, l),
+                        ),
+                    )
         return result
 
     # ------------------------------------------------------------------ #

@@ -295,7 +295,7 @@ def intern_epoch() -> object:
     every :meth:`StoreInterner.clear`). Caches that key by intern ids but
     live outside :func:`repro.core.cache.reset_process_cache`'s reach —
     e.g. a long-lived :class:`~repro.core.universe.StoreUniverse`'s
-    admissibility memos — compare it (by identity) to detect staleness."""
+    interned gids list — compare it (by identity) to detect staleness."""
     return _INTERNER._epoch
 
 

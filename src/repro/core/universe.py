@@ -22,16 +22,15 @@ intermediate stores produced while commuting actions during rewriting.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Set
 
-from .action import PendingAsync
 from .cache import CacheStats
 from .context import NoContext, PAContext
 from .explore import explore
 from .hashing import structural_key
 from .program import Program
 from .semantics import Config
-from .store import EMPTY_STORE, Store, combine, intern_epoch, memo_key
+from .store import EMPTY_STORE, Store, intern_epoch
 
 __all__ = ["StoreUniverse"]
 
@@ -54,57 +53,26 @@ class StoreUniverse:
     #: into ``universe_fingerprint`` (``repro.engine.rcache``) so
     #: quotiented and unquotiented caches can never alias.
     symmetry: Optional[object] = None
-    _pair_cache: Dict[tuple, bool] = field(
-        default_factory=dict, repr=False, compare=False
-    )
-    _single_cache: Dict[tuple, bool] = field(
-        default_factory=dict, repr=False, compare=False
-    )
+    #: Admissibility decisions the columnar scans (``repro.core.columnar``)
+    #: served for conditions over this universe: a miss per
+    #: ``context.single`` call, a hit per cell served from a memoized
+    #: class decision.
     context_cache_stats: CacheStats = field(
         default_factory=CacheStats, repr=False, compare=False
     )
     _memo_epoch: object = field(default=None, repr=False, compare=False)
     _gids_cache: object = field(default=None, repr=False, compare=False)
-    _g_ck: Dict[object, int] = field(
-        default_factory=dict, repr=False, compare=False
-    )
-    _ck_ids: Dict[object, int] = field(
-        default_factory=dict, repr=False, compare=False
-    )
 
     def _fresh_memo_keys(self) -> None:
-        """Admissibility memos key locals by intern id, but this object may
-        outlive an intern-table reset (``reset_process_cache`` cannot reach
-        per-universe state) — so drop the memos whenever the table's epoch
-        moved, before a stale id can alias a different store."""
+        """The columnar layer caches the universe's interned gids list
+        here, but this object may outlive an intern-table reset
+        (``reset_process_cache`` cannot reach per-universe state) — so
+        drop it whenever the table's epoch moved, before a stale id can
+        alias a different store."""
         epoch = intern_epoch()
         if self._memo_epoch is not epoch:
-            self._pair_cache.clear()
-            self._single_cache.clear()
             self._gids_cache = None
-            self._g_ck.clear()
-            self._ck_ids.clear()
             self._memo_epoch = epoch
-
-    def _class_of(self, global_store: Store) -> int:
-        """The dense index of the global's context ``cache_key`` class, or
-        -1 when the context declares its decisions uncachable.  Keying the
-        admissibility memos by this small int (instead of the cache_key
-        object itself, typically a ghost multiset) keeps probe hashing off
-        the multisets."""
-        gk = memo_key(global_store)
-        ck = self._g_ck.get(gk)
-        if ck is None:
-            ckey = self.context.cache_key(global_store)
-            if ckey is None:
-                ck = -1
-            else:
-                ck = self._ck_ids.get(ckey)
-                if ck is None:
-                    ck = len(self._ck_ids)
-                    self._ck_ids[ckey] = ck
-            self._g_ck[gk] = ck
-        return ck
 
     @classmethod
     def from_reachable(
@@ -318,67 +286,6 @@ class StoreUniverse:
     def locals_for(self, action_name: str) -> List[Store]:
         """Candidate local stores for an action (default: the empty store)."""
         return self.locals_by_action.get(action_name, [EMPTY_STORE])
-
-    def combined(self, action_name: str) -> Iterator[Tuple[Store, Store, Store]]:
-        """Iterate ``(global, local, combined)`` triples for an action."""
-        for g in self.globals_:
-            for l in self.locals_for(action_name):
-                yield g, l, combine(g, l)
-
-    def single_ok(self, global_store: Store, action_name: str, locals_: Store) -> bool:
-        """May PA ``(locals_, action_name)`` be scheduled from this global?"""
-        self._fresh_memo_keys()
-        ck = self._class_of(global_store)
-        if ck < 0:
-            return self.context.single(global_store, PendingAsync(action_name, locals_))
-        key = (ck, action_name, memo_key(locals_))
-        cached = self._single_cache.get(key)
-        if cached is None:
-            self.context_cache_stats.misses += 1
-            cached = self.context.single(
-                global_store, PendingAsync(action_name, locals_)
-            )
-            self._single_cache[key] = cached
-        else:
-            self.context_cache_stats.hits += 1
-        return cached
-
-    def pair_ok(
-        self,
-        global_store: Store,
-        name1: str,
-        locals1: Store,
-        name2: str,
-        locals2: Store,
-    ) -> bool:
-        """May the two PAs coexist (as distinct PAs) in one configuration?
-
-        Decisions are memoized under the context's
-        :meth:`~repro.core.context.PAContext.cache_key` — the fragment of
-        the global store the context actually reads (e.g. the ghost
-        multiset), under which many globals collapse to one entry.
-        """
-        self._fresh_memo_keys()
-        ck = self._class_of(global_store)
-        if ck < 0:
-            return self.context.pair(
-                global_store,
-                PendingAsync(name1, locals1),
-                PendingAsync(name2, locals2),
-            )
-        key = (ck, name1, memo_key(locals1), name2, memo_key(locals2))
-        cached = self._pair_cache.get(key)
-        if cached is None:
-            self.context_cache_stats.misses += 1
-            cached = self.context.pair(
-                global_store,
-                PendingAsync(name1, locals1),
-                PendingAsync(name2, locals2),
-            )
-            self._pair_cache[key] = cached
-        else:
-            self.context_cache_stats.hits += 1
-        return cached
 
     def with_context(self, context: PAContext) -> "StoreUniverse":
         """A copy of this universe under a different PA context."""

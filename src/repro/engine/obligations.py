@@ -243,8 +243,9 @@ def execute_obligation(
 
     ``lm_universes`` is an optional per-run memo of
     :meth:`ISApplication.lm_universe` extensions, so the LM cells of one
-    abstraction share a single extended universe (and hence its
-    pair-admissibility cache) instead of rebuilding it per cell. Workers
+    abstraction share a single extended universe (and hence its interned
+    gids list and admissibility class masks) instead of rebuilding it per
+    cell. Workers
     keep one such memo per process.
     """
     kind = obligation.kind

@@ -11,8 +11,8 @@ requests:
   content-addressed result store) whose in-memory identity index stays
   loaded;
 * the pre-built store universes, keyed per protocol instance — the
-  enumeration is deterministic, so the universe (with its single/pair
-  memo tables already populated by earlier requests) is reused verbatim;
+  enumeration is deterministic, so the universe (with its interned
+  gids list already built by earlier requests) is reused verbatim;
 * the chained IS applications themselves, so gate/transition *objects*
   are stable across requests and the universe memos keyed by them keep
   hitting instead of growing;

@@ -12,8 +12,6 @@ from repro.core import (
     pa,
 )
 
-from repro.core.store import memo_key
-
 from ..conftest import make_counter_program
 
 
@@ -25,16 +23,6 @@ def test_from_reachable_harvests_globals_and_locals():
     assert {g["x"] for g in universe.globals_} == {0, 1, 2}
     assert len(universe.locals_for("Inc")) == 2  # i = 0, 1
     assert universe.locals_for("Unknown") == [Store()]
-
-
-def test_combined_iterates_triples():
-    universe = StoreUniverse(
-        [Store({"x": 0})], {"A": [Store({"i": 1}), Store({"i": 2})]}
-    )
-    triples = list(universe.combined("A"))
-    assert len(triples) == 2
-    g, l, state = triples[0]
-    assert state["x"] == 0 and state["i"] in (1, 2)
 
 
 def test_extended_and_merge_dedupe():
@@ -106,25 +94,6 @@ class TestContexts:
         assert context.pair(g, pa("P#0", i=1), pa("P#4", i=2))
         assert context.pair(g, pa("P#0", i=1), pa("Q#0", i=1))
         assert context.single(g, pa("P#0", i=1))
-
-    def test_pair_cache_used_for_state_independent_contexts(self):
-        context = InstanceContext(lambda name: (name, ()))
-        universe = StoreUniverse([Store()], context=context)
-        assert not universe.pair_ok(Store(), "A", Store(), "A", Store())
-        # Memoized under the dense index of the context's cache_key class
-        # (one class here — the context is state-independent); locals key
-        # by intern id.
-        key = (
-            universe._ck_ids[context.cache_key(Store())],
-            "A",
-            memo_key(Store()),
-            "A",
-            memo_key(Store()),
-        )
-        assert key in universe._pair_cache
-        assert universe.context_cache_stats.misses == 1
-        assert not universe.pair_ok(Store(), "A", Store(), "A", Store())
-        assert universe.context_cache_stats.hits == 1
 
 
 class TestSampledProperties:

@@ -12,10 +12,10 @@ strongest part of the contract — the columnar loops must enumerate
 exactly the (global, locals, transition) triples the oracle does, in the
 same order, or attribution and counterexample replay silently drift.
 
-Three failing applications (two seeded broadcast mutants and the
-``drop_left_mover`` Ping-Pong mutation) pin the same contract on the
-failing path: witness order and content, and the ``fail_fast`` cut point
-of every left-mover check of the stuck mutant.
+Six failing applications (two seeded broadcast mutants and four
+Ping-Pong mutations, failing LM, I1, CO and abs between them) pin the
+same contract on the failing path: witness order and content, and the
+``fail_fast`` cut point of every left-mover check of the stuck mutant.
 
 The final tests pin the representation-independence of the persistent
 result cache: fingerprints hash store *contents*, never intern ids, so a
@@ -50,7 +50,13 @@ from repro.protocols import (
 from repro.protocols.common import GHOST
 
 from .rcache_cases import count_executions
-from .test_obligation_mutations import ROUNDS, _drop_left_mover
+from .test_obligation_mutations import (
+    ROUNDS,
+    _constant_measure,
+    _drop_left_mover,
+    _invariant_missing_base_case,
+    _wrong_abstraction,
+)
 
 
 def _first_app(pairs):
@@ -164,21 +170,33 @@ def test_columnar_matches_dict_oracle(name):
     assert pooled.total_checked == oracle.total_checked
 
 
-def _pingpong_drop_left_mover():
-    """The ``drop_left_mover`` mutation: Ping-Pong checking the concrete
-    (blocking) Pong, which fails ``LM[Pong]``."""
-    good = pingpong.make_sequentialization(ROUNDS)
-    universe = StoreUniverse.from_reachable(
-        good.program, [initial_config(pingpong.initial_global(ROUNDS))]
-    ).with_context(GhostContext(GHOST))
-    return _drop_left_mover(good), universe
+def _pingpong(mutate):
+    """A Ping-Pong mutation of ``test_obligation_mutations`` over the
+    ghost-context universe."""
+
+    def build():
+        good = pingpong.make_sequentialization(ROUNDS)
+        universe = StoreUniverse.from_reachable(
+            good.program, [initial_config(pingpong.initial_global(ROUNDS))]
+        ).with_context(GhostContext(GHOST))
+        return mutate(good), universe
+
+    return build
 
 
-#: Failing applications: (build, a condition each one must fail).
+#: Failing applications: (build, a condition each one must fail). The
+#: Ping-Pong mutations fail the single-PA conditions through the scan:
+#: I1, CO, and abs[Pong] (with I3).
 FAILING_CASES = {
     "stuck-broadcast": (FIXTURES["stuck-broadcast"].build, "LM[Collect]"),
     "broken-broadcast": (FIXTURES["broken-broadcast"].build, "abs[Collect]"),
-    "pingpong-drop-left-mover": (_pingpong_drop_left_mover, "LM[Pong]"),
+    "pingpong-drop-left-mover": (_pingpong(_drop_left_mover), "LM[Pong]"),
+    "pingpong-invariant-missing-base-case": (
+        _pingpong(_invariant_missing_base_case),
+        "I1",
+    ),
+    "pingpong-constant-measure": (_pingpong(_constant_measure), "CO"),
+    "pingpong-wrong-abstraction": (_pingpong(_wrong_abstraction), "abs[Pong]"),
 }
 
 

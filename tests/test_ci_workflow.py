@@ -360,3 +360,21 @@ def test_ledger_smoke_job_runs_the_ledger_self_test(workflow):
     commands = [step["run"] for step in job["steps"] if "run" in step]
     assert "PYTHONPATH=src python -m pytest benchmarks/ledger -q" in commands
     assert (ROOT / "benchmarks" / "ledger" / "test_ledger.py").exists()
+
+
+def test_ledger_smoke_job_keeps_the_context_counter_alive(workflow):
+    """``context.hit_frac`` reads 0.0 when nothing feeds the universe's
+    admissibility counters; a traced smoke run of ``table1`` must read it
+    above zero from the last-line JSON."""
+    commands = [
+        step["run"] for step in _steps(workflow, "ledger-smoke") if "run" in step
+    ]
+    traced = [
+        c
+        for c in commands
+        if "benchmarks/ledger/run.py --workload table1 --smoke --trace 1 --seed 1"
+        in c
+    ]
+    assert len(traced) == 1
+    assert "tail -n 1" in traced[0]
+    assert "['context.hit_frac']" in traced[0] and "v > 0" in traced[0]
