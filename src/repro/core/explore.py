@@ -148,6 +148,22 @@ class InstanceSummary:
     #: Distinct configurations the exhaustive search visited — the honest
     #: work measure program-level refinement checks report as ``checked``.
     num_configs: int = 0
+    #: The program and budget the search ran under. A summary stands in
+    #: for another search only if it :meth:`answers` that search.
+    program: Optional[Program] = field(default=None, repr=False, compare=False)
+    max_configs: Optional[int] = None
+
+    def answers(
+        self, program: Program, initial: Config, max_configs: Optional[int]
+    ) -> bool:
+        """Whether this summary is what ``instance_summary`` would compute
+        for ``(program, initial, max_configs)``: the same program object,
+        an equal initial configuration and the same budget."""
+        return (
+            self.program is program
+            and self.max_configs == max_configs
+            and self.initial == initial
+        )
 
 
 def instance_summary(
@@ -160,7 +176,12 @@ def instance_summary(
     init = initial_config(global_store, main_locals)
     result = explore(program, [init], max_configs=max_configs)
     return InstanceSummary(
-        init, result.can_fail, result.final_globals, result.num_configs
+        init,
+        result.can_fail,
+        result.final_globals,
+        result.num_configs,
+        program=program,
+        max_configs=max_configs,
     )
 
 

@@ -1,4 +1,6 @@
-"""The one canonical hash for unordered ``(key, value)`` collections.
+"""The one canonical hash for unordered ``(key, value)`` collections, and
+the one cross-process order key (:func:`structural_key`, with
+:class:`KeyMemo` sessions for sorting many stores).
 
 :class:`~repro.core.store.Store`, :class:`~repro.core.multiset.Multiset`
 and :class:`~repro.core.mapping.FrozenDict` are all content-hashed
@@ -13,9 +15,10 @@ containers against it.
 
 from __future__ import annotations
 
-from typing import Hashable, Iterable, Tuple
+import functools
+from typing import Dict, Hashable, Iterable, Optional, Tuple
 
-__all__ = ["unordered_items_hash", "structural_key"]
+__all__ = ["unordered_items_hash", "structural_key", "KeyMemo"]
 
 
 def unordered_items_hash(items: Iterable[Tuple[Hashable, Hashable]]) -> int:
@@ -45,10 +48,56 @@ def structural_key(value) -> str:
     processes, hash seeds, and dict insertion orders.
 
     It is the sort key for harvested store universes
-    (:meth:`~repro.core.universe.StoreUniverse.from_reachable`) and the
-    lexicographic order under which ``repro.core.symmetry`` picks orbit
-    representatives — both need exactly this cross-process stability.
+    (:meth:`~repro.core.universe.StoreUniverse.from_reachable`, through a
+    :class:`KeyMemo`) and the lexicographic order under which
+    ``repro.core.symmetry`` picks orbit representatives — both need
+    exactly this cross-process stability.
     """
+    return _render(value, None)
+
+
+@functools.lru_cache(maxsize=None)
+def _memo_types() -> frozenset:
+    """The container types a :class:`KeyMemo` memoizes (imported late:
+    they import this module). Each has a cheap hash and a type-strict
+    ``==``, and ``structural_key`` is a function of its ``==`` class, so
+    a value-keyed memo cannot alias two different keys."""
+    from .action import PendingAsync
+    from .mapping import FrozenDict
+    from .multiset import Multiset
+    from .store import Store
+
+    return frozenset((Store, Multiset, FrozenDict, PendingAsync))
+
+
+class KeyMemo:
+    """One short-lived ``structural_key`` session: ``KeyMemo()(v)`` is
+    ``structural_key(v)`` byte for byte, but every distinct
+    :class:`~repro.core.store.Store`, :class:`~repro.core.multiset.Multiset`,
+    :class:`~repro.core.mapping.FrozenDict` and
+    :class:`~repro.core.action.PendingAsync` — at any depth — renders at
+    most once per session. Harvested stores share most of their
+    sub-values (a channel map, a ghost bag, a PA's locals), so a universe
+    sort keyed through one session renders each shared sub-value once
+    instead of once per store. The memo is keyed by value, like
+    ``repro.engine.rcache``'s digest memo, and lives as long as the
+    session: create one per harvest and let it go when the harvest
+    returns.
+    """
+
+    __slots__ = ("keys", "types")
+
+    def __init__(self) -> None:
+        self.keys: Dict[object, str] = {}
+        self.types = _memo_types()
+
+    def __call__(self, value) -> str:
+        return _render(value, self)
+
+
+def _render(value, memo: Optional[KeyMemo]) -> str:
+    """``structural_key``, with container keys served from and added to
+    ``memo`` when one is given."""
     if value is None:
         return "N"
     if isinstance(value, (bool, int, float)):
@@ -66,27 +115,34 @@ def structural_key(value) -> str:
         return f"s{len(value)}:{value}"
     if isinstance(value, bytes):
         return f"y{len(value)}:{value.hex()}"
+    if memo is None or type(value) not in memo.types:
+        return _render_compound(value, memo)
+    key = memo.keys.get(value)
+    if key is None:
+        key = memo.keys[value] = _render_compound(value, memo)
+    return key
+
+
+def _render_compound(value, memo: Optional[KeyMemo]) -> str:
     if isinstance(value, (tuple, list)):
-        return "t(" + ",".join(structural_key(v) for v in value) + ")"
+        return "t(" + ",".join(_render(v, memo) for v in value) + ")"
     if isinstance(value, (set, frozenset)):
-        return "S{" + ",".join(sorted(structural_key(v) for v in value)) + "}"
+        return "S{" + ",".join(sorted(_render(v, memo) for v in value)) + "}"
     counts = getattr(value, "counts", None)
     if callable(counts):
         # Multiset-shaped: unordered (element, multiplicity) pairs.
-        rendered = sorted(
-            structural_key(e) + "*" + str(c) for e, c in counts()
-        )
+        rendered = sorted(_render(e, memo) + "*" + str(c) for e, c in counts())
         return "m{" + ",".join(rendered) + "}"
     action = getattr(value, "action", None)
     locals_ = getattr(value, "locals", None)
     if isinstance(action, str) and locals_ is not None:
         # PendingAsync-shaped (duck-typed to avoid a circular import).
-        return "p(" + action + ";" + structural_key(locals_) + ")"
+        return "p(" + action + ";" + _render(locals_, memo) + ")"
     items = getattr(value, "items", None)
     if callable(items):
         # Store / FrozenDict / dict: unordered (key, value) pairs.
         rendered = sorted(
-            structural_key(k) + "=" + structural_key(v) for k, v in items()
+            _render(k, memo) + "=" + _render(v, memo) for k, v in items()
         )
         return type(value).__name__ + "{" + ",".join(rendered) + "}"
     # Last resort for values outside the store vocabulary; repr must then

@@ -30,8 +30,10 @@ from ..diagnose.witness import (
     MissingTransitionWitness,
 )
 from .action import Action
-from .explore import instance_summary
+from .explore import InstanceSummary, instance_summary
+from .hashing import structural_key
 from .program import Program
+from .semantics import initial_config
 from .store import Store, combine
 from .universe import StoreUniverse
 
@@ -172,21 +174,32 @@ def check_program_refinement(
     initial_stores: Iterable[Tuple[Store, Store]],
     max_configs: Optional[int] = None,
     name: str = "program refinement",
+    summaries: Iterable[InstanceSummary] = (),
 ) -> CheckResult:
     """Check :math:`concrete \\preccurlyeq abstract` on given initial stores.
 
     ``initial_stores`` yields ``(global, main-local)`` pairs; both programs
     are explored exhaustively from each. This is the ground-truth oracle the
     IS rule is validated against in the test suite.
+
+    ``summaries`` are explorations the caller already ran: a search that
+    one of them :meth:`~repro.core.explore.InstanceSummary.answers` (same
+    program object, initial configuration and budget) is not run again.
+    The verdict, witnesses and ``checked`` are the same either way.
     """
     pairs = list(initial_stores)
+    summaries = list(summaries)
     explored = 0
     good1, good2 = set(), set()
     trans1, trans2 = set(), set()
     origin = {}
     for good, trans, program in ((good1, trans1, concrete), (good2, trans2, abstract)):
         for g, l in pairs:
-            summary = instance_summary(program, g, l, max_configs)
+            init = initial_config(g, l)
+            summary = next(
+                (s for s in summaries if s.answers(program, init, max_configs)),
+                None,
+            ) or instance_summary(program, g, l, max_configs)
             explored += summary.num_configs
             sigma = combine(g, l)
             origin[sigma] = (g, l)
@@ -211,7 +224,7 @@ def check_program_refinement(
                     context=(g, l),
                 ),
             )
-    for sigma, final in sorted(trans1, key=repr):
+    for sigma, final in sorted(trans1, key=structural_key):
         if sigma in good2 and (sigma, final) not in trans2:
             _fail(
                 result,

@@ -26,8 +26,8 @@ from typing import Dict, Iterable, List, Mapping, Optional, Set
 
 from .cache import CacheStats
 from .context import NoContext, PAContext
-from .explore import explore
-from .hashing import structural_key
+from .explore import InstanceSummary, explore
+from .hashing import KeyMemo
 from .program import Program
 from .semantics import Config
 from .store import EMPTY_STORE, Store, intern_epoch
@@ -59,6 +59,15 @@ class StoreUniverse:
     #: class decision.
     context_cache_stats: CacheStats = field(
         default_factory=CacheStats, repr=False, compare=False
+    )
+    #: What :meth:`from_reachable` learned about its one initial
+    #: configuration when it explored it unquotiented: failure, final
+    #: globals and configuration count — never the reachable set. The
+    #: pipeline hands it to the ground-truth stage
+    #: (:func:`~repro.core.refinement.check_program_refinement`) instead of
+    #: exploring the same program again. Derived universes drop it.
+    exploration: Optional[InstanceSummary] = field(
+        default=None, repr=False, compare=False
     )
     _memo_epoch: object = field(default=None, repr=False, compare=False)
     _gids_cache: object = field(default=None, repr=False, compare=False)
@@ -105,38 +114,32 @@ class StoreUniverse:
         universe order — and therefore sampler output and fingerprints —
         nondeterministic across processes.
         """
-        canonicalize = None
         canon = None
         if symmetry is not None:
             from .symmetry import Canonicalizer
 
             canon = Canonicalizer.of(symmetry)
-            symmetry = canon.spec
-            canonicalize = canon.config
+        initials = list(initials)
         result = explore(
-            program, initials, max_configs=max_configs, canonicalize=canonicalize
+            program,
+            initials,
+            max_configs=max_configs,
+            canonicalize=canon.config if canon is not None else None,
         )
-        globals_seen: Set[Store] = set()
-        locals_seen: Dict[str, Set[Store]] = {}
-        for config in result.reachable:
-            globals_seen.add(config.glob)
-            for pending in config.pending.support():
-                locals_seen.setdefault(pending.action, set()).add(pending.locals)
-        if canon is not None:
-            for name, stores in locals_seen.items():
-                locals_seen[name] = {
-                    member
-                    for store in stores
-                    for member in canon.local_orbit(name, store)
-                }
-        return cls(
-            sorted(globals_seen, key=structural_key),
-            {
-                name: sorted(stores, key=structural_key)
-                for name, stores in locals_seen.items()
-            },
-            symmetry=symmetry,
-        )
+        universe = cls.harvest(result.reachable, canon)
+        if canon is None and len(initials) == 1:
+            # The exhaustive, unquotiented search of one initial
+            # configuration is exactly ``instance_summary``'s: keep its
+            # summary (a quotient's counts and finals are per orbit).
+            universe.exploration = InstanceSummary(
+                initials[0],
+                result.can_fail,
+                result.final_globals,
+                result.num_configs,
+                program=program,
+                max_configs=max_configs,
+            )
+        return universe
 
     @classmethod
     def from_random_walks(
@@ -161,29 +164,45 @@ class StoreUniverse:
 
         from .explore import random_execution
 
-        canonicalize = None
         canon = None
         if symmetry is not None:
             from .symmetry import Canonicalizer
 
             canon = Canonicalizer.of(symmetry)
-            symmetry = canon.spec
-            canonicalize = canon.config
         rng = random.Random(seed)
+        initials = list(initials)
+
+        def sampled_configs() -> Iterable[Config]:
+            for _ in range(walks):
+                init = rng.choice(initials)
+                execution = random_execution(
+                    program, init, rng, max_steps=max_steps
+                )
+                for config in execution.configs():
+                    if not isinstance(config, Config):
+                        continue
+                    yield canon.config(config) if canon is not None else config
+
+        return cls.harvest(sampled_configs(), canon)
+
+    @classmethod
+    def harvest(cls, configs: Iterable[Config], canon=None) -> "StoreUniverse":
+        """The universe of a set of configurations: the global store of
+        each, and per action the locals of each pending async, ordered by
+        :func:`~repro.core.hashing.structural_key` through one
+        :class:`~repro.core.hashing.KeyMemo` that is dropped on return.
+
+        With a ``canon`` (a :class:`~repro.core.symmetry.Canonicalizer`
+        whose representatives ``configs`` are), the locals pools are
+        closed under its group and the universe is quotiented under its
+        spec (see :meth:`from_reachable`).
+        """
         globals_seen: Set[Store] = set()
         locals_seen: Dict[str, Set[Store]] = {}
-        initials = list(initials)
-        for _ in range(walks):
-            init = rng.choice(initials)
-            execution = random_execution(program, init, rng, max_steps=max_steps)
-            for config in execution.configs():
-                if not isinstance(config, Config):
-                    continue
-                if canonicalize is not None:
-                    config = canonicalize(config)
-                globals_seen.add(config.glob)
-                for pending in config.pending.support():
-                    locals_seen.setdefault(pending.action, set()).add(pending.locals)
+        for config in configs:
+            globals_seen.add(config.glob)
+            for pending in config.pending.support():
+                locals_seen.setdefault(pending.action, set()).add(pending.locals)
         if canon is not None:
             for name, stores in locals_seen.items():
                 locals_seen[name] = {
@@ -191,13 +210,11 @@ class StoreUniverse:
                     for store in stores
                     for member in canon.local_orbit(name, store)
                 }
+        key = KeyMemo()
         return cls(
-            sorted(globals_seen, key=structural_key),
-            {
-                name: sorted(stores, key=structural_key)
-                for name, stores in locals_seen.items()
-            },
-            symmetry=symmetry,
+            sorted(globals_seen, key=key),
+            {name: sorted(stores, key=key) for name, stores in locals_seen.items()},
+            symmetry=canon.spec if canon is not None else None,
         )
 
     def sampled(self, limit: int, keep=None) -> "StoreUniverse":
@@ -215,7 +232,7 @@ class StoreUniverse:
         """
         if len(self.globals_) <= limit:
             return self
-        ordered = sorted(self.globals_, key=structural_key)
+        ordered = sorted(self.globals_, key=KeyMemo())
         if keep is None:
             retained: List[Store] = []
             rest = ordered
@@ -258,16 +275,15 @@ class StoreUniverse:
         from .symmetry import Canonicalizer
 
         canon = Canonicalizer.of(symmetry)
-        globals_ = sorted(
-            {canon.store(g) for g in self.globals_}, key=structural_key
-        )
+        key = KeyMemo()
+        globals_ = sorted({canon.store(g) for g in self.globals_}, key=key)
         locals_by_action: Dict[str, List[Store]] = {}
         for name, pool in self.locals_by_action.items():
             closed: Dict[Store, None] = {}
             for locals_ in pool:
                 for member in canon.local_orbit(name, locals_):
                     closed.setdefault(member)
-            locals_by_action[name] = sorted(closed, key=structural_key)
+            locals_by_action[name] = sorted(closed, key=key)
         return StoreUniverse(
             globals_, locals_by_action, self.context, canon.spec
         )

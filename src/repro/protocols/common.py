@@ -427,12 +427,19 @@ def verify_protocol(
     )
     original = final_program = applications[0][1].program
     initials = [initial_config(instance.initial_global)]
+    # What this run already explored exhaustively and unquotiented: the
+    # original program (first universe) and the final one (spec stage).
+    # Ground truth reads them instead of exploring again; the summaries
+    # hold no reachable set and die with the run.
+    summaries = []
 
     def build_universe(program):
         if instance.walks is None:
             universe = StoreUniverse.from_reachable(
                 program, initials, max_configs=max_configs, symmetry=symmetry
             )
+            if program is original and universe.exploration is not None:
+                summaries.append(universe.exploration)
         else:
             universe = StoreUniverse.from_random_walks(
                 program,
@@ -447,6 +454,7 @@ def verify_protocol(
         summary = instance_summary(
             final_program, instance.initial_global, max_configs=max_configs
         )
+        summaries.append(summary)
         return (
             not summary.can_fail
             and bool(summary.final_globals)
@@ -460,6 +468,7 @@ def verify_protocol(
             [(instance.initial_global, EMPTY_STORE)],
             max_configs=max_configs,
             name="P ≼ P' (exhaustive)",
+            summaries=summaries,
         )
 
     with tracer.scope(instance.name) if tracer is not None else nullcontext():

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..core.explore import instance_summary
+from ..core.hashing import structural_key
 from ..core.program import Program
 from ..core.refinement import CheckResult, _fail
 from ..core.store import Store
@@ -82,7 +83,7 @@ def check_layer_refinement(
         if summary_a.can_fail:
             continue  # abstract fails: nothing to preserve (Definition 3.2)
         finals_a: Set[Store] = {view_a(g) for g in summary_a.final_globals}
-        for final in sorted(summary_c.final_globals, key=repr):
+        for final in sorted(summary_c.final_globals, key=structural_key):
             if view_c(final) not in finals_a:
                 _fail(
                     result,

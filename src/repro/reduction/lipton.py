@@ -235,15 +235,8 @@ def analyze_module(
     if universe is None:
         result = explore(program, initials, max_configs=max_configs)
         violations = _linearity_violations(module, result.reachable)
-        globals_seen = {config.glob for config in result.reachable}
-        locals_seen: Dict[str, set] = {}
-        for config in result.reachable:
-            for pending in config.pending.support():
-                locals_seen.setdefault(pending.action, set()).add(pending.locals)
-        universe = StoreUniverse(
-            sorted(globals_seen, key=repr),
-            {k: sorted(v, key=repr) for k, v in locals_seen.items()},
-            context=module_context(module),
+        universe = StoreUniverse.harvest(result.reachable).with_context(
+            module_context(module)
         )
     oracle = MoverOracle(program, universe)
     mover_types = {name: oracle.mover_type(name) for name in program.action_names()}

@@ -163,3 +163,61 @@ for s in sorted(stores, key=structural_key):
         for seed in ("0", "1", "424242")
     }
     assert len(outputs) == 1, "structural_key drifted across hash seeds"
+
+
+# --------------------------------------------------------------------- #
+# KeyMemo: one memo session renders structural_key byte for byte
+# --------------------------------------------------------------------- #
+
+from repro.core.action import PendingAsync  # noqa: E402
+from repro.core.hashing import KeyMemo  # noqa: E402
+
+NUMBERS = st.sampled_from([True, 1, 1.0, False, 0, 0.0, 2, 0.5])
+
+LEAVES = st.one_of(SCALARS, NUMBERS)
+
+
+def _nested(children):
+    names = st.text(alphabet="abc", max_size=2)
+    return st.one_of(
+        st.builds(Store, st.dictionaries(names, children, max_size=3)),
+        st.builds(Multiset, st.lists(children, max_size=3)),
+        st.builds(
+            FrozenDict,
+            st.dictionaries(st.one_of(names, NUMBERS), children, max_size=3),
+        ),
+        st.builds(
+            PendingAsync,
+            st.sampled_from(["Act", "Other"]),
+            st.builds(Store, st.dictionaries(names, children, max_size=2)),
+        ),
+        st.tuples(children, children),
+    )
+
+
+NESTED = st.recursive(LEAVES, _nested, max_leaves=12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(NESTED, min_size=1, max_size=8))
+def test_key_memo_session_matches_structural_key(values):
+    """Within one session — values sharing sub-values, equal values of
+    different spellings (``True``/``1``/``1.0``) among them — every key
+    is ``structural_key`` byte for byte, whichever spelling the memo saw
+    first."""
+    memo = KeyMemo()
+    for value in values + values:
+        assert memo(value) == structural_key(value)
+
+
+def test_key_memo_mixes_numeric_spellings_in_one_session():
+    memo = KeyMemo()
+    spellings = [True, 1, 1.0]
+    stores = [Store({"x": v, "bag": Multiset([v])}) for v in spellings]
+    dicts = [FrozenDict({v: Store({"y": v})}) for v in spellings]
+    pas = [PendingAsync("Act", Store({"i": v})) for v in spellings]
+    for group in (stores, dicts, pas):
+        assert len({hash(v) for v in group}) == 1  # one == class
+        for value in group:
+            assert memo(value) == structural_key(value)
+        assert len({memo(v) for v in group}) == 1

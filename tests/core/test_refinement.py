@@ -97,3 +97,67 @@ class TestProgramRefinement:
             concrete, abstract, [(Store({"x": 0}), EMPTY_STORE)]
         )
         assert not result.holds
+
+
+#: A concrete Main that may finish with ``x`` set to any of these; the
+#: abstract Main always finishes with ``x = None``. Frozensets of strings
+#: are the witness values whose ``repr`` iterates in hash-seed order.
+_CHOICES_SNIPPET = """
+from repro.core import Action, EMPTY_STORE, Program, Store, Transition
+from repro.core import check_program_refinement
+
+CHOICES = [frozenset(s) for s in ("ab", "ac", "bc", "abc", "cd", "bd", "ad")]
+
+
+def main_program(choices):
+    def transitions(state):
+        for value in choices:
+            yield Transition(Store({"x": value}))
+
+    return Program({"Main": Action("Main", lambda _s: True, transitions)}, ("x",))
+
+
+result = check_program_refinement(
+    main_program(CHOICES), main_program([None]), [(Store({"x": None}), EMPTY_STORE)]
+)
+"""
+
+
+def test_trans_witnesses_come_out_in_structural_order():
+    from repro.core.hashing import structural_key
+    from repro.core.refinement import COUNTEREXAMPLE_KEEP
+
+    scope = {}
+    exec(_CHOICES_SNIPPET, scope)
+    result = scope["result"]
+    assert not result.holds
+    finals = [cx.final_global for cx in result.counterexamples]
+    every = sorted((Store({"x": v}) for v in scope["CHOICES"]), key=structural_key)
+    assert finals == every[:COUNTEREXAMPLE_KEEP]
+
+
+def test_trans_witness_order_is_the_same_under_any_hash_seed():
+    import os
+    import subprocess
+    import sys
+
+    src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+    code = (
+        f"import sys\nsys.path.insert(0, {os.path.abspath(src)!r})\n"
+        + _CHOICES_SNIPPET
+        + "for cx in result.counterexamples:\n"
+        + "    print(sorted(cx.final_global['x']))\n"
+    )
+    outputs = {
+        subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONHASHSEED": seed},
+            capture_output=True,
+            text=True,
+            check=True,
+        ).stdout
+        for seed in ("0", "1", "2", "3")
+    }
+    assert len(outputs) == 1, outputs
+    first = outputs.pop().splitlines()[0]
+    assert first == "['a', 'b', 'c']"

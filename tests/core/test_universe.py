@@ -162,3 +162,96 @@ class TestSampledProperties:
         assert sampled.locals_for("A") == [Store({"i": 1})]
         assert isinstance(sampled.context, GhostContext)
         assert sampled.symmetry is spec
+
+
+class TestHarvestOrder:
+    """Universe order feeds the sampler, the rcache fingerprints and the
+    symmetry representatives, so the key memo every harvest sorts
+    through must give exactly the order of plain ``structural_key``."""
+
+    @staticmethod
+    def _table1_instances(monkeypatch):
+        import repro.protocols.common as common
+        from repro.analysis.table1 import TABLE1_REGISTRY
+
+        instances = []
+
+        def capture(instance, options=common.RunOptions()):
+            instances.append(instance)
+
+        for entry in TABLE1_REGISTRY:
+            monkeypatch.setattr(entry.module, "verify_protocol", capture)
+            entry.module.verify(**entry.params)
+        assert len(instances) == 7
+        return instances
+
+    @staticmethod
+    def _assert_structural_order(universe):
+        from repro.core.hashing import structural_key
+
+        assert universe.globals_ == sorted(universe.globals_, key=structural_key)
+        for pool in universe.locals_by_action.values():
+            assert pool == sorted(pool, key=structural_key)
+
+    def test_table1_universes_sort_as_plain_structural_key(self, monkeypatch):
+        quotients = 0
+        for instance in self._table1_instances(monkeypatch):
+            init = initial_config(instance.initial_global)
+            specs = [None]
+            if instance.symmetry is not None:
+                specs.append(instance.symmetry())
+            for spec in specs:
+                for _label, application in instance.applications:
+                    universe = StoreUniverse.from_reachable(
+                        application.program, [init], symmetry=spec
+                    )
+                    self._assert_structural_order(universe)
+                    quotients += universe.symmetry is not None
+        assert quotients > 0
+
+    def test_sampled_and_quotiented_sort_as_plain_structural_key(self):
+        from repro.protocols import twophase
+
+        program = twophase.make_atomic(3)
+        universe = StoreUniverse.from_reachable(
+            program, [initial_config(twophase.initial_global(3))]
+        )
+        quotient = universe.quotiented(twophase.make_symmetry(3))
+        assert len(quotient.globals_) < len(universe.globals_)
+        self._assert_structural_order(quotient)
+        self._assert_structural_order(universe.sampled(17))
+        walks = StoreUniverse.from_random_walks(
+            program,
+            [initial_config(twophase.initial_global(3))],
+            walks=5,
+            symmetry=twophase.make_symmetry(3),
+        )
+        self._assert_structural_order(walks)
+
+
+def test_from_reachable_keeps_only_an_unquotiented_single_summary():
+    from repro.core.explore import instance_summary
+    from repro.protocols import twophase
+
+    program = make_counter_program(increments=2)
+    init = initial_config(Store({"x": 0}))
+    universe = StoreUniverse.from_reachable(program, [init])
+    summary = universe.exploration
+    expected = instance_summary(program, Store({"x": 0}))
+    assert summary.answers(program, init, None)
+    assert (summary.can_fail, summary.final_globals, summary.num_configs) == (
+        expected.can_fail,
+        expected.final_globals,
+        expected.num_configs,
+    )
+    # Several initials, a quotient, or a derived universe: no summary.
+    other = initial_config(Store({"x": 1}))
+    assert StoreUniverse.from_reachable(program, [init, other]).exploration is None
+    assert universe.with_context(GhostContext("g")).exploration is None
+    tp = twophase.make_atomic(2)
+    quotient = StoreUniverse.from_reachable(
+        tp,
+        [initial_config(twophase.initial_global(2))],
+        symmetry=twophase.make_symmetry(2),
+    )
+    assert quotient.exploration is None

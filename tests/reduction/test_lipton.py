@@ -250,3 +250,72 @@ def test_broadcast_module_mover_types_match_paper():
     ]
     assert receive_types, "expected a genuine right-mover receive"
     assert all(p.atomic for p in analysis.patterns.values())
+
+
+def _repr_ordered_universe(module, init):
+    """The universe ``analyze_module`` used to hand-build: the same
+    harvest, sorted by ``repr``."""
+    from repro.core.explore import explore
+    from repro.core.universe import StoreUniverse
+    from repro.lang.interp import build_finegrained
+
+    reachable = explore(build_finegrained(module), [init]).reachable
+    locals_seen = {}
+    for config in reachable:
+        for pending in config.pending.support():
+            locals_seen.setdefault(pending.action, set()).add(pending.locals)
+    return StoreUniverse(
+        sorted({config.glob for config in reachable}, key=repr),
+        {name: sorted(pool, key=repr) for name, pool in locals_seen.items()},
+        context=module_context(module),
+    )
+
+
+def _example_module():
+    import importlib.util
+    import pathlib
+
+    path = pathlib.Path(__file__).resolve().parents[2] / "examples"
+    spec = importlib.util.spec_from_file_location(
+        "build_your_own", path / "build_your_own.py"
+    )
+    example = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(example)
+    module = example.make_module(3)
+    init = initial_config(example.initial_global(3), module.initial_main_locals())
+    return module, init
+
+
+def _protocol_module(name, *args, initial="initial_global", **kwargs):
+    import importlib
+
+    protocol = importlib.import_module(f"repro.protocols.{name}")
+    module = protocol.make_module(*args, **kwargs)
+    init = initial_config(
+        getattr(protocol, initial)(*args), module.initial_main_locals()
+    )
+    return module, init
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        _example_module,
+        lambda: _protocol_module("pingpong", 2, initial="initial_impl_global"),
+        lambda: _protocol_module("prodcons", 2, initial="initial_impl_global"),
+        lambda: _protocol_module("nbuyer", 2, prices=(2,), contributions=(0, 2)),
+    ],
+    ids=["build_your_own", "pingpong", "prodcons", "nbuyer"],
+)
+def test_structural_harvest_keeps_mover_types_and_patterns(build):
+    """``analyze_module`` harvests through ``StoreUniverse.harvest``
+    (structural order) instead of its old ``repr``-sorted copy; mover
+    types and atomicity patterns must not move."""
+    module, init = build()
+    analysis = analyze_module(module, [init])
+    legacy = analyze_module(
+        module, [init], universe=_repr_ordered_universe(module, init)
+    )
+    assert analysis.mover_types == legacy.mover_types
+    assert analysis.patterns == legacy.patterns
+    assert analysis.sound == legacy.sound

@@ -86,6 +86,21 @@ def test_full_suite_gated_on_lint_and_fast(workflow):
     assert any('-m ""' in cmd for cmd in _run_commands(workflow))
 
 
+def test_full_job_diffs_table1_rows_across_hash_seeds(workflow):
+    """Universe order, witness order and every Table 1 count must not
+    depend on ``PYTHONHASHSEED``: the full job runs ``repro table1`` under
+    two seeds and diffs the rows with the Time column cut out."""
+    commands = [
+        step["run"] for step in _steps(workflow, "full") if "run" in step
+    ]
+    step = next(cmd for cmd in commands if "repro table1" in cmd)
+    assert "PYTHONHASHSEED=$seed python -m repro table1" in step
+    assert "for seed in 0 1" in step
+    assert "set -o pipefail" in step
+    assert "sed -E 's/ +[0-9]+\\.[0-9]{2} / /'" in step
+    assert "diff table1-seed0.txt table1-seed1.txt" in step
+
+
 def test_tox_environments_referenced_by_ci_exist(workflow):
     tox = configparser.ConfigParser()
     tox.read(ROOT / "tox.ini")
