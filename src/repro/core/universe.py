@@ -71,6 +71,13 @@ class StoreUniverse:
     )
     _memo_epoch: object = field(default=None, repr=False, compare=False)
     _gids_cache: object = field(default=None, repr=False, compare=False)
+    #: The ``hashlib`` state of ``universe_fingerprint``
+    #: (``repro.engine.rcache``) after the globals and locals pools,
+    #: filled on first use. The pools are immutable stores, so their
+    #: digest is a property of this object; the context and symmetry
+    #: parts hold closures and are digested on every call. Derived
+    #: universes are new objects and digest their own pools.
+    _pools_digest: object = field(default=None, repr=False, compare=False)
 
     def _fresh_memo_keys(self) -> None:
         """The columnar layer caches the universe's interned gids list

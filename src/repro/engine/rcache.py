@@ -150,7 +150,14 @@ class Unfingerprintable(Exception):
     Obligations reading such a value are uncacheable — a safe default."""
 
 
+def _feed(digest, parts) -> None:
+    for part in parts:
+        digest.update(part.encode("utf-8", "surrogatepass"))
+        digest.update(b"\x1f")
+
+
 def _hex(*parts: str) -> str:
+    # ``_feed`` inlined: this runs once per digested node.
     digest = hashlib.sha256()
     for part in parts:
         digest.update(part.encode("utf-8", "surrogatepass"))
@@ -168,10 +175,23 @@ def _code_names(code) -> set:
 
 
 class _Hasher:
-    """One structural-hashing session (shared digest memo)."""
+    """One structural-hashing session (shared digest memo).
+
+    Functions and code objects are digested at most once per session,
+    memoized by identity (the entry holds the object, so its id cannot
+    be reused while the session lives). A digest is kept only if no
+    ``cycle`` token was produced while computing it: a recursive
+    function's digest depends on where its cycle closes, and so on the
+    order it was requested in. The memo dies with the session, so an
+    in-place edit (a closure cell, ``__code__``) between two sessions is
+    always seen.
+    """
 
     def __init__(self) -> None:
         self._memo: Dict[object, str] = {}
+        self._by_identity: Dict[int, Tuple[object, str]] = {}
+        #: ``cycle`` tokens produced so far in this session.
+        self._cycles = 0
 
     def digest(self, obj, path: Tuple[int, ...] = (), depth: int = 0) -> str:
         if depth > _MAX_DEPTH:
@@ -195,6 +215,7 @@ class _Hasher:
         if id(obj) in path:
             # Deterministic cycle token: the digest depends on *where*
             # the cycle closes, which is itself structural.
+            self._cycles += 1
             return _hex("cycle")
         memoizable = isinstance(obj, _MEMO_TYPES)
         if memoizable:
@@ -295,6 +316,10 @@ class _Hasher:
         """Bytecode-level code-object hash. Line/column tables and the
         file name are deliberately excluded: moving a function does not
         change what it computes. Nested code consts recurse."""
+        hit = self._by_identity.get(id(code))
+        if hit is not None:
+            return hit[1]
+        cycles = self._cycles
         parts = [
             str(code.co_argcount),
             str(code.co_posonlyargcount),
@@ -308,9 +333,20 @@ class _Hasher:
         ]
         for const in code.co_consts:
             parts.append(self.digest(const, path, depth))
-        return _hex("code", *parts)
+        return self._remember(code, cycles, _hex("code", *parts))
+
+    def _remember(self, obj, cycles: int, out: str) -> str:
+        """Memoize ``obj``'s digest ``out`` unless a ``cycle`` token was
+        produced since the session counted ``cycles``."""
+        if self._cycles == cycles:
+            self._by_identity[id(obj)] = (obj, out)
+        return out
 
     def _function(self, fn, path, depth) -> str:
+        hit = self._by_identity.get(id(fn))
+        if hit is not None:
+            return hit[1]
+        cycles = self._cycles
         dig = lambda x: self.digest(x, path, depth)  # noqa: E731
         parts = [self._code(fn.__code__, path, depth)]
         parts.append(dig(fn.__defaults__))
@@ -329,7 +365,7 @@ class _Hasher:
             if name in fn.__globals__:
                 parts.append(name)
                 parts.append(dig(fn.__globals__[name]))
-        return _hex("function", *parts)
+        return self._remember(fn, cycles, _hex("function", *parts))
 
 
 def stable_digest(obj) -> str:
@@ -353,20 +389,32 @@ def universe_fingerprint(universe, hasher: Optional[_Hasher] = None) -> str:
     inputs every obligation enumerates. Iteration order of the pools does
     not matter (``from_reachable`` sorts stores anyway, but samplers need
     not).
+
+    The pools are immutable stores, so their digest is taken once per
+    universe object and kept on it (``StoreUniverse._pools_digest``).
+    The context and symmetry parts hold closures whose cells may change
+    between runs: they are digested on every call.
     """
     hasher = hasher or _Hasher()
-    parts = ["globals"]
-    parts.extend(sorted(hasher.digest(store) for store in universe.globals_))
-    for name in sorted(universe.locals_by_action):
-        parts.append("locals:" + name)
+    pools = universe._pools_digest
+    if pools is None:
+        parts = ["universe", "globals"]
         parts.extend(
-            sorted(
-                hasher.digest(store)
-                for store in universe.locals_by_action[name]
-            )
+            sorted(hasher.digest(store) for store in universe.globals_)
         )
-    parts.append("context")
-    parts.append(hasher.digest(universe.context))
+        for name in sorted(universe.locals_by_action):
+            parts.append("locals:" + name)
+            parts.extend(
+                sorted(
+                    hasher.digest(store)
+                    for store in universe.locals_by_action[name]
+                )
+            )
+        pools = hashlib.sha256()
+        _feed(pools, parts)
+        universe._pools_digest = pools
+    digest = pools.copy()
+    parts = ["context", hasher.digest(universe.context)]
     symmetry = getattr(universe, "symmetry", None)
     if symmetry is not None:
         # A quotiented universe must never alias its unquotiented twin
@@ -374,7 +422,8 @@ def universe_fingerprint(universe, hasher: Optional[_Hasher] = None) -> str:
         # domains *and* rename-rule closures, not just its name.
         parts.append("symmetry")
         parts.append(hasher.digest(symmetry.fingerprint_parts()))
-    return _hex("universe", *parts)
+    _feed(digest, parts)
+    return digest.hexdigest()
 
 
 class DependencyFingerprinter:

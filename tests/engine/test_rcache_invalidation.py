@@ -12,7 +12,8 @@ to its exact read-set. The seeded proof bugs of ``repro.diagnose.fixtures``
 must keep failing against a cache warmed with the *correct* proof — a
 warm cache may never mask a bug. Verdicts must be identical cold vs warm
 vs cross-process-warm (different ``PYTHONHASHSEED``) on all seven
-protocols.
+protocols. An edit made in place between two runs on one resident
+universe (a closure cell, a symmetry rename rule) is seen as well.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.core.action import Action
 from repro.diagnose.fixtures import FIXTURES
 from repro.protocols import broadcast
 
@@ -330,3 +332,66 @@ def test_cross_process_warm_cache_preserves_verdicts(tmp_path):
     for name in PROTOCOL_NAMES:
         assert remote[name]["executed"] == 0, name
         assert remote[name]["digest"] == digests[name], name
+
+
+# --------------------------------------------------------------------- #
+# In-place edits between warm runs on one resident universe
+# --------------------------------------------------------------------- #
+
+
+def _cell(fn, name):
+    """The closure cell of ``fn`` that holds free variable ``name``."""
+    return fn.__closure__[fn.__code__.co_freevars.index(name)]
+
+
+def test_closure_cell_edit_between_warm_runs_reexecutes_its_readers(
+    tmp_path,
+):
+    """The universe's pools digest outlives a run, function digests do
+    not: editing a cell the invariant's gate reads, in place, between two
+    checks on the same universe object re-executes exactly I1, I2, I3."""
+    app, universe = build("pingpong")
+    floor = 0
+    gate = app.invariant.gate
+
+    def guarded_gate(state):
+        return len(state) >= floor and gate(state)
+
+    invariant = app.invariant
+    app = rebuild(
+        app,
+        invariant=Action(
+            invariant.name, guarded_gate, invariant.transitions, invariant.params
+        ),
+    )
+    keys = all_keys(app, universe)
+    cold = app.check(universe, jobs=1, cache=tmp_path)
+    assert cold.holds and universe._pools_digest is not None
+    with count_executions() as executed:
+        app.check(universe, jobs=1, cache=tmp_path)
+    assert executed == []
+
+    _cell(guarded_gate, "floor").cell_contents = -1  # same verdicts
+    with count_executions() as executed:
+        edited = app.check(universe, jobs=1, cache=tmp_path)
+    assert set(executed) == {
+        k for k in keys if k in ("I1", "I2") or k.startswith("I3")
+    }
+    assert condition_map(edited) == condition_map(cold)
+
+
+def test_rename_rule_edit_moves_a_memoized_quotient_fingerprint():
+    """A quotiented universe whose pools digest is memoized still
+    digests its symmetry spec's rename rules on every call."""
+    from repro.engine.rcache import universe_fingerprint
+    from repro.protocols import twophase
+
+    _, universe = build("twophase")
+    quotient = universe.quotiented(twophase.make_symmetry(3))
+    before = universe_fingerprint(quotient)
+    assert quotient._pools_digest is not None
+    assert universe_fingerprint(quotient) == before
+
+    rule = quotient.symmetry.local_rules["HandleRequest"]["i"]
+    _cell(rule, "sort").cell_contents = "other"
+    assert universe_fingerprint(quotient) != before

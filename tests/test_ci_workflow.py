@@ -235,7 +235,7 @@ def test_incremental_verification_job_proves_cache_reuse(workflow):
     assert "fast" in job["needs"]
     commands = [step["run"] for step in job["steps"] if "run" in step]
 
-    verify_cmds = [cmd for cmd in commands if "repro verify" in cmd]
+    verify_cmds = [cmd for cmd in commands if "repro verify pingpong" in cmd]
     assert len(verify_cmds) == 3, "cold, warm, and post-edit runs"
     for cmd in verify_cmds:
         assert "--cache .rcache" in cmd
@@ -258,6 +258,32 @@ def test_incremental_verification_job_proves_cache_reuse(workflow):
 
     partial = verify_cmds[2]
     assert "0 < executed < total" in partial
+
+
+def test_incremental_verification_job_rechecks_a_quotiented_instance(workflow):
+    """A quotiented universe's fingerprint must not move between two
+    processes either: the job verifies twophase ``--symmetry`` twice
+    against its own cache directory and greps ``executed=0`` on the
+    second run."""
+    steps = _steps(workflow, "incremental-verification")
+    step = next(
+        s
+        for s in steps
+        if s.get("name")
+        == "Warm re-verify of a quotiented instance discharges zero obligations"
+    )
+    cmd = step["run"]
+    assert "set -o pipefail" in cmd
+    runs = [
+        line
+        for line in cmd.splitlines()
+        if "repro verify twophase --symmetry" in line
+    ]
+    assert len(runs) == 2, "a cold and a warm run"
+    assert cmd.count("--cache .rcache-sym --cache-stats") == 2
+    warm_log = cmd.split("tee ")[-1].split()[0]
+    grep = cmd.strip().splitlines()[-1]
+    assert "executed=0" in grep and grep.endswith(warm_log)
 
 
 def test_chaos_soak_job_is_seeded_and_gated(workflow):
