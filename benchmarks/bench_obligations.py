@@ -13,13 +13,8 @@ Configurations of the same check (Paxos, R rounds x N nodes):
     The engine's serial backend with all memoization layers on — the
     default ``check()`` path.
 ``parallel_cold``
-    The process-pool backend with cache pre-warming disabled: each forked
-    worker rebuilds its memos from scratch (the pre-PR pool behaviour).
-``parallel_warm``
-    The process-pool backend as shipped: the parent warms the evaluation
-    cache before forking, workers inherit the memos copy-on-write, and
-    the dominant obligations (I3, LM pair conditions) are sharded off the
-    universe size so the pool has enough units to saturate its workers.
+    The process-pool backend: it forks cold, each worker builds its memos
+    from scratch, and it runs the serial layout's obligations.
 ``serial_resilient``
     The serial backend with the full resilience layer armed on the happy
     path: a (generous) per-obligation deadline and an fsync'd checkpoint
@@ -30,10 +25,8 @@ Configurations of the same check (Paxos, R rounds x N nodes):
 
 A ``representation`` section compares the checker's two evaluators on
 one serial check: ``serial_oracle`` (above) against ``serial_fast``, the
-default columnar path — plus the pool's IPC saving from shipping int
-shard bounds over the fork-inherited intern table instead of
-object-graph store slices. The top-level ``speedup_vs_oracle`` divides
-the same oracle time by each backend's.
+default columnar path. The top-level ``speedup_vs_oracle`` divides the
+same oracle time by each backend's.
 
 The JSON also carries an ``rcache`` section: a cold/warm/one-edit trio of
 the Paxos check against a persistent obligation-result cache
@@ -48,15 +41,11 @@ count and the *effective* worker count after clamping to the host's CPUs
 the scheduler warns and clamps, and the report says so instead of
 pretending the extra workers existed). On a single-CPU host the pool is
 clamped to one worker and is expected to trail the serial run slightly —
-the parallel win needs cores; the warm-up win (``parallel_warm`` vs
-``parallel_cold``) shows even without them.
+the parallel win needs cores.
 
-``--trace FILE`` attaches a :class:`repro.obs.Tracer` to the serial, cold-
-pool, and warm-pool runs (scoped ``serial`` / ``parallel_cold`` /
-``parallel_warm``) and writes one Chrome ``trace_event`` file covering all
-three — load it in Perfetto and the warm-vs-cold difference is visible
-span by span: the cold workers' leading obligations run long (each worker
-re-deriving memos) while the warm workers' start short. ``--smoke`` runs
+``--trace FILE`` attaches a :class:`repro.obs.Tracer` to the serial and
+pool runs (scoped ``serial`` / ``parallel_cold``) and writes one Chrome
+``trace_event`` file covering both. ``--smoke`` runs
 the smallest instance (R=1, N=1) on the serial backend only and emits a
 reduced JSON — CI uses it to guard this script against rot.
 
@@ -73,7 +62,6 @@ import argparse
 import json
 import multiprocessing
 import os
-import pickle
 import platform
 import statistics
 import sys
@@ -92,11 +80,6 @@ from repro.core.columnar import columnar_store  # noqa: E402
 from repro.core.context import GhostContext, UncachableContext  # noqa: E402
 from repro.core.store import store_interner  # noqa: E402
 from repro.core.universe import StoreUniverse  # noqa: E402
-from repro.engine.obligations import (  # noqa: E402
-    build_obligations,
-    lm_slice_count,
-    shard_count,
-)
 from repro.engine.resilience import ResilienceConfig  # noqa: E402
 from repro.engine.scheduler import (  # noqa: E402
     ProcessPoolScheduler,
@@ -173,7 +156,7 @@ def _host_id() -> dict:
 
 
 def _pool_scheduler(jobs: int) -> tuple:
-    """A warm pool scheduler plus the clamping it applied (if any)."""
+    """A pool scheduler plus the clamping it applied (if any)."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         scheduler = ProcessPoolScheduler(jobs)
@@ -333,56 +316,7 @@ def run_incremental_per_protocol() -> dict:
     return rows
 
 
-def _ipc_attribution(app, universe, jobs: int) -> dict:
-    """Shard payload sizes under the pool's sharded layout: what crossing
-    the fork boundary costs when shards carry ``(lo, hi)`` int bounds into
-    the COW-inherited intern table, vs the object-graph alternative (the
-    globals slice itself pickled into every shard)."""
-    num_globals = len(universe.globals_)
-    parallelism = max(2, jobs)
-    lm_targets = list(app.program.action_names())
-    num_pairs = len(app.eliminated) * len(lm_targets)
-    obligations = build_obligations(
-        app,
-        universe,
-        i3_shards=shard_count(num_globals, parallelism),
-        lm_shards=lm_slice_count(num_pairs, num_globals, parallelism),
-    )
-    sharded = [ob for ob in obligations if ob.kind in ("I3", "LMc")]
-    int_bounds_bytes = 0
-    object_graph_bytes = 0
-    for ob in sharded:
-        int_bounds_bytes += len(pickle.dumps(ob, pickle.HIGHEST_PROTOCOL))
-        lo, hi = ob.params[-2], ob.params[-1]
-        replacement = (
-            ob.key,
-            ob.kind,
-            ob.condition,
-            ob.params[:-2],
-            list(universe.globals_[lo:hi]),
-        )
-        object_graph_bytes += len(
-            pickle.dumps(replacement, pickle.HIGHEST_PROTOCOL)
-        )
-    return {
-        "sharded_obligations": len(sharded),
-        "int_bounds_bytes": int_bounds_bytes,
-        "object_graph_bytes": object_graph_bytes,
-        "reduction_factor": (
-            round(object_graph_bytes / int_bounds_bytes, 1)
-            if int_bounds_bytes
-            else None
-        ),
-        "note": (
-            "Bytes pickled across the fork boundary for the sharded "
-            "I3/LMc obligations: as shipped (int (lo, hi) bounds over the "
-            "fork-inherited intern table) vs shipping each shard's "
-            "globals slice as an object graph."
-        ),
-    }
-
-
-def run_representation_attribution(app, init_global, jobs: int, reps: int = 2) -> dict:
+def run_representation_attribution(app, init_global, reps: int = 2) -> dict:
     """The checker's two evaluators on one serial check: ``serial_oracle``
     (the dict-shaped loops, selected by an uncachable PA context) and
     ``serial_fast`` (the default columnar path). Their condition maps
@@ -416,8 +350,6 @@ def run_representation_attribution(app, init_global, jobs: int, reps: int = 2) -
         "the fast path and the oracle disagree on the condition map"
     )
 
-    reset_process_cache()
-    ipc = _ipc_attribution(app, _build_universe(app, init_global), jobs)
     return {
         "wall_time_seconds": {
             "serial_oracle": round(times["oracle"], 3),
@@ -427,7 +359,6 @@ def run_representation_attribution(app, init_global, jobs: int, reps: int = 2) -
             "fast_vs_oracle": round(times["oracle"] / times["fast"], 2),
         },
         "columnar_run_stats": fast_stats,
-        "ipc": ipc,
         "reps_per_mode": max(1, reps),
     }
 
@@ -570,9 +501,7 @@ def run_smoke(rounds: int = 1, nodes: int = 1) -> dict:
     result, seconds = _timed_check(app, universe, jobs=1)
     with tempfile.TemporaryDirectory(prefix="bench-rcache-smoke-") as d:
         rcache = _cache_trio(app, universe, d)
-    representation = run_representation_attribution(
-        app, init_global, jobs=4, reps=1
-    )
+    representation = run_representation_attribution(app, init_global, reps=1)
     # Smoke Paxos runs at R=1, N=1 where the symmetry group is trivial,
     # so the quotient gate uses two-phase commit at n=3 — universes only,
     # which keeps the smoke lane fast while still proving the orbit fold
@@ -623,7 +552,7 @@ def run_benchmark(rounds: int, nodes: int, jobs: int, tracer=None) -> dict:
     init_global = paxos.initial_global(rounds, nodes)
 
     # --- the two evaluators: reference oracle vs fast path -----------------
-    representation = run_representation_attribution(app, init_global, jobs)
+    representation = run_representation_attribution(app, init_global)
     oracle_time = representation["wall_time_seconds"]["serial_oracle"]
 
     # The serial vs serial_resilient comparison is a small-percentage
@@ -677,34 +606,23 @@ def run_benchmark(rounds: int, nodes: int, jobs: int, tracer=None) -> dict:
     serial_median = statistics.median(serial_times)
     resilient_median = statistics.median(resilient_times)
 
-    # --- process pool, cold workers (no pre-warm) --------------------------
+    # --- process pool: cold workers, the serial layout ---------------------
     reset_process_cache()
     cold_universe = _build_universe(app, init_global)
     cold_scheduler, clamp_warning = _pool_scheduler(jobs)
-    cold_scheduler.warm = False
     cold_result, cold_time = _timed_check(
         app, cold_universe, scheduler=cold_scheduler,
         tracer=tracer, scope="parallel_cold",
-    )
-
-    # --- process pool, warm workers (fork-inherited memos) -----------------
-    reset_process_cache()
-    warm_universe = _build_universe(app, init_global)
-    warm_scheduler, _ = _pool_scheduler(jobs)
-    warm_result, warm_time = _timed_check(
-        app, warm_universe, scheduler=warm_scheduler,
-        tracer=tracer, scope="parallel_warm",
     )
 
     verdicts = {
         "serial": serial_result.holds,
         "serial_resilient": resilient_result.holds,
         "parallel_cold": cold_result.holds,
-        "parallel_warm": warm_result.holds,
     }
     assert len(set(verdicts.values())) == 1, f"backends disagree: {verdicts}"
-    assert _condition_map(serial_result) == _condition_map(warm_result), (
-        "warm pool condition map diverges from serial"
+    assert _condition_map(serial_result) == _condition_map(cold_result), (
+        "pool condition map diverges from serial"
     )
     assert _condition_map(serial_result) == _condition_map(resilient_result), (
         "resilience-armed condition map diverges from serial"
@@ -725,7 +643,7 @@ def run_benchmark(rounds: int, nodes: int, jobs: int, tracer=None) -> dict:
         run_symmetry_quotient() if (rounds, nodes) == (2, 2) else None
     )
 
-    effective_jobs = warm_scheduler.jobs
+    effective_jobs = cold_scheduler.jobs
     slowest = sorted(
         serial_result.timings.items(), key=lambda kv: kv[1], reverse=True
     )[:8]
@@ -736,7 +654,7 @@ def run_benchmark(rounds: int, nodes: int, jobs: int, tracer=None) -> dict:
         "universe": {
             "globals": len(universe.globals_),
             "num_obligations_serial": serial_result.num_obligations,
-            "num_obligations_sharded": warm_result.num_obligations,
+            "num_obligations_pool": cold_result.num_obligations,
             "total_checked": serial_result.total_checked,
         },
         "environment": {
@@ -757,7 +675,6 @@ def run_benchmark(rounds: int, nodes: int, jobs: int, tracer=None) -> dict:
             "serial_memoized": round(serial_time, 3),
             "serial_resilient": round(resilient_time, 3),
             "parallel_cold": round(cold_time, 3),
-            "parallel_warm": round(warm_time, 3),
         },
         "resilience_overhead": {
             # serial_resilient vs serial_memoized: the cost of arming the
@@ -777,15 +694,9 @@ def run_benchmark(rounds: int, nodes: int, jobs: int, tracer=None) -> dict:
         "speedup_vs_oracle": {
             "serial_memoized": round(oracle_time / serial_time, 2),
             "parallel_cold": round(oracle_time / cold_time, 2),
-            "parallel_warm": round(oracle_time / warm_time, 2),
         },
         "parallel_vs_serial": {
             "cold": round(serial_time / cold_time, 2),
-            "warm": round(serial_time / warm_time, 2),
-        },
-        "warmup": {
-            "seconds": round(warm_result.warmup_seconds, 3),
-            "evaluations": warm_scheduler.last_warmed_evaluations,
         },
         "verdict": verdicts["serial"],
         "cache_hit_rates_serial": {
@@ -801,8 +712,7 @@ def run_benchmark(rounds: int, nodes: int, jobs: int, tracer=None) -> dict:
             "incremental_vs_full_by_protocol": incremental,
         },
         # The two evaluators (reference oracle vs columnar fast path) on
-        # one serial check, and what the pool's int shard bounds save over
-        # object-graph shards at the fork boundary.
+        # one serial check.
         "representation": representation,
         # Orbit quotient: universes folded to lexicographic-least
         # representatives under each protocol's declared permutation
@@ -811,7 +721,6 @@ def run_benchmark(rounds: int, nodes: int, jobs: int, tracer=None) -> dict:
         # previously only reachable as a random-walk bounded check.
         # Default-instance runs only (minutes of exploration).
         **({"symmetry": symmetry_section} if symmetry_section else {}),
-        "workers_warm": _worker_summary(warm_result),
         "workers_cold": _worker_summary(cold_result),
         "slowest_obligations_serial": [
             {
@@ -825,9 +734,8 @@ def run_benchmark(rounds: int, nodes: int, jobs: int, tracer=None) -> dict:
             "Jobs are clamped to the host CPU count (extra CPU-bound "
             "workers only add fork overhead); 'effective' is the worker "
             "count actually used. On a single-CPU host the pool cannot "
-            "beat the serial run — the honest comparison there is "
-            "parallel_warm vs parallel_cold (the fork-inherited warm "
-            "memos). serial_oracle is the reference oracle (uncachable "
+            "beat the serial run. serial_oracle is the reference oracle "
+            "(uncachable "
             "PA context: dict-shaped loops, no columns, no admissibility "
             "memos); speedup_vs_oracle divides it by each backend's time. "
             "Multi-core speedups require cpus > 1."
@@ -855,8 +763,8 @@ def main(argv=None) -> int:
         "--trace",
         type=Path,
         default=None,
-        help="also write a Chrome trace_event JSON spanning the serial, "
-        "cold-pool, and warm-pool runs",
+        help="also write a Chrome trace_event JSON spanning the serial "
+        "and pool runs",
     )
     args = parser.parse_args(argv)
 

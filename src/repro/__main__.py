@@ -53,8 +53,7 @@ Resilience flags (``verify`` and ``table1``)
     ``--list`` enumerates the fixtures. Exit code 0 iff every witness was
     replay-confirmed.
 ``serve [--host H] [--port P] [--queue-depth N] [--state DIR]
-[--max-configs N] [--jobs N] [--timeout-per-obligation S]
-[--drain-grace S]``
+[--max-configs N] [--timeout-per-obligation S] [--drain-grace S]``
     Run the warm verification daemon (``repro.serve``): accepts
     verify/table1/explain jobs over HTTP/JSON on a bounded queue,
     keeps universes, caches, and the result store resident across
@@ -63,7 +62,9 @@ Resilience flags (``verify`` and ``table1``)
     so a restart resumes in-flight runs. Host, port, and queue depth
     default from ``REPRO_SERVE_HOST`` / ``REPRO_SERVE_PORT`` /
     ``REPRO_SERVE_QUEUE_DEPTH``. SIGTERM drains: in-flight work is
-    salvaged to the journals before exit.
+    salvaged to the journals before exit. Jobs discharge serially: the
+    daemon runs them beside other threads, and forking a process pool
+    from a multi-threaded process can deadlock the child.
 ``list``
     List the available protocols with their Table 1 #IS counts.
 """
@@ -71,6 +72,7 @@ Resilience flags (``verify`` and ``table1``)
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 
@@ -157,8 +159,6 @@ def _make_cache(parser, args):
 
     ``--cache DIR`` wins, then ``$REPRO_CACHE``; ``--no-cache`` disables
     both. ``--cache-stats`` without a cache directory is an error."""
-    import os
-
     directory = getattr(args, "cache", None) or os.environ.get("REPRO_CACHE")
     if getattr(args, "no_cache", False):
         directory = None
@@ -358,7 +358,6 @@ def _cmd_serve(args) -> int:
             queue_depth=args.queue_depth,
             state_dir=args.state,
             max_configs=args.max_configs,
-            jobs=args.jobs,
             timeout_per_obligation=args.timeout_per_obligation,
             drain_grace=args.drain_grace,
             sandbox=True if args.sandbox else None,
@@ -602,13 +601,6 @@ def main(argv=None) -> int:
         metavar="N",
         help="operator ceiling on per-job exploration budgets (jobs "
         "asking for more are clamped)",
-    )
-    serve.add_argument(
-        "--jobs",
-        "-j",
-        type=int,
-        default=None,
-        help="default worker processes for obligation discharge",
     )
     serve.add_argument(
         "--timeout-per-obligation",

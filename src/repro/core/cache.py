@@ -16,18 +16,9 @@ because actions are pure: their gates and transition enumerators depend
 only on the store argument.
 
 The per-process singleton (:func:`process_cache`) is keyed by PID: a
-process-pool worker never shares a *live* cache with its parent. What a
-forked child starts from depends on the parent cache's ``inheritable``
-flag. By default (flag unset) the child lazily rebuilds an empty cache of
-its own, and the parent's memo dicts become unreachable copy-on-write
-pages. When the parent marked its cache inheritable — the process-pool
-scheduler does so after its warm-up pass — the child instead *adopts* the
-parent's memo tables through fork copy-on-write: same gate/transition
-memos (warm), fresh hit/miss counters (honest per-worker accounting).
-Adoption is sound because memos are pure functions of the store — a warm
-entry is indistinguishable from one the child would recompute — and safe
-because the child's mutations land on its own copy-on-write pages, never
-in the parent.
+process-pool worker never shares a cache with its parent. A forked child
+lazily rebuilds an empty cache of its own, and the parent's memo dicts
+become unreachable copy-on-write pages.
 
 The layer has no off switch. Purity makes a memo entry indistinguishable
 from a fresh evaluation (``tests/core/test_cache.py`` checks exactly that
@@ -104,21 +95,6 @@ class _Memo:
         self.gate_stats = CacheStats()
         self.transition_stats = CacheStats()
 
-    def adopted(self) -> "_Memo":
-        """A view with the same memo tables but fresh counters.
-
-        Used when a forked child inherits a warm parent cache: the tables
-        are shared Python objects in the child's copy-on-write image (so
-        mutations stay process-local), while the counters restart at zero
-        so per-worker hit rates reflect only the child's own lookups.
-        """
-        memo = _Memo.__new__(_Memo)
-        memo.gates = self.gates
-        memo.outcomes = self.outcomes
-        memo.gate_stats = CacheStats()
-        memo.transition_stats = CacheStats()
-        return memo
-
 
 class CachedAction:
     """A memoizing view of an action.
@@ -180,27 +156,7 @@ class EvaluationCache:
 
     def __init__(self) -> None:
         self.pid = os.getpid()
-        self.inheritable = False
         self._memos: Dict[Tuple[object, object], _Memo] = {}
-
-    def mark_inheritable(self) -> None:
-        """Allow forked children to adopt this cache's memo tables.
-
-        The process-pool scheduler calls this after warming the cache, so
-        workers start from the warm memos instead of empty tables. Without
-        the mark, a fork boundary discards everything (the historical
-        behaviour, kept as the default so unrelated forks stay isolated).
-        """
-        self.inheritable = True
-
-    def adopted(self) -> "EvaluationCache":
-        """This cache rebound to the calling process: shared memo tables,
-        fresh counters, PID updated. Called from a forked child via
-        :func:`process_cache`."""
-        child = EvaluationCache()
-        child.inheritable = self.inheritable
-        child._memos = {key: memo.adopted() for key, memo in self._memos.items()}
-        return child
 
     def cached(self, action) -> CachedAction:
         """A memoized view of ``action`` (idempotent on cached views)."""
@@ -260,20 +216,12 @@ def process_cache() -> EvaluationCache:
     """The calling process's evaluation cache.
 
     Lazily constructed. When the PID changed (the caller is a forked
-    child), the inherited singleton is either *adopted* — same warm memo
-    tables, fresh counters — if the parent marked it inheritable (see
-    :meth:`EvaluationCache.mark_inheritable`), or rebuilt empty otherwise.
-    Either way the child never mutates the parent's live cache: after a
-    fork the two processes only share copy-on-write pages.
+    child), the inherited singleton is dropped and a fresh, empty cache
+    built: the child never reads or mutates the parent's memos.
     """
     global _PROCESS_CACHE
-    if _PROCESS_CACHE is None:
+    if _PROCESS_CACHE is None or _PROCESS_CACHE.pid != os.getpid():
         _PROCESS_CACHE = EvaluationCache()
-    elif _PROCESS_CACHE.pid != os.getpid():
-        if _PROCESS_CACHE.inheritable:
-            _PROCESS_CACHE = _PROCESS_CACHE.adopted()
-        else:
-            _PROCESS_CACHE = EvaluationCache()
     return _PROCESS_CACHE
 
 

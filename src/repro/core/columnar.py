@@ -55,8 +55,6 @@ masks key by the context's equivalence classes. Wrapping a context in
 :class:`repro.core.context.UncachableContext` is therefore how tests and
 benchmarks reach the oracle.
 
-Forked pool workers inherit the column store through fork copy-on-write
-(the scheduler's warm-up pass batch-fills columns in the parent first).
 Columns key by intern ids, so the store registers with
 ``repro.core.cache.register_reset_hook`` and resets together with the
 interner and the evaluation cache. Persistent result fingerprints
@@ -378,21 +376,18 @@ def columnar_store() -> ColumnarStore:
 # ---------------------------------------------------------------------- #
 
 
-def _universe_ids(universe, globals_subset):
+def _universe_ids(universe):
+    # The whole-universe gids list is interned once per epoch and cached
+    # on the universe; its object identity doubles as the batch-fill
+    # marker for gate columns and admissibility prefills.
     itn = store_interner()
-    if globals_subset is None:
-        # The whole-universe gids list is interned once per epoch and
-        # cached on the universe; its object identity doubles as the
-        # batch-fill marker for gate columns and admissibility prefills.
-        universe._fresh_memo_keys()
-        gids = universe._gids_cache
-        if gids is None:
-            intern = itn.intern
-            gids = [intern(g) for g in universe.globals_]
-            universe._gids_cache = gids
-        return itn, universe.globals_, gids
-    intern = itn.intern
-    return itn, globals_subset, [intern(g) for g in globals_subset]
+    universe._fresh_memo_keys()
+    gids = universe._gids_cache
+    if gids is None:
+        intern = itn.intern
+        gids = [intern(g) for g in universe.globals_]
+        universe._gids_cache = gids
+    return itn, gids
 
 
 def _locals_ids(itn, universe, name):
@@ -407,12 +402,13 @@ def _positions(mask: int) -> List[int]:
 
 
 class _Cells:
-    """One action's cells: the interned globals (the universe's, or a
-    shard of them), the action's interned locals, and the PA context's
-    class masks over those globals."""
+    """One action's cells: the universe's interned globals, the action's
+    interned locals, and the PA context's class masks over those
+    globals."""
 
-    def __init__(self, universe, name, globals_subset):
-        itn, self.pool, self.gids = _universe_ids(universe, globals_subset)
+    def __init__(self, universe, name):
+        itn, self.gids = _universe_ids(universe)
+        self.pool = universe.globals_
         self.itn = itn
         self.locals_, self.lids = _locals_ids(itn, universe, name)
         self.adm = _STORE.admissibility(universe, self.pool, self.gids)
@@ -447,22 +443,22 @@ class _Cells:
                 yield gi, il, decision
 
 
-def admitted_cells(universe, name: str, pa_name=None, globals_subset=None):
-    """The cells ``(g, l)`` of the universe's globals (or
-    ``globals_subset``) × ``locals_for(name)`` from which the PA context
-    admits PA ``(pa_name, l)`` (``pa_name`` defaults to ``name``), in the
+def admitted_cells(universe, name: str, pa_name=None):
+    """The cells ``(g, l)`` of the universe's globals ×
+    ``locals_for(name)`` from which the PA context admits PA
+    ``(pa_name, l)`` (``pa_name`` defaults to ``name``), in the
     oracle's order: global-major, then locals in pool order.
 
     Served by the admissibility scan; an uncachable context gets the
     reference loop, which asks ``context.single`` per cell."""
     pa_name = name if pa_name is None else pa_name
     try:
-        cells = _Cells(universe, name, globals_subset)
+        cells = _Cells(universe, name)
     except _Uncachable:
         single = universe.context.single
         return (
             (g, l)
-            for g in (universe.globals_ if globals_subset is None else globals_subset)
+            for g in universe.globals_
             for l in universe.locals_for(name)
             if single(g, PendingAsync(pa_name, l))
         )
@@ -479,8 +475,8 @@ class _Frame(_Cells):
     """What each left-mover condition of ``l`` w.r.t. ``x`` starts from:
     ``l``'s cells, ``x``'s interned locals, and lazy columns."""
 
-    def __init__(self, l, x, universe, globals_subset):
-        super().__init__(universe, l.name, globals_subset)
+    def __init__(self, l, x, universe):
+        super().__init__(universe, l.name)
         self.locals_x, self.lids_x = _locals_ids(self.itn, universe, x.name)
         self.l, self.x = l, x
         self.lcols = self.gates(l, self.lids)
@@ -529,9 +525,9 @@ class _Frame(_Cells):
                 yield gi, gid, il, row
 
 
-def _gate_forward_preserved(l, x, universe, fail_fast, globals_subset):
+def _gate_forward_preserved(l, x, universe, fail_fast):
     result = CheckResult(f"gate of {l.name} forward-preserved by {x.name}", True)
-    f = _Frame(l, x, universe, globals_subset)
+    f = _Frame(l, x, universe)
     lids_l, lids_x, lcols = f.lids, f.lids_x, f.lcols
     xcols, xsucc = f.gates(x, lids_x), f.succs(x, lids_x)
     fill_gate, fill_succ = _STORE.fill_gate, _STORE.fill_succ
@@ -574,9 +570,9 @@ def _gate_forward_preserved(l, x, universe, fail_fast, globals_subset):
     return result
 
 
-def _gate_backward_preserved(l, x, universe, fail_fast, globals_subset):
+def _gate_backward_preserved(l, x, universe, fail_fast):
     result = CheckResult(f"gate of {x.name} backward-preserved by {l.name}", True)
-    f = _Frame(l, x, universe, globals_subset)
+    f = _Frame(l, x, universe)
     lids_l, lids_x = f.lids, f.lids_x
     xcols, lsucc = f.gates(x, lids_x), f.succs(l, lids_l)
     fill_gate, fill_succ = _STORE.fill_gate, _STORE.fill_succ
@@ -618,9 +614,9 @@ def _gate_backward_preserved(l, x, universe, fail_fast, globals_subset):
     return result
 
 
-def _commutes_left(l, x, universe, fail_fast, globals_subset):
+def _commutes_left(l, x, universe, fail_fast):
     result = CheckResult(f"{l.name} commutes to the left of {x.name}", True)
-    f = _Frame(l, x, universe, globals_subset)
+    f = _Frame(l, x, universe)
     lids_l, lids_x = f.lids, f.lids_x
     xcols, xsucc, lsucc = f.gates(x, lids_x), f.succs(x, lids_x), f.succs(l, lids_l)
     fill_gate, fill_succ = _STORE.fill_gate, _STORE.fill_succ
@@ -690,9 +686,9 @@ def _commutes_left(l, x, universe, fail_fast, globals_subset):
     return result
 
 
-def _non_blocking(l, x, universe, fail_fast, globals_subset):
+def _non_blocking(l, x, universe, fail_fast):
     result = CheckResult(f"{l.name} non-blocking", True)
-    f = _Frame(l, x, universe, globals_subset)
+    f = _Frame(l, x, universe)
     lids_l = f.lids
     lsucc = f.succs(l, lids_l)
     fill_succ = _STORE.fill_succ
@@ -728,12 +724,12 @@ _FNS = {
 
 
 def left_mover_condition_columnar(
-    condition: str, l, x, universe, fail_fast: bool = False, globals_subset=None
+    condition: str, l, x, universe, fail_fast: bool = False
 ) -> Optional[CheckResult]:
     """Columnar evaluation of one left-mover condition, or ``None`` for
     an uncachable PA context — the caller then runs the dict oracle."""
     try:
-        return _FNS[condition](l, x, universe, fail_fast, globals_subset)
+        return _FNS[condition](l, x, universe, fail_fast)
     except _Uncachable:
         return None
 
@@ -754,8 +750,8 @@ class I3Fast:
 
     __slots__ = ("_cells", "_m_name", "_inv_cols", "_abs_cols")
 
-    def __init__(self, universe, globals_subset, m_name, invariant):
-        self._cells = cells = _Cells(universe, m_name, globals_subset)
+    def __init__(self, universe, m_name, invariant):
+        self._cells = cells = _Cells(universe, m_name)
         self._m_name = m_name
         self._inv_cols = [
             _STORE.gate_column(invariant, lid, cells.gids) for lid in cells.lids
@@ -786,10 +782,10 @@ class I3Fast:
         return value
 
 
-def i3_fast_path(universe, globals_subset, m_name, invariant) -> Optional[I3Fast]:
-    """An :class:`I3Fast` for this I3 shard, or ``None`` for an
+def i3_fast_path(universe, m_name, invariant) -> Optional[I3Fast]:
+    """An :class:`I3Fast` for ``universe``, or ``None`` for an
     uncachable PA context."""
     try:
-        return I3Fast(universe, globals_subset, m_name, invariant)
+        return I3Fast(universe, m_name, invariant)
     except _Uncachable:
         return None

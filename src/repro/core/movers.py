@@ -43,27 +43,12 @@ from .universe import StoreUniverse
 __all__ = [
     "MoverType",
     "MoverOracle",
-    "LM_CONDITION_ORDER",
-    "left_mover_condition",
     "left_mover_conditions",
     "is_left_mover",
     "is_left_mover_wrt_program",
     "is_right_mover",
     "infer_mover_type",
 ]
-
-#: Canonical order of the four left-mover conditions — the order
-#: :func:`is_left_mover` evaluates and concatenates them in. The
-#: obligation engine shards LM pair checks along this order (see
-#: ``repro.engine.obligations``), so merged shard results reproduce the
-#: unsharded result verbatim.
-LM_CONDITION_ORDER = (
-    "forward_preservation",
-    "backward_preservation",
-    "commutation",
-    "non_blocking",
-)
-
 
 class MoverType(enum.Enum):
     """Lipton mover types."""
@@ -94,17 +79,17 @@ def _cached(action) -> CachedAction:
 
 
 def _gate_forward_preserved(
-    l, x, universe: StoreUniverse, fail_fast: bool = False, globals_subset=None
+    l, x, universe: StoreUniverse, fail_fast: bool = False
 ) -> CheckResult:
     """Condition (1): ρ_l stays true across any gate-satisfying x step."""
     fast = left_mover_condition_columnar(
-        "forward_preservation", l, x, universe, fail_fast, globals_subset
+        "forward_preservation", l, x, universe, fail_fast
     )
     if fast is not None:
         return fast
     result = CheckResult(f"gate of {l.name} forward-preserved by {x.name}", True)
     pair = universe.context.pair
-    for g in universe.globals_ if globals_subset is None else globals_subset:
+    for g in universe.globals_:
         for ll in universe.locals_for(l.name):
             if not l.gate(combine(g, ll)):
                 continue
@@ -135,17 +120,17 @@ def _gate_forward_preserved(
 
 
 def _gate_backward_preserved(
-    l, x, universe: StoreUniverse, fail_fast: bool = False, globals_subset=None
+    l, x, universe: StoreUniverse, fail_fast: bool = False
 ) -> CheckResult:
     """Condition (2): if ρ_x holds after an l step, it held before."""
     fast = left_mover_condition_columnar(
-        "backward_preservation", l, x, universe, fail_fast, globals_subset
+        "backward_preservation", l, x, universe, fail_fast
     )
     if fast is not None:
         return fast
     result = CheckResult(f"gate of {x.name} backward-preserved by {l.name}", True)
     pair = universe.context.pair
-    for g in universe.globals_ if globals_subset is None else globals_subset:
+    for g in universe.globals_:
         for ll in universe.locals_for(l.name):
             state_l = combine(g, ll)
             if not l.gate(state_l):
@@ -176,17 +161,17 @@ def _gate_backward_preserved(
 
 
 def _commutes_left(
-    l, x, universe: StoreUniverse, fail_fast: bool = False, globals_subset=None
+    l, x, universe: StoreUniverse, fail_fast: bool = False
 ) -> CheckResult:
     """Condition (3): every x;l execution has a matching l;x execution."""
     fast = left_mover_condition_columnar(
-        "commutation", l, x, universe, fail_fast, globals_subset
+        "commutation", l, x, universe, fail_fast
     )
     if fast is not None:
         return fast
     result = CheckResult(f"{l.name} commutes to the left of {x.name}", True)
     pair = universe.context.pair
-    for g in universe.globals_ if globals_subset is None else globals_subset:
+    for g in universe.globals_:
         for ll in universe.locals_for(l.name):
             if not l.gate(combine(g, ll)):
                 continue
@@ -233,16 +218,16 @@ def _has_swapped(l, x, g, ll, lx, tr_x, tr_l) -> bool:
 
 
 def _non_blocking(
-    l, universe: StoreUniverse, fail_fast: bool = False, globals_subset=None
+    l, universe: StoreUniverse, fail_fast: bool = False
 ) -> CheckResult:
     """Condition (4): the action has a transition from every gate store."""
     fast = left_mover_condition_columnar(
-        "non_blocking", l, l, universe, fail_fast, globals_subset
+        "non_blocking", l, l, universe, fail_fast
     )
     if fast is not None:
         return fast
     result = CheckResult(f"{l.name} non-blocking", True)
-    for g in universe.globals_ if globals_subset is None else globals_subset:
+    for g in universe.globals_:
         for ll in universe.locals_for(l.name):
             if not universe.context.single(g, PendingAsync(l.name, ll)):
                 continue
@@ -263,43 +248,6 @@ def _non_blocking(
                 if fail_fast:
                     return result
     return result
-
-
-_LM_CONDITION_FNS = {
-    "forward_preservation": _gate_forward_preserved,
-    "backward_preservation": _gate_backward_preserved,
-    "commutation": _commutes_left,
-    "non_blocking": lambda l, x, universe, fail_fast=False, globals_subset=None: (
-        _non_blocking(l, universe, fail_fast, globals_subset)
-    ),
-}
-
-
-def left_mover_condition(
-    l: Action,
-    x: Action,
-    universe: StoreUniverse,
-    condition: str,
-    globals_subset=None,
-    fail_fast: bool = False,
-) -> CheckResult:
-    """One of the four left-mover conditions of ``l`` w.r.t. ``x``,
-    restricted to a slice of the universe's globals.
-
-    The obligation engine's unit of LM work: for a fixed condition, the
-    enumeration is a loop over global stores, so the full condition result
-    is the order-preserving concatenation of its ``globals_subset`` slices
-    — same ``checked`` total, same counterexample prefix. ``condition``
-    must come from :data:`LM_CONDITION_ORDER`.
-    """
-    try:
-        fn = _LM_CONDITION_FNS[condition]
-    except KeyError:
-        raise ValueError(f"unknown left-mover condition {condition!r}") from None
-    return fn(
-        _cached(l), _cached(x), universe,
-        fail_fast=fail_fast, globals_subset=globals_subset,
-    )
 
 
 def left_mover_conditions(

@@ -43,13 +43,13 @@ from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, 
 from ..diagnose.witness import GateWitness, MissingTransitionWitness
 from .action import Action, PendingAsync, Transition
 from .cache import process_cache
-from .columnar import admitted_cells, columnar_store, i3_fast_path
+from .columnar import admitted_cells, i3_fast_path
 from .movers import is_left_mover, is_left_mover_wrt_program
 from .multiset import Multiset
 from .program import Program
 from .refinement import CheckResult, _fail, check_action_refinement
 from .semantics import Config
-from .store import Store, combine, store_interner
+from .store import Store, combine
 from .universe import StoreUniverse
 from .wellfounded import LexicographicMeasure
 
@@ -125,9 +125,9 @@ class ISResult:
     and enumeration counts when the result was produced by the obligation
     engine (``repro.engine.obligations``); ``worker_cache_stats`` carries,
     per discharging PID, the worker's final evaluation-cache snapshot and
-    obligation count (the serial backend contributes a single entry);
-    ``warmup_seconds`` is the parent's cache warm-up time when a pool
-    backend pre-warmed.
+    obligation count (the serial backend contributes a single entry).
+    ``warmup_seconds`` is always ``0.0``: the process pool forks cold. The
+    field stays because the benchmark ledger reads it.
 
     The resilience fields record how a fault-tolerant run went:
     ``interrupted`` marks a run stopped by ``KeyboardInterrupt`` (the
@@ -226,8 +226,6 @@ class ISResult:
             f"{self.num_obligations} obligations, {self.total_checked} checks, "
             f"{total:.2f}s total obligation time"
         )
-        if self.warmup_seconds:
-            header += f" (+{self.warmup_seconds * 1000:.0f} ms cache warm-up)"
         for pid, entry in sorted(self.worker_cache_stats.items()):
             stats = entry.get("stats", {})
             rates = ", ".join(
@@ -312,98 +310,21 @@ class ISApplication:
         return self.abstractions.get(action_name, self.program[action_name])
 
     # ------------------------------------------------------------------ #
-    # Cache warm-up
+    # Retired pool warm-up
     # ------------------------------------------------------------------ #
 
-    def _warm_views(self, universe: StoreUniverse):
-        """The (memoized action view, candidate locals) pairs every
-        obligation family re-enumerates: all program actions (the LM
-        right-hand sides), the invariant (enumerated by I1, I2 and I3
-        alike), and the abstractions (I3's composition step, the LM
-        left-hand sides, CO)."""
-        cached = process_cache().cached
-        pairs = []
-        for name, action in self.program.actions():
-            pairs.append((cached(action), universe.locals_for(name)))
-        invariant_locals = list(
-            dict.fromkeys(
-                [
-                    *universe.locals_for(self.m_name),
-                    *universe.locals_for(self.invariant.name),
-                ]
-            )
-        )
-        pairs.append((cached(self.invariant), invariant_locals))
-        for name in self.eliminated:
-            # Unabstracted actions of E are program actions, warmed above.
-            if name in self.abstractions:
-                pairs.append(
-                    (cached(self.abstractions[name]), universe.locals_for(name))
-                )
-        return pairs
+    # The process pool forks cold, so nothing calls these two. They stay
+    # as no-ops only because the benchmark ledger (``benchmarks/ledger/
+    # spans.py``) looks both up by name in this class's ``__dict__`` when
+    # it installs a trace; they go when the ledger stops wrapping them.
 
-    def warm_evaluation_cache(
-        self, universe: StoreUniverse, successors: bool = True
-    ) -> int:
-        """Pre-populate the process evaluation cache with the gate and
-        transition memos the IS obligations share.
-
-        Evaluates every relevant action (program actions, invariant,
-        abstractions) over the universe grid — and, when ``successors`` is
-        true, over the global stores reachable in one transition from the
-        grid, which is where the mover checks evaluate gates and
-        transitions after a commuted step. Returns the number of stores
-        evaluated.
-
-        Sound by purity: a memo entry is a function of the store alone, so
-        warm entries are indistinguishable from recomputed ones. The
-        process-pool scheduler runs this in the parent before forking so
-        every worker inherits the warm memos copy-on-write (see
-        ``repro.core.cache``).
-        """
-        pairs = self._warm_views(universe)
-        evaluated = 0
-        successor_globals: set = set()
-        known = set(universe.globals_)
-        for view, locals_pool in pairs:
-            for g in universe.globals_:
-                for l in locals_pool:
-                    state = combine(g, l)
-                    evaluated += 1
-                    if view.gate(state):
-                        for tr in view.transitions(state):
-                            if tr.new_global not in known:
-                                successor_globals.add(tr.new_global)
-        if successors and successor_globals:
-            frontier = sorted(successor_globals, key=repr)
-            for view, locals_pool in pairs:
-                for g in frontier:
-                    for l in locals_pool:
-                        state = combine(g, l)
-                        evaluated += 1
-                        if view.gate(state):
-                            view.transitions(state)
-        return evaluated
+    def warm_evaluation_cache(self, universe: StoreUniverse) -> int:
+        """No-op kept for the benchmark ledger's trace hooks; returns 0."""
+        return 0
 
     def warm_columns(self, universe: StoreUniverse) -> int:
-        """Pre-fill the columnar gate and successor tables for the same
-        (view, locals) pairs as :meth:`warm_evaluation_cache`.
-
-        The process-pool scheduler runs this in the parent before forking,
-        so workers inherit filled columns copy-on-write instead of
-        re-deriving them per shard (see ``repro.core.columnar``). Returns
-        the number of column entries filled.
-        """
-        cs = columnar_store()
-        itn = store_interner()
-        gids = [itn.intern(g) for g in universe.globals_]
-        before = cs.gate_fills + cs.succ_fills
-        for view, locals_pool in self._warm_views(universe):
-            for l in locals_pool:
-                lid = itn.intern(l)
-                gate_col = cs.gate_column(view, lid, gids)
-                cs.succ_column(view, lid, gids, where=gate_col)
-        return cs.gate_fills + cs.succ_fills - before
+        """No-op kept for the benchmark ledger's trace hooks; returns 0."""
+        return 0
 
     # ------------------------------------------------------------------ #
     # Condition checks
@@ -468,11 +389,7 @@ class ISApplication:
             pa_name=self.m_name,
         )
 
-    def check_i3(
-        self,
-        universe: StoreUniverse,
-        globals_subset: Optional[Sequence[Store]] = None,
-    ) -> CheckResult:
+    def check_i3(self, universe: StoreUniverse) -> CheckResult:
         """(I3): the induction step.
 
         For every gate-satisfying store :math:`\\sigma` and transition
@@ -482,10 +399,6 @@ class ISApplication:
         1. the gate of :math:`A^*` holds on :math:`g_t \\cdot \\ell`, and
         2. composing :math:`t` with any :math:`A^*`-transition yields a
            transition in :math:`\\tau_I` from :math:`\\sigma`.
-
-        ``globals_subset`` restricts the outer quantifier to a slice of the
-        universe's globals; the obligation engine shards I3 along it (the
-        full check is the concatenation of the shards, in order).
         """
         result = CheckResult("I3: inductive step", True)
         names = set(self.eliminated)
@@ -498,15 +411,13 @@ class ISApplication:
         # scan through column-backed invariant gates, or for an uncachable
         # context the dict-shaped oracle. Both enumerate in the same order
         # and count the same checks.
-        fast = i3_fast_path(universe, globals_subset, self.m_name, invariant)
+        fast = i3_fast_path(universe, self.m_name, invariant)
         if fast is not None:
             cells = fast.cells()
         else:
             cells = (
                 (g, l)
-                for g, l in admitted_cells(
-                    universe, self.m_name, globals_subset=globals_subset
-                )
+                for g, l in admitted_cells(universe, self.m_name)
                 if invariant.gate(combine(g, l))
             )
         for g, l in cells:

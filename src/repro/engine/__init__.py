@@ -5,10 +5,8 @@ executable transformation producing certified sequentialized executions.
 ``repro.engine.obligations`` + ``repro.engine.scheduler`` decompose the IS
 condition checks into a DAG of obligations discharged serially or across a
 process pool (the backend behind ``ISApplication.check`` and ``--jobs``).
-The pool backend pre-warms the evaluation cache in the parent so forked
-workers inherit the shared memos copy-on-write, and shards the dominant
-obligations (I3 slices, LM pair conditions) off the universe size so the
-pool has enough units to saturate its workers.
+Both backends run the same obligation list; the pool forks cold and ships
+whole obligations.
 """
 
 from .obligations import (
@@ -16,9 +14,7 @@ from .obligations import (
     build_obligations,
     discharge,
     execute_obligation,
-    lm_slice_count,
     merge_outcomes,
-    shard_count,
 )
 from .rewriting import RewriteError, RewriteResult, RewriteStats, rewrite_execution
 from .scheduler import (
@@ -38,8 +34,6 @@ __all__ = [
     "execute_obligation",
     "merge_outcomes",
     "discharge",
-    "shard_count",
-    "lm_slice_count",
     "ObligationOutcome",
     "SerialScheduler",
     "ProcessPoolScheduler",

@@ -26,10 +26,11 @@ named after the checkpoint label:
   exact).
 
 The **staleness guard**: the fingerprint hashes the obligation keys, the
-application frame (``M``, ``E``, abstraction names, program actions) and
-the universe size. A journal whose fingerprint does not match the
-current run — the program changed, the instance parameters changed, the
-sharding layout changed — is refused with
+application frame (``M``, ``E``, abstraction names, program actions), the
+universe size, and a digest of the ``repro`` package's own sources
+(:func:`code_digest`). A journal whose fingerprint does not match the
+current run — the instance parameters changed, or any source file of the
+package did — is refused with
 :class:`~repro.engine.recordlog.StaleLogError` rather than silently
 merging verdicts from a different proof. The load is a *prefix* fold:
 nothing after the first record that fails to decode is trusted.
@@ -65,6 +66,7 @@ __all__ = [
     "JOURNAL_SCHEMA",
     "JournaledOutcome",
     "CheckpointJournal",
+    "code_digest",
     "run_fingerprint",
 ]
 
@@ -72,12 +74,36 @@ JOURNAL_SCHEMA = "repro.engine/journal/v1"
 
 _KIND = "an obligation journal"
 
+_CODE_DIGEST: Optional[str] = None
+
+
+def code_digest() -> str:
+    """SHA-256 over the ``repro`` package's ``.py`` sources (relative path
+    and bytes, in path order), computed once per process.
+
+    The run fingerprint hashes names, not behaviour: without this, a
+    journal written before an edit to an action's transitions resumes
+    after it and replays the old verdicts. Applications defined outside
+    the package are not covered; their edits still need a fresh journal.
+    """
+    global _CODE_DIGEST
+    if _CODE_DIGEST is None:
+        root = Path(__file__).resolve().parent.parent
+        digest = hashlib.sha256()
+        for path in sorted(root.rglob("*.py")):
+            digest.update(path.relative_to(root).as_posix().encode())
+            digest.update(b"\x00")
+            digest.update(path.read_bytes())
+            digest.update(b"\x00")
+        _CODE_DIGEST = digest.hexdigest()
+    return _CODE_DIGEST
+
 
 def run_fingerprint(app, universe, obligations: Sequence) -> str:
     """Identity hash of one discharge run, for the staleness guard.
 
-    Covers the obligation keys (and hence the sharding layout), the
-    application frame, and the universe size — everything that decides
+    Covers the obligation keys, the application frame, the universe
+    size and the package's :func:`code_digest` — everything that decides
     whether a journaled ``CheckResult`` is still the answer to the same
     question. Deliberately cheap: it does not hash the stores themselves
     (that would cost a universe walk per run); the reachable-universe
@@ -85,6 +111,8 @@ def run_fingerprint(app, universe, obligations: Sequence) -> str:
     practice.
     """
     digest = hashlib.sha256()
+    digest.update(code_digest().encode())
+    digest.update(b"\x00")
     digest.update("\n".join(ob.key for ob in obligations).encode())
     digest.update(b"\x00")
     digest.update(

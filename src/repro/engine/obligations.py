@@ -3,10 +3,10 @@
 ``ISApplication.check_inline`` discharges Figure 3's conditions as six
 monolithic loops. This module decomposes the same work into an explicit DAG
 of named :class:`Obligation` values — one refinement check per abstracted
-action, I1, I2, contiguous shards of I3's outer quantifier, one left-mover
-check per (abstraction, program action) pair, and one cooperation check per
-eliminated action — and recomposes the per-obligation
-:class:`~repro.core.refinement.CheckResult` values into an
+action, I1, I2, I3, one left-mover check per (abstraction, program
+action) pair, and one cooperation check per eliminated action — and
+recomposes the per-obligation :class:`~repro.core.refinement.CheckResult`
+values into an
 :class:`~repro.core.sequentialize.ISResult` whose condition map is
 *identical* to the inline checker's (same keys, names, verdicts, check
 counts, and counterexamples), regardless of which scheduler discharged the
@@ -25,7 +25,8 @@ Obligations are (de)hydratable by key: :func:`execute_obligation` takes an
 application + universe + obligation and runs exactly one unit of work, which
 is what the process-pool backend ships to workers (the payload travels by
 ``fork`` inheritance; only keys and results cross the pipe — see
-``repro.engine.scheduler``).
+``repro.engine.scheduler``). Every backend runs the same list: the layout
+does not depend on the scheduler.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
-from ..core.movers import LM_CONDITION_ORDER, left_mover_condition
 from ..core.refinement import COUNTEREXAMPLE_KEEP, CheckResult
 from ..core.sequentialize import ISApplication, ISResult
 from ..core.universe import StoreUniverse
@@ -46,65 +46,12 @@ __all__ = [
     "execute_obligation",
     "merge_outcomes",
     "discharge",
-    "shard_count",
-    "lm_slice_count",
 ]
 
 #: Per-obligation counterexample cap — the single shared constant from
 #: ``repro.diagnose.witness`` (also used by ``refinement._fail`` and the
 #: inline mover combiners), so every merge path truncates identically.
 _KEEP = COUNTEREXAMPLE_KEEP
-
-
-def _slices(num_items: int, shards: int) -> List[Tuple[int, int]]:
-    """``shards`` contiguous ``(lo, hi)`` index slices covering
-    ``range(num_items)``, remainder spread over the leading shards so
-    sizes differ by at most one."""
-    shards = max(1, min(int(shards), max(1, num_items)))
-    base, extra = divmod(num_items, shards)
-    bounds = []
-    lo = 0
-    for i in range(shards):
-        hi = lo + base + (1 if i < extra else 0)
-        bounds.append((lo, hi))
-        lo = hi
-    return bounds
-
-
-def shard_count(
-    num_items: int, parallelism: int, factor: int = 2, min_chunk: int = 16
-) -> int:
-    """How many contiguous shards to split an enumeration of ``num_items``
-    stores into: enough sub-obligations to keep ``parallelism`` workers
-    busy (``factor`` shards per worker), but never shards smaller than
-    ``min_chunk`` items — tiny shards pay scheduling overhead without
-    adding parallelism. Sized off the universe, not a fixed constant, so
-    large instances shard finer than small ones."""
-    if parallelism <= 1 or num_items <= 1:
-        return 1
-    largest_useful = max(1, num_items // min_chunk)
-    return max(1, min(factor * parallelism, largest_useful, num_items))
-
-
-def lm_slice_count(
-    num_pairs: int, num_globals: int, parallelism: int, factor: int = 2
-) -> int:
-    """Globals slices per (LM pair, condition) sub-obligation.
-
-    Splitting every LM cell into its four conditions already multiplies
-    the schedulable units by four; slices are only added when that still
-    leaves fewer than ``factor * parallelism`` units (small programs, big
-    pools). Returns 0 when the pool has no parallelism — the legacy
-    whole-pair obligations are cheaper to schedule serially.
-    """
-    if parallelism <= 1 or num_pairs == 0:
-        return 0
-    units = num_pairs * len(LM_CONDITION_ORDER)
-    target = factor * parallelism
-    if units >= target:
-        return 1
-    want = -(-target // units)  # ceil
-    return max(1, min(want, num_globals or 1))
 
 
 @dataclass(frozen=True)
@@ -114,9 +61,9 @@ class Obligation:
     ``kind`` is the condition family (``abs``/``I1``/``I2``/``I3``/``LM``/
     ``CO``); ``condition`` is the key of the condition-map entry this
     obligation contributes to (several obligations may share one, e.g. the
-    I3 shards); ``params`` are the instance parameters the executor
-    dispatches on; ``deps`` are keys of obligations whose failure makes
-    this one moot.
+    LM cells of one abstraction); ``params`` are the instance parameters
+    the executor dispatches on; ``deps`` are keys of obligations whose
+    failure makes this one moot.
     """
 
     key: str
@@ -133,8 +80,6 @@ def build_obligations(
     app: ISApplication,
     universe: StoreUniverse,
     lm_skip: Iterable[str] = (),
-    i3_shards: int = 1,
-    lm_shards: int = 0,
 ) -> List[Obligation]:
     """The obligation DAG for one IS application, in deterministic order.
 
@@ -142,16 +87,9 @@ def build_obligations(
     CO), which is also a topological order of the dependency edges — a
     serial scheduler can walk the list front to back.
 
-    ``i3_shards`` splits I3's outer quantifier (the universe's globals)
-    into that many contiguous slices; the full condition is the in-order
-    concatenation of the shard results. ``lm_shards`` likewise splits each
-    LM pair cell: ``0`` keeps the legacy one-obligation-per-pair layout,
-    and ``k >= 1`` replaces every pair with its four left-mover conditions
-    (:data:`~repro.core.movers.LM_CONDITION_ORDER`), each sliced into
-    ``k`` contiguous globals ranges — the granularity the process pool
-    needs to saturate its workers, since LM pairs dominate wall time.
-    Sharding changes only scheduling granularity, never the merged
-    condition map.
+    I3's ``params`` are ``(0, len(universe.globals_))``: the globals range
+    its dependency fingerprint renders (``repro.engine.rcache``), kept so
+    stored I3 results stay addressable.
     """
     obligations: List[Obligation] = []
     abs_keys: List[str] = []
@@ -167,60 +105,30 @@ def build_obligations(
     obligations.append(Obligation(key="I1", kind="I1", condition="I1"))
     obligations.append(Obligation(key="I2", kind="I2", condition="I2"))
 
-    num_globals = len(universe.globals_)
-    i3_bounds = _slices(num_globals, i3_shards)
-    if len(i3_bounds) == 1:
-        obligations.append(
-            Obligation(
-                key="I3",
-                kind="I3",
-                condition="I3",
-                params=(0, num_globals),
-                deps=all_abs,
-            )
+    obligations.append(
+        Obligation(
+            key="I3",
+            kind="I3",
+            condition="I3",
+            params=(0, len(universe.globals_)),
+            deps=all_abs,
         )
-    else:
-        for i, (lo, hi) in enumerate(i3_bounds):
-            obligations.append(
-                Obligation(
-                    key=f"I3#{i}",
-                    kind="I3",
-                    condition="I3",
-                    params=(lo, hi),
-                    deps=all_abs,
-                )
-            )
+    )
 
     skipped = set(lm_skip)
     lm_targets = [x for x in app.program.action_names() if x not in skipped]
-    lm_bounds = _slices(num_globals, lm_shards) if lm_shards >= 1 else None
     for name in app.eliminated:
         dep = (f"abs[{name}]",) if name in app.abstractions else ()
         for other in lm_targets:
-            if lm_bounds is None:
-                obligations.append(
-                    Obligation(
-                        key=f"LM[{name}|{other}]",
-                        kind="LM",
-                        condition=f"LM[{name}]",
-                        params=(name, other),
-                        deps=dep,
-                    )
+            obligations.append(
+                Obligation(
+                    key=f"LM[{name}|{other}]",
+                    kind="LM",
+                    condition=f"LM[{name}]",
+                    params=(name, other),
+                    deps=dep,
                 )
-            else:
-                # Condition-major, slice-minor: merging in build order
-                # then reproduces is_left_mover's concatenation order.
-                for cond in LM_CONDITION_ORDER:
-                    for i, (lo, hi) in enumerate(lm_bounds):
-                        obligations.append(
-                            Obligation(
-                                key=f"LM[{name}|{other}|{cond}#{i}]",
-                                kind="LMc",
-                                condition=f"LM[{name}]",
-                                params=(name, other, cond, lo, hi),
-                                deps=dep,
-                            )
-                        )
+            )
         obligations.append(
             Obligation(
                 key=f"CO[{name}]",
@@ -257,27 +165,11 @@ def execute_obligation(
     if kind == "I2":
         return app.check_i2(universe)
     if kind == "I3":
-        lo, hi = obligation.params
-        return app.check_i3(universe, globals_subset=universe.globals_[lo:hi])
+        return app.check_i3(universe)
     if kind == "LM":
         name, other = obligation.params
         uni2 = _lm_universe_for(app, universe, name, lm_universes)
         return app.check_lm_pair(universe, name, other, universe_for_abs=uni2)
-    if kind == "LMc":
-        from ..core.action import Action
-
-        name, other, cond, lo, hi = obligation.params
-        uni2 = _lm_universe_for(app, universe, name, lm_universes)
-        if uni2 is None:
-            uni2 = app.lm_universe(universe, name)
-        abstraction = app.abstraction_of(name)
-        return left_mover_condition(
-            Action(name, abstraction.gate, abstraction.transitions, abstraction.params),
-            app.program[other],
-            uni2,
-            cond,
-            globals_subset=uni2.globals_[lo:hi],
-        )
     if kind == "CO":
         (name,) = obligation.params
         return app.check_co(universe, names=[name])
@@ -297,8 +189,10 @@ def _lm_universe_for(app, universe, name, lm_universes):
 
 
 def _skipped_result(name: str, reasons: Iterable[str]) -> CheckResult:
+    """A fail-fast skip, one marker per blocking dependency, capped like
+    every other condition result."""
     result = CheckResult(name, False)
-    for reason in reasons:
+    for reason in list(reasons)[:_KEEP]:
         result.counterexamples.append(
             SkippedMarker(reason=f"skipped: {reason}", check="skipped")
         )
@@ -308,7 +202,7 @@ def _skipped_result(name: str, reasons: Iterable[str]) -> CheckResult:
 def _condition_display_name(ob: Obligation) -> str:
     """The condition-map display name an unexecuted obligation reports
     under — the same names the executed paths produce."""
-    if ob.kind in ("LM", "LMc"):
+    if ob.kind == "LM":
         return f"α({ob.params[0]}) vs {ob.params[1]}"
     return {
         "I3": "I3: inductive step",
@@ -356,25 +250,13 @@ def merge_outcomes(
     Deterministic: iterates ``obligations`` in build order, so the merged
     map is independent of scheduler, job count, and completion order.
 
-    * ``abs``/``I1``/``I2`` map one-to-one onto condition entries.
-    * ``I3`` shards concatenate: checks are summed and counterexamples
-      joined in shard order then truncated to the inline checker's cap of
-      five (each shard keeps its *first* five, so the concatenation's
-      prefix equals the unsharded enumeration's prefix).
+    * ``abs``/``I1``/``I2``/``I3`` map one-to-one onto condition entries.
     * ``LM`` cells fold into one per-abstraction condition exactly like
       ``is_left_mover_wrt_program``: checks summed over program actions in
       program order, counterexamples prefixed ``wrt {action}`` and the
       folded list truncated to the same cap as the inline merge.
-    * ``LMc`` shards (condition-level slices of an LM cell — see
-      ``build_obligations``) reproduce ``is_left_mover`` before folding:
-      within one (pair, condition), slice counterexamples concatenate in
-      slice order and cap at :data:`COUNTEREXAMPLE_KEEP` (each slice keeps
-      its *first* cap-many, so the prefix equals the unsliced
-      enumeration's), carry the condition result's name as prefix exactly
-      like ``_combine_conditions``, and then fold with the same
-      ``wrt {action}`` prefix and final truncation as whole cells.
     * ``CO`` per-action results concatenate into the single cooperation
-      condition, truncated like I3.
+      condition, truncated to the same cap.
 
     Every condition entry ends up capped at :data:`COUNTEREXAMPLE_KEEP`
     counterexamples in enumeration order — the one truncation rule shared
@@ -383,24 +265,12 @@ def merge_outcomes(
     """
     merged = ISResult()
     conditions = merged.conditions
-    lm_cond_kept: Dict[Tuple[str, str, str], int] = {}
     for ob in obligations:
         sub = results.get(ob.key)
         if sub is None:
             continue
-        if ob.kind in ("abs", "I1", "I2"):
+        if ob.kind in ("abs", "I1", "I2", "I3"):
             conditions[ob.condition] = sub
-        elif ob.kind == "I3":
-            acc = conditions.get(ob.condition)
-            if acc is None:
-                acc = CheckResult("I3: inductive step", True)
-                conditions[ob.condition] = acc
-            acc.checked += sub.checked
-            if not sub.holds:
-                acc.holds = False
-                remaining = _KEEP - len(acc.counterexamples)
-                if remaining > 0:
-                    acc.counterexamples.extend(sub.counterexamples[:remaining])
         elif ob.kind == "LM":
             name, other = ob.params
             acc = conditions.get(ob.condition)
@@ -416,33 +286,6 @@ def merge_outcomes(
                         for cx in sub.counterexamples
                     )
                     del acc.counterexamples[_KEEP:]
-        elif ob.kind == "LMc":
-            name, other, cond = ob.params[:3]
-            acc = conditions.get(ob.condition)
-            if acc is None:
-                acc = CheckResult(f"LM: α({name}) left mover wrt P", True)
-                conditions[ob.condition] = acc
-            acc.checked += sub.checked
-            if not sub.holds:
-                acc.holds = False
-                cell = (name, other, cond)
-                kept = lm_cond_kept.get(cell, 0)
-                for cx in sub.counterexamples:
-                    if isinstance(cx, SkippedMarker):
-                        # Fail-fast skips carry no condition-result name.
-                        if len(acc.counterexamples) < _KEEP:
-                            acc.counterexamples.append(
-                                cx.with_prefix(f"wrt {other}")
-                            )
-                        continue
-                    if kept >= _KEEP:
-                        break
-                    kept += 1
-                    if len(acc.counterexamples) < _KEEP:
-                        acc.counterexamples.append(
-                            cx.with_prefix(f"wrt {other}", sub.name)
-                        )
-                lm_cond_kept[cell] = kept
         elif ob.kind == "CO":
             acc = conditions.get(ob.condition)
             if acc is None:
@@ -476,18 +319,12 @@ def discharge(
 
     ``jobs`` selects the backend (``None``/``0``/``1``: serial; ``>1``:
     fork-based process pool, falling back to serial where ``fork`` is
-    unavailable); an explicit ``scheduler`` instance overrides it. For a
-    pool backend the dominant obligations are sharded off the universe
-    size: I3's outer quantifier into :func:`shard_count` contiguous
-    slices, and every LM pair cell into its four conditions times
-    :func:`lm_slice_count` globals slices — enough sub-obligations to
-    saturate the workers. The serial backend keeps the coarse layout
-    (sharding buys it nothing and costs bookkeeping).
+    unavailable); an explicit ``scheduler`` instance overrides it. The
+    obligation list is the same for every backend.
 
     ``tracer`` (a :class:`repro.obs.Tracer`) records one span per
-    obligation — including every shard and slice, and skipped obligations
-    (zero duration, flagged) — plus the pool's cache warm-up pass and any
-    resilience events (timeouts, retries, pool rebuilds). Spans are
+    obligation — skipped obligations included (zero duration, flagged) —
+    plus any resilience events (timeouts, retries, pool rebuilds). Spans are
     derived *after* scheduling from the outcomes and events the scheduler
     records anyway, so a tracer can never perturb verdicts, condition
     maps, or scheduling/recovery decisions.
@@ -528,19 +365,7 @@ def discharge(
         if resilience is not None
         else getattr(scheduler, "resilience", None)
     ) or ResilienceConfig()
-    parallelism = scheduler.parallelism
-    num_globals = len(universe.globals_)
-    lm_targets = [
-        x for x in app.program.action_names() if x not in set(lm_skip)
-    ]
-    num_pairs = len(app.eliminated) * len(lm_targets)
-    obligations = build_obligations(
-        app,
-        universe,
-        lm_skip=lm_skip,
-        i3_shards=shard_count(num_globals, parallelism),
-        lm_shards=lm_slice_count(num_pairs, num_globals, parallelism),
-    )
+    obligations = build_obligations(app, universe, lm_skip=lm_skip)
     journal = None
     journaled: Dict[str, object] = {}
     if cfg.checkpoint_dir:
@@ -663,7 +488,6 @@ def discharge(
             if ob.key not in outcomes:
                 results[ob.key] = _fault_result(ob, None, None)
     merged = merge_outcomes(app, obligations, results, timings=timings)
-    merged.warmup_seconds = getattr(scheduler, "last_warmup_seconds", 0.0)
     merged.interrupted = interrupted
     merged.resumed_keys = sorted(journaled)
     merged.cached_keys = sorted(cache_hits)
@@ -724,26 +548,14 @@ def _emit_spans(
     tracer, scheduler, obligations, outcomes, cache_events=()
 ) -> None:
     """Turn scheduler outcomes into tracer spans (one per obligation, in
-    build order, plus the pool's warm-up pass and the result cache's
-    hit/miss/invalidation events). Purely derivational: reads outcome
-    fields and events the engine populates unconditionally."""
+    build order, plus the result cache's hit/miss/invalidation events).
+    Purely derivational: reads outcome fields and events the engine
+    populates unconditionally."""
     import os
 
     from ..obs.tracer import Span
 
     backend = getattr(scheduler, "backend_name", type(scheduler).__name__)
-    warmup_started = getattr(scheduler, "last_warmup_started", None)
-    if warmup_started is not None:
-        tracer.add(
-            Span(
-                name="cache-warmup",
-                category="warmup",
-                start=warmup_started,
-                duration=getattr(scheduler, "last_warmup_seconds", 0.0),
-                pid=os.getpid(),
-                backend=backend,
-            )
-        )
     for ob in obligations:
         outcome = outcomes.get(ob.key)
         if outcome is None:

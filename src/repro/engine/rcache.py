@@ -9,8 +9,7 @@ generalizes the run-level fingerprint of ``repro.engine.journal`` into a
 **per-obligation dependency fingerprint**: a content hash of
 
 * the engine schema version (:data:`RCACHE_SCHEMA`),
-* the obligation's kind, key, and instance parameters (shard bounds
-  included — a re-sharded layout asks a different question),
+* the obligation's kind, key, and instance parameters,
 * a structural hash of every action/gate/predicate the obligation
   transitively reads (closures are hashed by bytecode, constants,
   closure-cell contents, and referenced globals — not by identity), and
@@ -437,10 +436,10 @@ class DependencyFingerprinter:
     * ``I2`` reads the invariant, ``E``, and ``M'`` (a canonical token
       when ``M'`` is derived from the invariant — it then carries no
       information beyond the invariant itself);
-    * ``I3`` reads the invariant, the choice function, ``α(e)`` for
-      *every* eliminated action, and its shard bounds;
-    * ``LM``/``LMc`` read ``α(A)`` and the right-hand program action
-      (plus condition name and slice bounds);
+    * ``I3`` reads the invariant, the choice function, and ``α(e)`` for
+      *every* eliminated action; its literal tokens keep the
+      ``(0, len(globals))`` params, so stored I3 entries stay addressable;
+    * ``LM`` reads ``α(A)`` and the right-hand program action;
     * ``CO[A]`` reads ``α(A)`` and the termination measure.
 
     ``α(A)`` falls back to ``P[A]`` for unabstracted eliminated actions,
@@ -516,8 +515,8 @@ class DependencyFingerprinter:
                 f"m={app.m_name}",
                 f"params={ob.params!r}",
             ]
-        if kind in ("LM", "LMc"):
-            name, other = ob.params[0], ob.params[1]
+        if kind == "LM":
+            name, other = ob.params
             return (
                 [
                     (f"alpha:{name}", app.abstraction_of(name)),

@@ -16,13 +16,14 @@ module global set just before the pool spins up; only obligation **keys**
 go down the pipe and only ``CheckResult`` values (plain data over stores,
 transitions, and multisets — all picklable) come back.
 
-Before forking, the pool backend runs a **cache warm-up pass** in the
-parent (:meth:`~repro.core.sequentialize.ISApplication.warm_evaluation_cache`)
-and marks the parent's evaluation cache inheritable, so every forked
-worker starts from the shared gate/transition memos through copy-on-write
-instead of re-deriving them from scratch. Worker counts are clamped to the
-host's CPU count (with a warning): extra workers on a saturated host only
-add fork and pickling overhead.
+The pool forks **cold**: the parent evaluates nothing before forking,
+and each worker builds its own evaluation cache from empty (see
+``repro.core.cache``). Both backends run the same obligation list, so a
+pool run differs from a serial one only in where each obligation
+executes.
+Worker counts are clamped to the CPUs available to this process (with a
+warning): extra workers on a saturated host only add fork and pickling
+overhead.
 
 Fail-fast mode discharges the DAG in dependency waves and skips — marks
 with ``result=None`` — obligations whose dependencies failed *or were
@@ -187,7 +188,6 @@ class SerialScheduler:
 
     def __init__(self, resilience: Optional[ResilienceConfig] = None):
         self.resilience = resilience or ResilienceConfig()
-        self.last_warmup_seconds = 0.0
         self.last_events: List[ResilienceEvent] = []
         self._sleep = time.sleep
 
@@ -398,12 +398,9 @@ class ProcessPoolScheduler:
     ``jobs`` beyond the schedulable CPU count buys nothing (the workers
     are CPU-bound), so the effective worker count is clamped to the CPUs
     available to this process (the scheduling-affinity set where the
-    platform exposes it, ``os.cpu_count()`` otherwise) with a warning —
-    pass ``clamp=False`` to force the
-    requested count (tests use this to exercise sharding on small hosts).
-    ``warm=False`` skips the parent's cache warm-up pass. ``resilience``
-    configures deadlines, crash retries, and pool-rebuild bounds (see the
-    module docstring for the recovery ladder).
+    platform exposes it, ``os.cpu_count()`` otherwise) with a warning.
+    ``resilience`` configures deadlines, crash retries, and pool-rebuild
+    bounds (see the module docstring for the recovery ladder).
 
     Falls back to serial execution when the platform lacks the ``fork``
     start method (the payload cannot be pickled for ``spawn``) and when
@@ -419,14 +416,12 @@ class ProcessPoolScheduler:
     def __init__(
         self,
         jobs: int,
-        warm: bool = True,
-        clamp: bool = True,
         resilience: Optional[ResilienceConfig] = None,
     ):
         self.requested_jobs = int(jobs)
         effective = max(1, self.requested_jobs)
         cpus = _available_cpus()
-        if clamp and effective > cpus:
+        if effective > cpus:
             warnings.warn(
                 f"jobs={self.requested_jobs} exceeds the {cpus} CPU(s) "
                 f"available to this process (CPU affinity / cgroup quota, "
@@ -437,11 +432,7 @@ class ProcessPoolScheduler:
             )
             effective = cpus
         self.jobs = effective
-        self.warm = warm
         self.resilience = resilience or ResilienceConfig()
-        self.last_warmup_seconds = 0.0
-        self.last_warmup_started: Optional[float] = None
-        self.last_warmed_evaluations = 0
         self.last_events: List[ResilienceEvent] = []
         self._sleep = time.sleep
 
@@ -486,22 +477,6 @@ class ProcessPoolScheduler:
                 )
             finally:
                 self.last_events = serial.last_events
-
-        from ..core.cache import process_cache
-
-        self.last_warmup_seconds = 0.0
-        self.last_warmup_started = None
-        self.last_warmed_evaluations = 0
-        if self.warm:
-            started = time.perf_counter()
-            self.last_warmed_evaluations = app.warm_evaluation_cache(universe)
-            # Fill the columnar tables too: workers inherit the intern
-            # table and columns copy-on-write alongside the memos, so a
-            # forked worker starts each shard on filled columns.
-            app.warm_columns(universe)
-            process_cache().mark_inheritable()
-            self.last_warmup_started = started
-            self.last_warmup_seconds = time.perf_counter() - started
 
         global _WORKER_PAYLOAD
         by_key = {ob.key: ob for ob in obligations}
@@ -794,17 +769,13 @@ def _fork_available() -> bool:
 
 def make_scheduler(
     jobs: Optional[int] = None,
-    warm: bool = True,
-    clamp: bool = True,
     resilience: Optional[ResilienceConfig] = None,
 ):
     """The backend for a ``--jobs`` value: serial for ``None``/``<2``, a
-    process pool otherwise. Forwards every backend knob — ``warm``,
-    ``clamp``, and the resilience config — so CLI flags reach the pool
-    through this one constructor path instead of being silently dropped.
+    process pool otherwise. Forwards the resilience config, so CLI flags
+    reach the pool through this one constructor path instead of being
+    silently dropped.
     """
     if jobs is None or jobs < 2:
         return SerialScheduler(resilience=resilience)
-    return ProcessPoolScheduler(
-        jobs, warm=warm, clamp=clamp, resilience=resilience
-    )
+    return ProcessPoolScheduler(jobs, resilience=resilience)

@@ -3,8 +3,8 @@
 ``repro.obs`` is the engine's flight recorder: a :class:`~repro.obs.tracer.Tracer`
 attached to :meth:`ISApplication.check <repro.core.sequentialize.ISApplication.check>`,
 a protocol ``verify()`` pipeline, or a whole ``build_table1`` sweep records
-one span per discharged obligation (and per shard/slice, per pipeline
-phase, and per pool warm-up pass), and the exporters in
+one span per discharged obligation (and per pipeline phase), and the
+exporters in
 :mod:`repro.obs.export` turn the spans into a Chrome ``trace_event`` file,
 a flat metrics JSON, or a terminal summary table.
 

@@ -1,9 +1,8 @@
 """Span recording for obligation discharge.
 
 One :class:`Span` is recorded per unit of traced work: every obligation
-(including each I3 shard and LM condition slice — the scheduler's real
-units), every pipeline phase (``IS[label]``, ``sequential spec``, ``ground
-truth``), and the pool backend's cache warm-up pass. A span carries wall
+and every pipeline phase (``IS[label]``, ``sequential spec``, ``ground
+truth``). A span carries wall
 time, the discharging process's PID, the scheduler backend, the verdict,
 the enumeration count, and the evaluation-cache hit/miss *delta* attributable
 to that unit — the per-obligation visibility CIVL gets for free from Z3's
@@ -44,8 +43,8 @@ __all__ = ["Span", "Tracer"]
 class Span:
     """One traced unit of work.
 
-    ``category`` is ``"obligation"`` for scheduler units, ``"phase"`` for
-    pipeline stages, and ``"warmup"`` for the pool's pre-fork cache warming.
+    ``category`` is ``"obligation"`` for scheduler units and ``"phase"``
+    for pipeline stages.
     ``start`` is a raw ``perf_counter`` stamp (exporters normalize to the
     trace origin); ``duration`` is in seconds. ``cache_delta`` is the
     evaluation-cache hit/miss increment observed by the discharging process

@@ -22,8 +22,8 @@ three knobs an operator sets per deployment:
     embedded tests (which install process-global fault injectors) need;
     the sandbox is the production posture.
 
-Everything else (state directory, default budgets, scheduler jobs,
-sandbox limits) is flag-only; see ``repro serve --help``.
+Everything else (state directory, default budgets, sandbox limits) is
+flag-only; see ``repro serve --help``.
 """
 
 from __future__ import annotations
@@ -54,7 +54,8 @@ class ServeConfig:
     """One immutable value carrying every daemon knob.
 
     ``state_dir`` roots all persistence: the job journal
-    (``jobs.jsonl``), the per-job checkpoint journals (``ckpt/``), and
+    (``jobs.jsonl``), the per-job checkpoint journals
+    (``ckpt/<code digest>/<request fingerprint>/``), and
     the resident result cache (``rcache/``). ``None`` runs fully
     in-memory — still warm across requests, but nothing survives a
     restart. ``max_configs``/``timeout_per_obligation`` are *caps*: a
@@ -75,7 +76,6 @@ class ServeConfig:
     state_dir: Optional[str] = None
     max_configs: Optional[int] = None
     timeout_per_obligation: Optional[float] = None
-    jobs: Optional[int] = None
     drain_grace: float = 5.0
     sandbox: bool = False
     sandbox_max_rss_mb: Optional[int] = None

@@ -34,8 +34,8 @@ thread via ``PyThreadState_SetAsyncExc`` so the engine's salvage path
 journals what it finished, waits at most ``drain_grace`` seconds, and
 records ``interrupted`` for whatever remains. On the next start the job
 journal's unfinished backlog is re-enqueued, and each job's engine
-checkpoint journal (named by the request fingerprint) turns the re-run
-into a resume.
+checkpoint journal (named by the package's code digest and the request
+fingerprint) turns the re-run into a resume.
 """
 
 from __future__ import annotations
@@ -614,18 +614,18 @@ class ServeDaemon:
             if max_configs is None or max_configs > self.config.max_configs:
                 clamped = max_configs is not None
                 max_configs = self.config.max_configs
-        jobs = request.jobs if request.jobs is not None else self.config.jobs
-        return {
-            "max_configs": max_configs,
-            "jobs": jobs,
-            "clamped": clamped,
-        }
+        return {"max_configs": max_configs, "clamped": clamped}
 
     def _resilience(self, request: JobRequest):
         checkpoint_dir = None
         if self.state_dir is not None:
+            # Nested under the code digest: a daemon restarted on edited
+            # code starts fresh journals instead of resuming old verdicts.
+            from ..engine.journal import code_digest
+
+            code = code_digest()[:16]
             checkpoint_dir = str(
-                self.state_dir / "ckpt" / request.fingerprint
+                self.state_dir / "ckpt" / code / request.fingerprint
             )
         timeout = self.config.timeout_per_obligation
         if checkpoint_dir is None and timeout is None:

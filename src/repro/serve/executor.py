@@ -160,7 +160,6 @@ def run_request(
     started = time.perf_counter()
     options = RunOptions(
         max_configs=budgets.get("max_configs"),
-        jobs=budgets.get("jobs"),
         fail_fast=request.fail_fast,
         tracer=tracer,
         resilience=resilience,
@@ -233,7 +232,7 @@ def _execute_explain(request) -> dict:
     from ..diagnose import explain_fixture
     from ..obs.export import failure_payload
 
-    explanation = explain_fixture(request.fixture, jobs=request.jobs)
+    explanation = explain_fixture(request.fixture)
     return {
         "kind": "explain",
         "ok": explanation.all_confirmed,

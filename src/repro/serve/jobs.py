@@ -50,7 +50,7 @@ JOB_KINDS = ("verify", "table1", "explain")
 #: inside a worker thread. Protocol-specific instance parameters (rounds,
 #: n, num_nodes, ...) ride in the nested ``params`` object.
 REQUEST_FIELDS = ("kind", "protocol", "fixture", "params", "max_configs",
-                  "jobs", "fail_fast", "ground_truth")
+                  "fail_fast", "ground_truth")
 
 
 @dataclass(frozen=True)
@@ -68,7 +68,6 @@ class JobRequest:
     fixture: Optional[str] = None
     params: Tuple[Tuple[str, object], ...] = ()
     max_configs: Optional[int] = None
-    jobs: Optional[int] = None
     fail_fast: bool = False
     ground_truth: Optional[bool] = None
 
@@ -107,9 +106,6 @@ class JobRequest:
             not isinstance(max_configs, int) or max_configs < 1
         ):
             raise ValueError("'max_configs' must be a positive integer")
-        jobs = payload.get("jobs")
-        if jobs is not None and not isinstance(jobs, int):
-            raise ValueError("'jobs' must be an integer")
         ground_truth = payload.get("ground_truth")
         if ground_truth is not None and not isinstance(ground_truth, bool):
             raise ValueError("'ground_truth' must be a boolean")
@@ -119,7 +115,6 @@ class JobRequest:
             fixture=fixture,
             params=params,
             max_configs=max_configs,
-            jobs=jobs,
             fail_fast=bool(payload.get("fail_fast", False)),
             ground_truth=ground_truth,
         )
@@ -138,8 +133,6 @@ class JobRequest:
             }
         if self.max_configs is not None:
             payload["max_configs"] = self.max_configs
-        if self.jobs is not None:
-            payload["jobs"] = self.jobs
         if self.fail_fast:
             payload["fail_fast"] = True
         if self.ground_truth is not None:

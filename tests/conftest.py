@@ -70,3 +70,16 @@ def counter_program() -> Program:
 @pytest.fixture
 def counter_init():
     return initial_config(Store({"x": 0}))
+
+
+@pytest.fixture
+def unclamped_pool(monkeypatch):
+    """Process pools built in the test keep their requested worker count.
+
+    ``ProcessPoolScheduler`` clamps ``jobs`` to the CPUs this process may
+    use (``repro.engine.scheduler._available_cpus``), so on a one- or
+    two-CPU host a pool test would otherwise run fewer workers, or none.
+    """
+    import repro.engine.scheduler as scheduler
+
+    monkeypatch.setattr(scheduler, "_available_cpus", lambda: 64)

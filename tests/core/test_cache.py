@@ -246,6 +246,7 @@ def test_serial_outcomes_carry_cache_snapshots():
 
 
 @pytest.mark.skipif(not _fork_available(), reason="requires fork start method")
+@pytest.mark.usefixtures("unclamped_pool")
 def test_pool_workers_use_private_caches():
     """Every process-pool outcome carries the discharging worker's own
     cache snapshot; workers are real separate processes."""
@@ -253,7 +254,7 @@ def test_pool_workers_use_private_caches():
     universe = _universe(app, init_global)
     obligations = build_obligations(app, universe)
 
-    outcomes = ProcessPoolScheduler(jobs=2, clamp=False).run(
+    outcomes = ProcessPoolScheduler(jobs=2).run(
         app, universe, obligations
     )
     assert len(outcomes) == len(obligations)

@@ -18,6 +18,7 @@ from repro.diagnose import (
     witness_size,
 )
 from repro.diagnose.render import render_explanation, render_witness, witness_to_json
+import repro.engine.scheduler as scheduler_mod
 from repro.engine.scheduler import ProcessPoolScheduler
 from repro.obs import failure_payload
 
@@ -30,7 +31,10 @@ def broken():
     app, universe = fixture.build()
     inline = app.check_inline(universe)
     serial = app.check(universe, jobs=1)
-    pool = app.check(universe, scheduler=ProcessPoolScheduler(4, clamp=False))
+    with pytest.MonkeyPatch.context() as patch:
+        # Two real workers however few CPUs the host has.
+        patch.setattr(scheduler_mod, "_available_cpus", lambda: 64)
+        pool = app.check(universe, scheduler=ProcessPoolScheduler(2))
     return fixture, app, universe, inline, serial, pool
 
 

@@ -37,7 +37,6 @@ from repro.core.refinement import CheckResult
 from repro.core.store import Store, store_interner
 from repro.core.universe import StoreUniverse
 from repro.diagnose.fixtures import FIXTURES
-from repro.engine.scheduler import ProcessPoolScheduler
 from repro.protocols import (
     broadcast,
     changroberts,
@@ -138,6 +137,7 @@ def _fresh_caches():
         for n in sorted(PROTOCOL_CASES)
     ],
 )
+@pytest.mark.usefixtures("unclamped_pool")
 def test_columnar_matches_dict_oracle(name):
     app, init_global = PROTOCOL_CASES[name]()
 
@@ -158,15 +158,15 @@ def test_columnar_matches_dict_oracle(name):
     assert serial.holds == oracle.holds
     assert serial.total_checked == oracle.total_checked
 
-    # Fast path through a real pool: shards ship intern ids, workers
-    # rebuild columns, the merged map must still be identical.  clamp=False
-    # keeps both workers real even on a single-CPU host.
+    # Fast path through a real pool: workers fork cold and rebuild their
+    # own columns; the pool runs the serial layout and merges to the same
+    # typed map.
     reset_process_cache()
-    pooled = app.check(
-        _universe(app, init_global),
-        scheduler=ProcessPoolScheduler(2, clamp=False),
+    pooled = app.check(_universe(app, init_global), jobs=2)
+    assert _typed_condition_map(pooled) == _typed_condition_map(serial)
+    assert list(pooled.obligation_checked.items()) == list(
+        serial.obligation_checked.items()
     )
-    assert _typed_condition_map(pooled) == _typed_condition_map(oracle)
     assert pooled.total_checked == oracle.total_checked
 
 

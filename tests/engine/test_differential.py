@@ -30,7 +30,6 @@ from repro.core import initial_config, random_execution, terminating_executions
 from repro.core.context import GhostContext
 from repro.core.universe import StoreUniverse
 from repro.engine import RewriteError, rewrite_execution
-from repro.engine.scheduler import ProcessPoolScheduler
 from repro.protocols import (
     broadcast,
     changroberts,
@@ -107,11 +106,17 @@ def _sample_executions(program, init_global, minimum=MIN_SAMPLES, seed=0):
 
 
 def _condition_map(result):
-    """Everything the condition map determines, in comparable form."""
+    """Everything the condition map determines, result type included, in
+    comparable form."""
     return {
-        key: (r.name, r.holds, r.checked, tuple(r.counterexamples))
+        key: (type(r), r.name, r.holds, r.checked, tuple(r.counterexamples))
         for key, r in result.conditions.items()
     }
+
+
+def _layout(result):
+    """The discharged obligation keys in build order, with their checks."""
+    return list(result.obligation_checked.items())
 
 
 @pytest.mark.parametrize(
@@ -124,29 +129,24 @@ def _condition_map(result):
         for n in sorted(PROTOCOL_CASES)
     ],
 )
+@pytest.mark.usefixtures("unclamped_pool")
 def test_backends_agree_and_executions_rewrite(name):
     app, init_global = PROTOCOL_CASES[name]()
     universe = _universe(app, init_global)
 
     inline = app.check_inline(universe)
     serial = app.check(universe, jobs=1)
-    # clamp=False keeps four real workers (and hence the sharded obligation
-    # layout) even on a single-CPU CI host.
-    parallel = app.check(
-        universe, scheduler=ProcessPoolScheduler(4, clamp=False)
-    )
+    parallel = app.check(universe, jobs=2)
 
     assert _condition_map(inline) == _condition_map(serial)
     assert _condition_map(inline) == _condition_map(parallel)
+    assert _layout(parallel) == _layout(serial)
     assert inline.holds, inline.report()
 
     # Engine bookkeeping: every obligation accounted for, totals match.
     assert serial.num_obligations > 0
     assert serial.total_checked == inline.total_checked
     assert set(serial.obligation_checked) == set(serial.timings)
-    # The pool shards the dominant obligations but merges back to the very
-    # same condition map and grand total.
-    assert parallel.num_obligations >= serial.num_obligations
     assert parallel.total_checked == inline.total_checked
 
     # The conditions hold, so every sampled execution must rewrite to the
@@ -156,6 +156,7 @@ def test_backends_agree_and_executions_rewrite(name):
         assert result.execution.final == execution.final
 
 
+@pytest.mark.usefixtures("unclamped_pool")
 def test_failing_conditions_mean_some_execution_fails_to_rewrite():
     """The negative direction of the differential oracle: weaken Ping-Pong's
     invariant by dropping its E-free (completed) transitions. The induction
@@ -192,11 +193,10 @@ def test_failing_conditions_mean_some_execution_fails_to_rewrite():
 
     inline = bad.check_inline(universe)
     serial = bad.check(universe, jobs=1)
-    parallel = bad.check(
-        universe, scheduler=ProcessPoolScheduler(4, clamp=False)
-    )
+    parallel = bad.check(universe, jobs=2)
     assert _condition_map(inline) == _condition_map(serial)
     assert _condition_map(inline) == _condition_map(parallel)
+    assert _layout(parallel) == _layout(serial)
     assert not inline.holds
 
     failures = 0

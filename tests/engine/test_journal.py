@@ -56,6 +56,31 @@ def test_fingerprint_is_deterministic_and_key_sensitive():
     assert fp != run_fingerprint(None, None, CHAIN[:-1])
 
 
+def test_resume_under_a_different_code_digest_is_stale(tmp_path, monkeypatch):
+    """Editing the package changes every run fingerprint: a journal
+    written before the edit is refused, never replayed."""
+    import repro.engine.journal as journal_mod
+    from repro.core import initial_config
+    from repro.core.context import GhostContext
+    from repro.core.universe import StoreUniverse
+    from repro.engine.resilience import ResilienceConfig
+    from repro.protocols import pingpong
+    from repro.protocols.common import GHOST
+
+    app = pingpong.make_sequentialization(2)
+    universe = StoreUniverse.from_reachable(
+        app.program, [initial_config(pingpong.initial_global(2))]
+    ).with_context(GhostContext(GHOST))
+    resume = ResilienceConfig(checkpoint_dir=str(tmp_path), resume=True)
+    first = app.check(universe, resilience=resume, checkpoint_label="pp")
+    again = app.check(universe, resilience=resume, checkpoint_label="pp")
+    assert again.resumed_keys and again.conditions == first.conditions
+
+    monkeypatch.setattr(journal_mod, "_CODE_DIGEST", "0" * 64)
+    with pytest.raises(StaleLogError, match="different run"):
+        app.check(universe, resilience=resume, checkpoint_label="pp")
+
+
 # --------------------------------------------------------------------- #
 # Writing
 # --------------------------------------------------------------------- #

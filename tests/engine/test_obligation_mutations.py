@@ -141,6 +141,7 @@ def _condition_map(result):
 
 
 @pytest.mark.parametrize("name", sorted(MUTATIONS))
+@pytest.mark.usefixtures("unclamped_pool")
 def test_mutation_fails_exactly_the_expected_obligations(name, good, universe):
     build, expected = MUTATIONS[name]
     mutant = build(good)
@@ -148,7 +149,7 @@ def test_mutation_fails_exactly_the_expected_obligations(name, good, universe):
     inline = mutant.check_inline(universe)
     serial = mutant.check(universe, jobs=1)
     parallel = mutant.check(
-        universe, scheduler=ProcessPoolScheduler(3, clamp=False)
+        universe, scheduler=ProcessPoolScheduler(3)
     )
 
     assert _failed(inline) == expected
@@ -160,16 +161,18 @@ def test_mutation_fails_exactly_the_expected_obligations(name, good, universe):
     assert _condition_map(parallel) == _condition_map(inline)
 
 
+@pytest.mark.usefixtures("unclamped_pool")
 def test_good_application_passes_everywhere(good, universe):
     inline = good.check_inline(universe)
     assert inline.holds
     assert _condition_map(good.check(universe, jobs=1)) == _condition_map(inline)
     assert _condition_map(
-        good.check(universe, scheduler=ProcessPoolScheduler(3, clamp=False))
+        good.check(universe, scheduler=ProcessPoolScheduler(3))
     ) == _condition_map(inline)
 
 
 @pytest.mark.parametrize("backend", ["serial", "pool"])
+@pytest.mark.usefixtures("unclamped_pool")
 def test_fail_fast_skips_dependents_of_broken_abstraction(
     backend, good, universe
 ):
@@ -179,7 +182,7 @@ def test_fail_fast_skips_dependents_of_broken_abstraction(
     under both backends."""
     mutant = _wrong_abstraction(good)
     scheduler = (
-        None if backend == "serial" else ProcessPoolScheduler(3, clamp=False)
+        None if backend == "serial" else ProcessPoolScheduler(3)
     )
     result = mutant.check(
         universe, jobs=1 if backend == "serial" else None,

@@ -312,21 +312,22 @@ def test_cached_failures_seed_fail_fast_skips(tmp_path):
     assert set(FIXTURES["broken-broadcast"].expect_failing) <= skipped
 
 
+@pytest.mark.usefixtures("unclamped_pool")
 def test_pool_scheduler_shares_the_cache(tmp_path):
     app, universe = build("pingpong")
     serial = app.check(universe, jobs=1)
     cold = app.check(
         universe,
-        scheduler=ProcessPoolScheduler(4, clamp=False),
+        scheduler=ProcessPoolScheduler(2),
         cache=tmp_path,
     )
     warm = app.check(
         universe,
-        scheduler=ProcessPoolScheduler(4, clamp=False),
+        scheduler=ProcessPoolScheduler(2),
         cache=tmp_path,
     )
-    # The sharded layout caches per shard; a warm pool run hits them all
-    # and merges to the identical condition map.
+    # The pool caches the serial layout's obligations; a warm pool run
+    # hits them all and merges to the identical condition map.
     assert warm.rcache_stats["hits"] == len(warm.cached_keys) > 0
     assert warm.rcache_stats["misses"] == 0
     assert condition_map(serial) == condition_map(cold) == condition_map(warm)
@@ -394,3 +395,27 @@ def test_cli_style_stats_delta_is_per_discharge(tmp_path):
     assert warm.rcache_stats["hits"] == total
     assert warm.rcache_stats["misses"] == 0
     assert cache.stats.hits == total and cache.stats.misses == total
+
+
+def test_cache_cli_reads_the_directory_from_the_environment(
+    tmp_path, monkeypatch, capsys
+):
+    from repro.__main__ import main
+
+    app, universe = build("pingpong")
+    app.check(universe, jobs=1, cache=tmp_path)
+    entries = len(all_keys(app, universe))
+    monkeypatch.setenv("REPRO_CACHE", str(tmp_path))
+    assert main(["cache", "stats"]) == 0
+    out = capsys.readouterr().out
+    assert f"dir={tmp_path}" in out and f"entries={entries}" in out
+
+
+def test_cache_cli_without_a_directory_is_a_usage_error(monkeypatch, capsys):
+    from repro.__main__ import main
+
+    monkeypatch.delenv("REPRO_CACHE", raising=False)
+    with pytest.raises(SystemExit) as excinfo:
+        main(["cache", "stats"])
+    assert excinfo.value.code == 2
+    assert "--dir DIR (or $REPRO_CACHE)" in capsys.readouterr().err

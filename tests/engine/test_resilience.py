@@ -57,6 +57,10 @@ needs_fork = pytest.mark.skipif(
     not _fork_available(), reason="requires fork start method"
 )
 
+#: Pool tests fork as many real workers as they ask for, however few CPUs
+#: the host has.
+pytestmark = pytest.mark.usefixtures("unclamped_pool")
+
 
 def _stub_ok(app, universe, obligation, lm_universes=None):
     # Everything passes; failures come from the injector alone.
@@ -221,7 +225,7 @@ def test_pool_recovers_worker_exit_by_rebuilding():
     the scheduler re-forks it and the retry succeeds."""
     install(FaultInjector([FaultSpec("B", "exit", times=1)]))
     scheduler = ProcessPoolScheduler(
-        2, warm=False, clamp=False, resilience=_fast_cfg()
+        2, resilience=_fast_cfg()
     )
     outcomes = scheduler.run(None, None, CHAIN)
     assert _verdicts(outcomes) == {"A": True, "B": True, "C": True, "D": True}
@@ -234,7 +238,7 @@ def test_pool_recovers_worker_exit_by_rebuilding():
 def test_pool_retries_transient_raise_in_worker():
     install(FaultInjector([FaultSpec("B", "raise", times=1)]))
     scheduler = ProcessPoolScheduler(
-        2, warm=False, clamp=False, resilience=_fast_cfg()
+        2, resilience=_fast_cfg()
     )
     outcomes = scheduler.run(None, None, CHAIN)
     assert _verdicts(outcomes) == {"A": True, "B": True, "C": True, "D": True}
@@ -248,8 +252,6 @@ def test_pool_deadline_kills_hang_inside_worker():
     install(FaultInjector([FaultSpec("B", "hang", times=5, seconds=5.0)]))
     scheduler = ProcessPoolScheduler(
         2,
-        warm=False,
-        clamp=False,
         resilience=_fast_cfg(timeout_per_obligation=0.3),
     )
     outcomes = scheduler.run(None, None, CHAIN)
@@ -264,7 +266,7 @@ def test_pool_degrades_persistent_crasher_to_parent():
     run (once) in the parent, where its final crash is recorded."""
     install(FaultInjector([FaultSpec("B", "raise", times=10)]))
     scheduler = ProcessPoolScheduler(
-        2, warm=False, clamp=False, resilience=_fast_cfg(max_retries=1)
+        2, resilience=_fast_cfg(max_retries=1)
     )
     outcomes = scheduler.run(None, None, CHAIN)
     assert outcomes["B"].result is None and outcomes["B"].error is not None
@@ -279,8 +281,6 @@ def test_pool_degrades_whole_run_past_rebuild_budget():
     install(FaultInjector([FaultSpec("B", "exit", times=10)]))
     scheduler = ProcessPoolScheduler(
         2,
-        warm=False,
-        clamp=False,
         resilience=_fast_cfg(max_pool_rebuilds=0, max_retries=5),
     )
     with pytest.warns(RuntimeWarning, match="degrading"):
@@ -297,7 +297,7 @@ def test_pool_degrades_whole_run_past_rebuild_budget():
 def test_pool_interrupt_in_worker_salvages_and_raises():
     install(FaultInjector([FaultSpec("B", "interrupt")]))
     scheduler = ProcessPoolScheduler(
-        2, warm=False, clamp=False, resilience=_fast_cfg()
+        2, resilience=_fast_cfg()
     )
     with pytest.raises(DischargeInterrupted) as exc_info:
         scheduler.run(None, None, CHAIN)
@@ -313,7 +313,7 @@ def test_pool_and_serial_agree_under_injection():
     clean = SerialScheduler().run(None, None, CHAIN)
     install(FaultInjector([FaultSpec("B", "raise", times=1)]))
     faulted = ProcessPoolScheduler(
-        2, warm=False, clamp=False, resilience=_fast_cfg()
+        2, resilience=_fast_cfg()
     ).run(None, None, CHAIN)
     assert _verdicts(faulted) == _verdicts(clean)
 
@@ -348,10 +348,9 @@ def test_make_scheduler_forwards_resilience_to_serial():
 
 def test_make_scheduler_forwards_all_pool_knobs():
     cfg = ResilienceConfig(max_retries=7)
-    scheduler = make_scheduler(4, warm=False, clamp=False, resilience=cfg)
+    scheduler = make_scheduler(4, resilience=cfg)
     assert isinstance(scheduler, ProcessPoolScheduler)
     assert scheduler.jobs == 4
-    assert scheduler.warm is False
     assert scheduler.resilience is cfg
 
 
@@ -429,7 +428,7 @@ def test_protocol_verdicts_identical_serial_vs_faulted_pool(protocol):
     clean = app.check(universe)
     install(FaultInjector([FaultSpec("I1", "raise", times=1)]))
     scheduler = ProcessPoolScheduler(
-        2, warm=False, clamp=False, resilience=_fast_cfg()
+        2, resilience=_fast_cfg()
     )
     faulted = app.check(universe, scheduler=scheduler)
 

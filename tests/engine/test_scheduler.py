@@ -1,5 +1,5 @@
-"""Scheduler-level behaviour: fail-fast skip propagation, job clamping,
-and the shard-sizing helpers.
+"""Scheduler-level behaviour: fail-fast skip propagation and job
+clamping.
 
 The fail-fast tests drive both backends over a stub obligation chain (the
 executor is monkeypatched; the fork-based pool inherits the patch through
@@ -18,12 +18,7 @@ import pytest
 import repro.engine.obligations as obligations_mod
 from repro.core.cache import reset_process_cache
 from repro.core.refinement import CheckResult
-from repro.engine.obligations import (
-    Obligation,
-    _slices,
-    lm_slice_count,
-    shard_count,
-)
+from repro.engine.obligations import Obligation
 from repro.engine.scheduler import (
     ProcessPoolScheduler,
     SerialScheduler,
@@ -49,11 +44,11 @@ def _stub_execute(app, universe, obligation, lm_universes=None):
 def _backends():
     yield "serial", lambda: SerialScheduler()
     if _fork_available():
-        # warm=False: the stub chain has no real application to warm from.
-        yield "pool", lambda: ProcessPoolScheduler(2, warm=False, clamp=False)
+        yield "pool", lambda: ProcessPoolScheduler(2)
 
 
 @pytest.mark.parametrize("name,make", list(_backends()))
+@pytest.mark.usefixtures("unclamped_pool")
 def test_fail_fast_skips_transitively_through_chain(name, make, monkeypatch):
     """The regression: C's only dependency B never *failed* (it was
     skipped), but C must be skipped all the same."""
@@ -71,6 +66,7 @@ def test_fail_fast_skips_transitively_through_chain(name, make, monkeypatch):
 
 
 @pytest.mark.parametrize("name,make", list(_backends()))
+@pytest.mark.usefixtures("unclamped_pool")
 def test_without_fail_fast_everything_runs(name, make, monkeypatch):
     monkeypatch.setattr(obligations_mod, "execute_obligation", _stub_execute)
     outcomes = make().run(None, None, CHAIN, fail_fast=False)
@@ -78,10 +74,11 @@ def test_without_fail_fast_everything_runs(name, make, monkeypatch):
 
 
 @pytest.mark.skipif(not _fork_available(), reason="requires fork start method")
+@pytest.mark.usefixtures("unclamped_pool")
 def test_backends_skip_identical_sets(monkeypatch):
     monkeypatch.setattr(obligations_mod, "execute_obligation", _stub_execute)
     serial = SerialScheduler().run(None, None, CHAIN, fail_fast=True)
-    pool = ProcessPoolScheduler(2, warm=False, clamp=False).run(
+    pool = ProcessPoolScheduler(2).run(
         None, None, CHAIN, fail_fast=True
     )
     skipped_serial = {k for k, o in serial.items() if o.result is None}
@@ -95,12 +92,6 @@ def test_jobs_beyond_cpu_count_warn_and_clamp():
         scheduler = ProcessPoolScheduler(cpus + 7)
     assert scheduler.requested_jobs == cpus + 7
     assert scheduler.jobs == cpus
-
-
-def test_clamp_false_keeps_requested_jobs():
-    cpus = _available_cpus()
-    scheduler = ProcessPoolScheduler(cpus + 7, clamp=False)
-    assert scheduler.jobs == cpus + 7
 
 
 def test_clamp_uses_affinity_mask_not_host_cores(monkeypatch):
@@ -162,56 +153,13 @@ def test_single_worker_pool_degrades_to_serial(monkeypatch):
     """A pool clamped to one worker never forks: it runs the serial
     backend (identical outcomes, none of the fork/pickle overhead)."""
     monkeypatch.setattr(obligations_mod, "execute_obligation", _stub_execute)
-    scheduler = ProcessPoolScheduler(1, clamp=False)
+    scheduler = ProcessPoolScheduler(1)
     outcomes = scheduler.run(None, None, CHAIN, fail_fast=True)
     assert all(o.pid == os.getpid() for o in outcomes.values())
     skipped = {k for k, o in outcomes.items() if o.result is None}
     assert skipped == {"B", "C"}
 
 
-# --------------------------------------------------------------------- #
-# Shard sizing
-# --------------------------------------------------------------------- #
-
-
-def test_slices_are_contiguous_and_balanced():
-    for num_items in (0, 1, 5, 16, 100, 2832):
-        for shards in (1, 2, 3, 8):
-            bounds = _slices(num_items, shards)
-            # Contiguous cover of range(num_items).
-            assert bounds[0][0] == 0 and bounds[-1][1] == num_items
-            for (_, hi), (lo, _) in zip(bounds, bounds[1:]):
-                assert hi == lo
-            sizes = [hi - lo for lo, hi in bounds]
-            assert max(sizes) - min(sizes) <= 1
-
-
-def test_shard_count_scales_with_universe_and_parallelism():
-    # Serial layout: never shard.
-    assert shard_count(2832, 1) == 1
-    # Tiny universes stay whole (min_chunk floor).
-    assert shard_count(10, 8) == 1
-    # Large universes: factor * parallelism shards.
-    assert shard_count(2832, 4) == 8
-    # Mid-size universes cap at num_items // min_chunk.
-    assert shard_count(40, 8) == 2
-
-
-def test_lm_slice_count_zero_when_serial():
-    assert lm_slice_count(12, 100, 1) == 0
-    assert lm_slice_count(0, 100, 8) == 0
-
-
-def test_lm_slice_count_adds_slices_only_for_small_programs():
-    # 12 pairs x 4 conditions = 48 units >= 2*4 target: one slice each.
-    assert lm_slice_count(12, 100, 4) == 1
-    # 1 pair x 4 conditions < 2*4: slice the globals to make up units.
-    assert lm_slice_count(1, 100, 4) == 2
-    # Never more slices than globals.
-    assert lm_slice_count(1, 1, 16) == 1
-
-
 def teardown_module(_module=None):
-    # The pool runs above marked nothing inheritable, but reset anyway so
-    # later test modules start from a cold, private cache.
+    # Later test modules start from a cold, private cache.
     reset_process_cache()

@@ -24,7 +24,6 @@ from repro.core.cache import reset_process_cache
 from repro.core.context import GhostContext
 from repro.core.refinement import CheckResult
 from repro.core.universe import StoreUniverse
-from repro.engine.scheduler import ProcessPoolScheduler
 from repro.protocols import (
     broadcast,
     changroberts,
@@ -101,6 +100,7 @@ def _fresh_caches():
         for n in sorted(SYMMETRIC_CASES)
     ],
 )
+@pytest.mark.usefixtures("unclamped_pool")
 def test_quotient_matches_unquotiented_oracle(name):
     app, init_global, spec = SYMMETRIC_CASES[name]()
 
@@ -115,14 +115,15 @@ def test_quotient_matches_unquotiented_oracle(name):
     # The quotient must never enumerate more than the full universe.
     assert quotient.total_checked <= oracle.total_checked
 
-    # Same contract through a real pool: shard boundaries move, the
-    # merged verdict map must not.
+    # Same contract through a real pool, which runs the serial layout:
+    # same keys, same per-key checks, same typed condition map.
     reset_process_cache()
-    pooled = app.check(
-        _universe(app, init_global, symmetry=spec),
-        scheduler=ProcessPoolScheduler(2, clamp=False),
-    )
+    pooled = app.check(_universe(app, init_global, symmetry=spec), jobs=2)
     assert _verdict_map(pooled) == _verdict_map(oracle)
+    assert pooled.conditions == quotient.conditions
+    assert list(pooled.obligation_checked.items()) == list(
+        quotient.obligation_checked.items()
+    )
     assert pooled.total_checked == quotient.total_checked
 
 

@@ -154,33 +154,39 @@ def test_cache_deltas_sum_to_span_activity(pingpong_case):
 
 
 @pytest.mark.skipif(not _fork_available(), reason="requires fork start method")
+@pytest.mark.usefixtures("unclamped_pool")
 def test_pool_spans_ship_back_from_workers(pingpong_case):
     app, universe = pingpong_case
     tracer = Tracer()
-    scheduler = ProcessPoolScheduler(2, clamp=False)
+    scheduler = ProcessPoolScheduler(2)
     result = app.check(universe, scheduler=scheduler, tracer=tracer)
     spans = tracer.obligation_spans()
     assert len(spans) == result.num_obligations
     worker_pids = {s.pid for s in spans}
     assert os.getpid() not in worker_pids
     assert all(s.backend == "pool[2]" for s in spans)
-    warmups = [s for s in tracer.spans if s.category == "warmup"]
-    assert len(warmups) == 1 and warmups[0].pid == os.getpid()
+    # The pool forks cold: no span is recorded before the workers run.
+    assert {s.category for s in tracer.spans} <= {"obligation", "phase"}
 
 
 @pytest.mark.skipif(not _fork_available(), reason="requires fork start method")
+@pytest.mark.usefixtures("unclamped_pool")
 def test_serial_and_pool_spans_agree_logically(pingpong_case):
-    """Span parity: the pool's sharded layout produces more spans, but the
-    per-condition sums — the logical obligation set — are identical."""
+    """Span parity: both backends run the same obligations, so they emit
+    one span per obligation under the same names, and the per-condition
+    sums are identical."""
     app, universe = pingpong_case
     serial_tracer, pool_tracer = Tracer(), Tracer()
     serial = app.check(universe, jobs=1, tracer=serial_tracer)
     pool = app.check(
         universe,
-        scheduler=ProcessPoolScheduler(2, clamp=False),
+        scheduler=ProcessPoolScheduler(2),
         tracer=pool_tracer,
     )
     assert pool.conditions == serial.conditions
+    assert [s.name for s in pool_tracer.obligation_spans()] == [
+        s.name for s in serial_tracer.obligation_spans()
+    ]
     assert _checked_by_condition(serial_tracer) == _checked_by_condition(
         pool_tracer
     )
@@ -193,12 +199,13 @@ def test_serial_and_pool_spans_agree_logically(pingpong_case):
 
 
 @pytest.mark.skipif(not _fork_available(), reason="requires fork start method")
+@pytest.mark.usefixtures("unclamped_pool")
 def test_tracer_does_not_perturb_pool_results(pingpong_case):
     app, universe = pingpong_case
-    plain = app.check(universe, scheduler=ProcessPoolScheduler(2, clamp=False))
+    plain = app.check(universe, scheduler=ProcessPoolScheduler(2))
     traced = app.check(
         universe,
-        scheduler=ProcessPoolScheduler(2, clamp=False),
+        scheduler=ProcessPoolScheduler(2),
         tracer=Tracer(),
     )
     assert traced.conditions == plain.conditions

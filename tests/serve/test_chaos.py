@@ -108,7 +108,7 @@ class DaemonProcess:
 def _checkpoint_lines(state_dir) -> int:
     """Outcome records across every per-job checkpoint journal."""
     total = 0
-    for path in Path(state_dir).glob("ckpt/*/*.jsonl"):
+    for path in Path(state_dir).glob("ckpt/**/*.jsonl"):
         total += max(0, len(path.read_text().splitlines()) - 1)  # - header
     return total
 

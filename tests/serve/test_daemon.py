@@ -93,6 +93,32 @@ def test_job_round_trip_and_warm_second_request(tmp_path):
         assert second["result"]["status"] == first["result"]["status"]
 
 
+def test_a_code_change_starts_fresh_checkpoint_journals(tmp_path, monkeypatch):
+    """Per-job checkpoint journals nest under the package's code digest,
+    so a daemon on edited code resumes none of the old verdicts."""
+    from repro.engine import journal
+
+    with DaemonHarness(state_dir=str(tmp_path)) as harness:
+        harness.run_job(PINGPONG)
+        again = harness.run_job(PINGPONG)
+        assert again["result"]["obligations"]["resumed"] > 0
+        monkeypatch.setattr(journal, "_CODE_DIGEST", "0" * 64)
+        edited = harness.run_job(PINGPONG)
+    assert edited["status"] == "done"
+    assert edited["result"]["status"] == "OK"
+    assert edited["result"]["obligations"]["resumed"] == 0
+
+
+def test_a_jobs_field_is_refused():
+    """The daemon never forks a process pool: it runs jobs beside its
+    event-loop and heartbeat threads, where a fork can deadlock."""
+    with DaemonHarness() as harness:
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            harness.post("/jobs", {**PINGPONG, "jobs": 2})
+        assert excinfo.value.code == 400
+        assert "unknown fields: jobs" in excinfo.value.read().decode()
+
+
 def test_daemon_verdicts_match_one_shot_cli_reports():
     """Typed verdict parity: what the daemon returns for a protocol must
     equal a one-shot in-process ``verify()`` of the same instance."""

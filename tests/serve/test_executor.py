@@ -46,7 +46,7 @@ def _request(rounds=2):
     )
 
 
-BUDGETS = {"max_configs": None, "jobs": None, "clamped": False}
+BUDGETS = {"max_configs": None, "clamped": False}
 
 
 @pytest.fixture

@@ -157,7 +157,7 @@ def test_bench_smoke_guards_representation_attribution(workflow):
         "serial_oracle",
         "serial_fast",
         "fast_vs_oracle",
-        "int_bounds_bytes",
+        "gate_fills",
     ):
         assert field in smoke, f"smoke validation misses {field!r}"
 
