@@ -40,7 +40,7 @@ def test_broadcast_flat_invariant(benchmark):
     n = 3
     program = broadcast.make_atomic(n)
     init = initial_config(broadcast.initial_global(n))
-    reachable = explore(program, [init]).reachable
+    reachable = explore(program, [init]).configs()
     invariant = broadcast_invariant()
     values = broadcast.default_values(n)
     result = benchmark(
@@ -59,7 +59,7 @@ def test_broadcast_weakened_invariant_fails(benchmark):
     n = 3
     program = broadcast.make_atomic(n)
     init = initial_config(broadcast.initial_global(n))
-    reachable = explore(program, [init]).reachable
+    reachable = explore(program, [init]).configs()
     invariant = broadcast_invariant_weakened()
     result = benchmark(
         lambda: check_inductive_invariant(program, invariant, [init], reachable)

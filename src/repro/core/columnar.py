@@ -7,7 +7,15 @@ LM and I3 obligations visit millions of such cells per discharge run.
 This module serves their hot predicates from *columns*: per-(action-view,
 local) arrays indexed by the global store's intern id
 (``repro.core.store.StoreInterner``), filled on probe and extended for
-successor globals discovered while commuting actions:
+successor globals discovered while commuting actions.
+
+Exploration fills columns too. The universe's reachability search
+(``repro.core.explore``) reads and fills the gate and successor columns
+of every (pending async, global) cell it schedules, through the same
+memoizing views the conditions use. By the time a condition runs, the
+cells of every reachable global's pending asyncs are already filled, so
+each cell is evaluated once per run, whichever side reaches it first.
+The column kinds:
 
 * **gate columns** — ``col[gid] -> bool`` for one (view, local) pair;
 * **successor columns** — ``col[gid] -> ((tr, new_gid, created_cid), …)``

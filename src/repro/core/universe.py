@@ -26,11 +26,11 @@ from typing import Dict, Iterable, List, Mapping, Optional, Set
 
 from .cache import CacheStats
 from .context import NoContext, PAContext
-from .explore import InstanceSummary, explore
+from .explore import ConfigKey, InstanceSummary, PendingIds, explore
 from .hashing import KeyMemo
 from .program import Program
 from .semantics import Config
-from .store import EMPTY_STORE, Store, intern_epoch
+from .store import EMPTY_STORE, Store, intern_epoch, store_interner
 
 __all__ = ["StoreUniverse"]
 
@@ -133,7 +133,7 @@ class StoreUniverse:
             max_configs=max_configs,
             canonicalize=canon.config if canon is not None else None,
         )
-        universe = cls.harvest(result.reachable, canon)
+        universe = cls.harvest(result.reachable, result.pending_ids, canon)
         if canon is None and len(initials) == 1:
             # The exhaustive, unquotiented search of one initial
             # configuration is exactly ``instance_summary``'s: keep its
@@ -179,22 +179,25 @@ class StoreUniverse:
         rng = random.Random(seed)
         initials = list(initials)
 
-        def sampled_configs() -> Iterable[Config]:
-            for _ in range(walks):
-                init = rng.choice(initials)
-                execution = random_execution(
-                    program, init, rng, max_steps=max_steps
-                )
-                for config in execution.configs():
-                    if not isinstance(config, Config):
-                        continue
-                    yield canon.config(config) if canon is not None else config
-
-        return cls.harvest(sampled_configs(), canon)
+        ids = PendingIds()
+        sampled = set()
+        for _ in range(walks):
+            init = rng.choice(initials)
+            execution = random_execution(program, init, rng, max_steps=max_steps)
+            for config in execution.configs():
+                if not isinstance(config, Config):
+                    continue
+                if canon is not None:
+                    config = canon.config(config)
+                sampled.add(ids.key(config))
+        return cls.harvest(sampled, ids, canon)
 
     @classmethod
-    def harvest(cls, configs: Iterable[Config], canon=None) -> "StoreUniverse":
-        """The universe of a set of configurations: the global store of
+    def harvest(
+        cls, configs: Iterable[ConfigKey], pending_ids: PendingIds, canon=None
+    ) -> "StoreUniverse":
+        """The universe of a set of interned configurations (keys of
+        ``pending_ids``, see ``repro.core.explore``): the global store of
         each, and per action the locals of each pending async, ordered by
         :func:`~repro.core.hashing.structural_key` through one
         :class:`~repro.core.hashing.KeyMemo` that is dropped on return.
@@ -204,12 +207,18 @@ class StoreUniverse:
         closed under its group and the universe is quotiented under its
         spec (see :meth:`from_reachable`).
         """
-        globals_seen: Set[Store] = set()
+        pending_ids.check()
+        gids: Set[int] = set()
+        pids: Set[int] = set()
+        for gid, pending in configs:
+            gids.add(gid)
+            pids.update(pending)
+        store_of = store_interner().store_of
+        globals_seen = {store_of(gid) for gid in gids}
         locals_seen: Dict[str, Set[Store]] = {}
-        for config in configs:
-            globals_seen.add(config.glob)
-            for pending in config.pending.support():
-                locals_seen.setdefault(pending.action, set()).add(pending.locals)
+        for pid in pids:
+            pending = pending_ids.pas[pid]
+            locals_seen.setdefault(pending.action, set()).add(pending.locals)
         if canon is not None:
             for name, stores in locals_seen.items():
                 locals_seen[name] = {

@@ -219,7 +219,7 @@ def max_queue_length(program: Program, initial: Store) -> int:
     from ..core.semantics import initial_config
 
     result = explore(program, [initial_config(initial)])
-    return max(len(config.glob["queue"]) for config in result.reachable)
+    return max(len(config.glob["queue"]) for config in result.configs())
 
 
 def spec_holds(final_global: Store, bound: int) -> bool:

@@ -234,10 +234,10 @@ def analyze_module(
     violations: List[Config] = []
     if universe is None:
         result = explore(program, initials, max_configs=max_configs)
-        violations = _linearity_violations(module, result.reachable)
-        universe = StoreUniverse.harvest(result.reachable).with_context(
-            module_context(module)
-        )
+        violations = _linearity_violations(module, result.configs())
+        universe = StoreUniverse.harvest(
+            result.reachable, result.pending_ids
+        ).with_context(module_context(module))
     oracle = MoverOracle(program, universe)
     mover_types = {name: oracle.mover_type(name) for name in program.action_names()}
     patterns = {

@@ -43,6 +43,7 @@ from __future__ import annotations
 import asyncio
 import ctypes
 import math
+import shutil
 import signal
 import sys
 import threading
@@ -202,6 +203,7 @@ class ServeDaemon:
         self._loop = asyncio.get_running_loop()
         self._queue = asyncio.Queue(maxsize=self.config.queue_depth)
         self._stop = asyncio.Event()
+        self._prune_stale_checkpoints()
         self._open_store()
         for backlog in self._restart_backlog():
             self._queue.put_nowait(backlog)
@@ -315,6 +317,23 @@ class ServeDaemon:
         if self.state_dir is None:
             return None
         return self.state_dir / "jobs.jsonl"
+
+    def _prune_stale_checkpoints(self) -> None:
+        """Delete the ``ckpt/<digest>`` trees of other code digests: no
+        daemon on this code resumes from them (:meth:`_resilience`), so
+        they only grow the state directory. The current digest's
+        per-request journals stay; they are the warm resume path."""
+        if self.state_dir is None:
+            return
+        root = self.state_dir / "ckpt"
+        if not root.is_dir():
+            return
+        from ..engine.journal import code_digest
+
+        current = code_digest()[:16]
+        for tree in root.iterdir():
+            if tree.name != current and tree.is_dir():
+                shutil.rmtree(tree, ignore_errors=True)
 
     def _open_store(self) -> None:
         path = self._store_path()

@@ -352,7 +352,7 @@ def test_canonicalizer_matches_brute_force_reference(case):
     programs, initial_global, spec = _protocol_cases()[case]
     configs = set()
     for program in programs:
-        configs |= explore(program, [initial_config(initial_global)]).reachable
+        configs |= explore(program, [initial_config(initial_global)]).configs()
     canon = sym.Canonicalizer(spec)
     least_inputs = moved_inputs = 0
     for config in configs:

@@ -32,7 +32,7 @@ def test_config_view_exposes_globals_and_omega():
 def test_trivial_invariant_on_counter():
     program = make_counter_program(2)
     init = initial_config(Store({"x": 0}))
-    reach = explore(program, [init]).reachable
+    reach = explore(program, [init]).configs()
     inv = Atom("x≥0", lambda e: e["x"] >= 0)
     result = check_inductive_invariant(program, inv, [init], reach)
     assert result.holds
@@ -41,7 +41,7 @@ def test_trivial_invariant_on_counter():
 def test_non_inductive_invariant_detected():
     program = make_counter_program(2)
     init = initial_config(Store({"x": 0}))
-    reach = explore(program, [init]).reachable
+    reach = explore(program, [init]).configs()
     inv = Atom("x≤1", lambda e: e["x"] <= 1)  # broken by the second Inc
     result = check_inductive_invariant(program, inv, [init], reach)
     assert not result.inductive_ok
@@ -59,7 +59,7 @@ def test_initiation_failure_detected():
 def test_safety_failure_detected():
     program = make_counter_program(1)
     init = initial_config(Store({"x": 0}))
-    reach = explore(program, [init]).reachable
+    reach = explore(program, [init]).configs()
     inv = Atom("true", lambda _e: True)
     result = check_inductive_invariant(
         program, inv, [init], reach, spec=lambda c: c.glob["x"] == 99
@@ -74,7 +74,7 @@ class TestBroadcastInvariant2:
     def _setup(self, n=3):
         program = broadcast.make_atomic(n)
         init = initial_config(broadcast.initial_global(n))
-        reach = explore(program, [init]).reachable
+        reach = explore(program, [init]).configs()
         return program, init, reach, n
 
     def test_full_invariant_inductive_and_safe(self):

@@ -99,5 +99,5 @@ def test_ghost_mirrors_pending_multiset(name, builder, initial):
     applications = builder()
     program = applications[0][1].program
     result = explore(program, [initial_config(initial)])
-    for config in result.reachable:
+    for config in result.configs():
         assert config.glob["pendingAsyncs"] == config.pending

@@ -81,7 +81,7 @@ def test_decision_handlers_concurrent_with_request_handlers():
     result = explore(program, [initial_config(twophase.initial_global(n))])
     both_pending = [
         c
-        for c in result.reachable
+        for c in result.configs()
         for i in (1, 2)
         if any(p.action == "HandleRequest" and p.locals["i"] == i for p in c.pending.support())
         and any(p.action == "HandleDecision" and p.locals["i"] == i for p in c.pending.support())

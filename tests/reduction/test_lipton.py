@@ -259,7 +259,7 @@ def _repr_ordered_universe(module, init):
     from repro.core.universe import StoreUniverse
     from repro.lang.interp import build_finegrained
 
-    reachable = explore(build_finegrained(module), [init]).reachable
+    reachable = explore(build_finegrained(module), [init]).configs()
     locals_seen = {}
     for config in reachable:
         for pending in config.pending.support():

@@ -95,9 +95,11 @@ def test_job_round_trip_and_warm_second_request(tmp_path):
 
 def test_a_code_change_starts_fresh_checkpoint_journals(tmp_path, monkeypatch):
     """Per-job checkpoint journals nest under the package's code digest,
-    so a daemon on edited code resumes none of the old verdicts."""
+    so a daemon on edited code resumes none of the old verdicts, and a
+    restart on that code deletes the old digest's tree."""
     from repro.engine import journal
 
+    old_tree = tmp_path / "ckpt" / journal.code_digest()[:16]
     with DaemonHarness(state_dir=str(tmp_path)) as harness:
         harness.run_job(PINGPONG)
         again = harness.run_job(PINGPONG)
@@ -107,6 +109,11 @@ def test_a_code_change_starts_fresh_checkpoint_journals(tmp_path, monkeypatch):
     assert edited["status"] == "done"
     assert edited["result"]["status"] == "OK"
     assert edited["result"]["obligations"]["resumed"] == 0
+    assert old_tree.is_dir()
+    new_tree = tmp_path / "ckpt" / ("0" * 16)
+    with DaemonHarness(state_dir=str(tmp_path)):
+        assert not old_tree.exists()
+        assert new_tree.is_dir()
 
 
 def test_a_jobs_field_is_refused():

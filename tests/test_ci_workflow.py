@@ -101,6 +101,23 @@ def test_full_job_diffs_table1_rows_across_hash_seeds(workflow):
     assert "diff table1-seed0.txt table1-seed1.txt" in step
 
 
+def test_full_job_runs_the_explorer_differential_under_two_hash_seeds(workflow):
+    """PA and store ids are assigned in discovery order, which hash-seeded
+    set iteration inside actions can change: the interned explorer must
+    agree with the value-level oracle under more than one seed."""
+    step = next(
+        s
+        for s in _steps(workflow, "full")
+        if s.get("name")
+        == "Interned exploration agrees with the oracle explorer under two hash seeds"
+    )
+    assert "for seed in 0 1" in step["run"]
+    assert (
+        'PYTHONHASHSEED=$seed pytest -m "" -q tests/core/test_explore_differential.py'
+        in step["run"]
+    )
+
+
 def test_tox_environments_referenced_by_ci_exist(workflow):
     tox = configparser.ConfigParser()
     tox.read(ROOT / "tox.ini")
