@@ -11,7 +11,8 @@ exact sets used in Definition 3.2,
 
 by exhaustive breadth-first search over configurations. It also provides
 execution sampling and bounded enumeration of terminating executions, used
-by the refinement tests and the execution-rewriting engine.
+by the refinement tests and the execution-rewriting engine, and the
+random-walk sampler of bounded universes (:func:`walk_configs`).
 
 Interned configurations
 -----------------------
@@ -77,6 +78,7 @@ __all__ = [
     "good_and_trans",
     "reachable_globals",
     "random_execution",
+    "walk_configs",
     "terminating_executions",
 ]
 
@@ -221,9 +223,10 @@ class _SharedCells:
             )
         return entry
 
-    def successors(self, pid: int, gid: int):
-        """``None`` when the gate fails, else ``(new gid, created ids)``
-        per transition, in the action's enumeration order."""
+    def entries(self, pid: int, gid: int):
+        """``None`` when the gate fails, else the successor column's
+        ``(transition, new gid, created cid)`` entries, in the action's
+        enumeration order."""
         view, lid, gcol, scol = self._columns(pid)
         ok = gcol[gid] if gid < len(gcol) else None
         if ok is None:
@@ -233,6 +236,14 @@ class _SharedCells:
         entries = scol[gid] if gid < len(scol) else None
         if entries is None:
             entries = self.store.fill_succ(scol, view, lid, gid)
+        return entries
+
+    def successors(self, pid: int, gid: int):
+        """``None`` when the gate fails, else ``(new gid, created ids)``
+        per transition, in the action's enumeration order."""
+        entries = self.entries(pid, gid)
+        if entries is None:
+            return None
         created = self.created
         out = []
         for tr, new_gid, cid in entries:
@@ -558,6 +569,49 @@ def random_execution(
             break
         current = step.target
     return Execution(init, steps)
+
+
+def walk_configs(
+    program: Program,
+    initials: List[Config],
+    rng: random.Random,
+    walks: int,
+    max_steps: int,
+    ids: PendingIds,
+) -> Iterator[Config]:
+    """Every configuration of ``walks`` :func:`random_execution` walks,
+    each from an initial configuration drawn by ``rng``: the same draws,
+    the same options in ``steps_from`` order and so the same walks, but
+    each step's gate and transitions are read from (and fill) the shared
+    columns, as :func:`explore` does, instead of evaluated afresh. A
+    failing step ends its walk and yields nothing."""
+    cells = _SharedCells(program, ids)
+    itn = store_interner()
+    for _ in range(walks):
+        current = rng.choice(initials)
+        yield current
+        for _ in range(max_steps):
+            if current.terminated:
+                break
+            gid = itn.intern(current.glob)
+            options: list = []
+            for pending in current.pending.support():
+                entries = cells.entries(ids.intern(pending), gid)
+                if entries is None:
+                    options.append(None)
+                else:
+                    options.extend((pending, entry) for entry in entries)
+            if not options:
+                break
+            choice = rng.choice(options)
+            if choice is None:
+                break
+            pending, (tr, new_gid, _) = choice
+            current = Config(
+                itn.store_of(new_gid),
+                current.pending.remove(pending).union(tr.created),
+            )
+            yield current
 
 
 def terminating_executions(

@@ -25,12 +25,14 @@ under :func:`~repro.core.hashing.structural_key` — a deterministic,
 cross-process total order — so canonical representatives agree between
 runs, processes, and ``PYTHONHASHSEED`` values, and the interner, the
 columnar columns, the evaluation memos, and the rcache fingerprints all
-operate on the quotient without any further changes. Candidate keys are
-assembled from a table of per-``(variable, value)`` renames and fragments.
+operate on the quotient without any further changes. It solves each
+orbit once, over value ids and per-generator image tables, and memoizes
+every member's representative.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 from itertools import permutations, product
 from typing import Callable, Dict, Hashable, List, Mapping, Optional, Tuple
@@ -201,10 +203,11 @@ class SymmetrySpec:
 
         The group order is :math:`\\prod_s |dom(s)|!` — tiny for the
         instance sizes enumeration can reach (e.g. 12 for Paxos with 3
-        nodes and 2 values). The canonicalizer's image table renames and
-        renders each distinct ``(variable, value)`` pair once for the
-        whole group, so that factor is paid per *distinct* value; a store
-        visit pays only for joining and comparing one key per element.
+        nodes and 2 values). Indices into this list name group elements
+        everywhere (:class:`Canonicalizer` tie lists, ``rename_*``). The
+        canonicalizer renames values only under :meth:`generators` and
+        reaches the rest of the group by composing indices, so a value
+        is renamed once or twice per sort, not |G|−1 times.
         """
         sort_names = sorted(self.sorts)
         per_sort: List[List[Dict[Hashable, Hashable]]] = []
@@ -216,6 +219,23 @@ class SymmetrySpec:
         return [
             dict(zip(sort_names, combo)) for combo in product(*per_sort)
         ]
+
+    def generators(self) -> List[Perm]:
+        """Elements generating :meth:`group`: per sort with two or more
+        values, the transposition of its first two values and the cycle
+        through its whole domain (one element when the domain has exactly
+        two values). Every other sort is fixed."""
+        identity = {sort: {v: v for v in dom} for sort, dom in self.sorts.items()}
+        out: List[Perm] = []
+        for sort in sorted(self.sorts):
+            domain = tuple(self.sorts[sort])
+            if len(domain) < 2:
+                continue
+            swap = {**identity[sort], domain[0]: domain[1], domain[1]: domain[0]}
+            cycle = dict(zip(domain, domain[1:] + domain[:1]))
+            for mapping in (swap, cycle) if len(domain) > 2 else (swap,):
+                out.append({**identity, sort: mapping})
+        return out
 
     def order(self) -> int:
         """The group order (without materializing the group)."""
@@ -262,28 +282,85 @@ class SymmetrySpec:
 # Canonicalization
 # --------------------------------------------------------------------- #
 
+#: An orbit-table entry: the orbit's representative store and the group
+#: elements, in group order, that map the member to it.
+Least = Tuple[Store, Tuple[int, ...]]
+
+
+def _pack(vids) -> bytes:
+    """A set of vids as a compact, hashable, order-free key."""
+    return array("I", sorted(vids)).tobytes()
+
 
 class Canonicalizer:
     """Maps stores and configurations to lexicographic-least orbit
     representatives under a :class:`SymmetrySpec`.
 
-    Everything reads one **image table** keyed by ``(variable, value)``:
-    a row holds, per group element, the renamed value and its key fragment
-    ``structural_key(variable) + "=" + structural_key(renamed)``. A store's
-    key is ``"Store{"`` + its sorted fragments joined by ``","`` + ``"}"``,
-    so the group sweep compares keys assembled from rows and builds only
-    the winning store. Rules run and images render once per distinct
-    ``(variable, value)``; results are memoized per store and per config.
+    It works on **value ids**: every distinct ``(variable, value)`` pair
+    gets a dense int (a *vid*) and, when an orbit search compares it, its
+    key fragment ``structural_key(variable) + "=" + structural_key(value)``.
+    A store is then the set of its vids, and a store's key is
+    ``"Store{"`` + its fragments in variable order joined by ``","`` +
+    ``"}"``, which is ``structural_key`` of the store byte for byte.
+
+    The group acts on vids through its **generators** only
+    (:meth:`SymmetrySpec.generators`): per generator, an id→id image
+    table, filled once per vid. The first time a store is looked up, its
+    whole orbit is closed under the generators by breadth-first search,
+    the least member is picked by key, and **every member** is memoized,
+    keyed by its sorted vids, with its orbit and the group element
+    reaching it. A lookup returns the representative and the member's tie
+    list: the group elements, in group order, mapping it to the
+    representative. The tie list is a coset of the stabilizer, which the
+    search's non-tree edges generate (Schreier generators), composed
+    through a |G|×|G| table. So an orbit is solved once, and any later
+    member costs one vid lookup per variable.
+
+    One canonicalizer serves a whole verification (``verify_protocol``
+    passes it to every universe build): the vid, image and orbit tables
+    persist across the IS chain, while the configuration memo and the
+    rendered strings (fragments and element keys) are per exploration,
+    dropped by :meth:`drop_scratch` after each harvest.
     """
 
     def __init__(self, spec: SymmetrySpec):
         self.spec = spec
         self.perms: List[Perm] = spec.group()
-        self._globals_memo: Dict[Store, Store] = {}
-        self._config_memo: Dict[Config, Config] = {}
-        self._images: Dict[Tuple[str, Hashable], Tuple[tuple, tuple]] = {}
-        self._element_keys: Dict[Hashable, str] = {}
+        # Each element as a tuple over the concatenated sort domains:
+        # position j holds the position of the image of position j's value.
+        domain = [(sort, v) for sort in sorted(spec.sorts) for v in spec.sorts[sort]]
+        position = {pair: j for j, pair in enumerate(domain)}
+
+        def flat(perm: Perm) -> Tuple[int, ...]:
+            return tuple(position[sort, perm[sort][v]] for sort, v in domain)
+
+        flats = [flat(perm) for perm in self.perms]
+        index = {f: i for i, f in enumerate(flats)}
+        #: ``_mul[a][b]`` is the element applying ``b``, then ``a``.
+        self._mul: List[List[int]] = [
+            [index[tuple(a[j] for j in b)] for b in flats] for a in flats
+        ]
+        self._inv: List[int] = [row.index(0) for row in self._mul]
+        self.generators: List[int] = [index[flat(g)] for g in spec.generators()]
+        self._vids: Dict[Tuple[str, Hashable], int] = {}
+        self._values: List[Tuple[str, Hashable]] = []
+        self._fragments: Dict[int, str] = {}
+        self._gen_maps: List[Dict[int, int]] = [{} for _ in self.generators]
+        #: Per orbit: its representative, the element mapping the orbit's
+        #: first-seen member to it, and that member's stabilizer.
+        self._orbits: List[Tuple[Store, int, Tuple[int, ...]]] = []
+        #: A member's sorted vids, packed, → ``orbit * |G| + g``, where
+        #: ``g`` maps the orbit's first-seen member to this one. Ints and
+        #: bytes only: the table can hold millions of members, and none
+        #: of them is an object the garbage collector has to walk.
+        self._members: Dict[bytes, int] = {}
         self._pa_memo: Dict[Tuple[int, PendingAsync], PendingAsync] = {}
+        self._config_memo: Dict[Config, Config] = {}
+        self._element_keys: Dict[Hashable, str] = {}
+        #: Whether the ghost variable is renamed as a pending bag.
+        self._mirror = (
+            spec.ghost_var is not None and spec.ghost_var not in spec.global_rules
+        )
 
     @classmethod
     def of(cls, symmetry) -> "Canonicalizer":
@@ -291,6 +368,13 @@ class Canonicalizer:
         if isinstance(symmetry, Canonicalizer):
             return symmetry
         return cls(symmetry)
+
+    def drop_scratch(self) -> None:
+        """Forget the per-exploration memos (configurations and rendered
+        strings); the vid, image and orbit tables stay."""
+        self._config_memo = {}
+        self._fragments = {}
+        self._element_keys = {}
 
     # -- renaming ------------------------------------------------------ #
 
@@ -326,28 +410,58 @@ class Canonicalizer:
             counts[renamed] = counts.get(renamed, 0) + count
         return Multiset.from_counts(counts)
 
-    def _image(self, var: str, value: Hashable) -> Tuple[tuple, tuple]:
-        """The image-table row of one ``(variable, value)`` pair: its
-        renamed values and key fragments in group order (index 0, the
-        identity, holds the value itself)."""
-        row = self._images.get((var, value))
-        if row is None:
-            rule = self.spec.global_rules.get(var)
-            if rule is not None:
-                renamed = [value] + [rule(p, value) for p in self.perms[1:]]
-            elif var == self.spec.ghost_var and isinstance(value, Multiset):
-                pis = range(1, len(self.perms))
-                renamed = [value] + [self.rename_pending(value, pi) for pi in pis]
-            else:
-                renamed = [value] * len(self.perms)
-            prefix = structural_key(var) + "="
-            fragments: Dict[Hashable, str] = {}
-            for image in renamed:
-                if image not in fragments:
-                    fragments[image] = prefix + self._render(image)
-            row = (tuple(renamed), tuple(map(fragments.__getitem__, renamed)))
-            self._images[(var, value)] = row
-        return row
+    def _rename(self, var: str, value: Hashable, pi: int) -> Hashable:
+        """One global variable's value under group element ``pi``."""
+        rule = self.spec.global_rules.get(var)
+        if rule is not None:
+            return rule(self.perms[pi], value)
+        if var == self.spec.ghost_var and isinstance(value, Multiset):
+            return self.rename_pending(value, pi)
+        return value
+
+    def rename_global(self, store: Store, pi: int) -> Store:
+        """Rename one global store under group element ``pi`` (ghost bag
+        included, via the action-parameter rules); the identity returns
+        the store itself."""
+        if pi == 0:
+            return store
+        return Store(
+            {var: self._rename(var, value, pi) for var, value in store.items()}
+        )
+
+    def rename_local(self, action: str, locals_: Store, pi: int) -> Store:
+        """Rename one action's local (parameter) store."""
+        return self.rename_pa(PendingAsync(action, locals_), pi).locals
+
+    # -- value ids ----------------------------------------------------- #
+
+    def _vid(self, var: str, value: Hashable) -> int:
+        """The id of one ``(variable, value)`` pair."""
+        pair = (var, value)
+        vid = self._vids.get(pair)
+        if vid is None:
+            vid = self._vids[pair] = len(self._values)
+            self._values.append(pair)
+        return vid
+
+    def _fragment(self, vid: int) -> str:
+        """``structural_key(var) + "=" + structural_key(value)`` of a vid."""
+        fragment = self._fragments.get(vid)
+        if fragment is None:
+            var, value = self._values[vid]
+            fragment = self._element_key(var) + "=" + self._render(value)
+            self._fragments[vid] = fragment
+        return fragment
+
+    def _image(self, k: int, vid: int) -> int:
+        """The vid of ``vid``'s value renamed by generator ``k``."""
+        images = self._gen_maps[k]
+        image = images.get(vid)
+        if image is None:
+            var, value = self._values[vid]
+            renamed = self._rename(var, value, self.generators[k])
+            image = images[vid] = self._vid(var, renamed)
+        return image
 
     def _render(self, value: Hashable) -> str:
         """``structural_key(value)`` byte for byte, from memoized keys of
@@ -368,65 +482,108 @@ class Canonicalizer:
             key = self._element_keys[value] = structural_key(value)
         return key
 
-    def rename_global(self, store: Store, pi: int) -> Store:
-        """Rename one global store under group element ``pi`` (ghost bag
-        included, via the action-parameter rules); the identity returns
-        the store itself."""
-        if pi == 0:
-            return store
-        return Store(
-            {var: self._image(var, value)[0][pi] for var, value in store.items()}
-        )
+    # -- orbit tables -------------------------------------------------- #
 
-    def rename_local(self, action: str, locals_: Store, pi: int) -> Store:
-        """Rename one action's local (parameter) store."""
-        return self.rename_pa(PendingAsync(action, locals_), pi).locals
+    def least(self, store: Store) -> Least:
+        """The orbit representative of ``store`` and every group element,
+        in group order, whose image of ``store`` it is (the least
+        ``structural_key`` in the orbit). Solves the orbit on a miss."""
+        vids = [self._vid(var, value) for var, value in store.items()]
+        code = self._members.get(_pack(vids))
+        if code is None:
+            code = self._solve(store, tuple(vids))
+        orbit, g = divmod(code, len(self.perms))
+        rep, to_rep, stabilizer = self._orbits[orbit]
+        mul, from_member = self._mul, self._inv[g]
+        ties = sorted(mul[mul[to_rep][h]][from_member] for h in stabilizer)
+        return rep, tuple(ties)
+
+    def _solve(self, store: Store, start: Tuple[int, ...]) -> int:
+        """Close ``store``'s orbit under the generators, memoize every
+        member and return ``store``'s member code. Member tuples are
+        positional: entry ``i`` is the vid of ``store``'s ``i``-th
+        variable."""
+        mul, inv = self._mul, self._inv
+        image = self._image
+        reached = {start: 0}  # member -> an element mapping store to it
+        members = [start]
+        schreier = set()
+        for member in members:
+            g = reached[member]
+            for k, s in enumerate(self.generators):
+                target = tuple([image(k, vid) for vid in member])
+                h = mul[s][g]
+                known = reached.get(target)
+                if known is None:
+                    reached[target] = h
+                    members.append(target)
+                elif known != h:
+                    schreier.add(mul[inv[known]][h])
+        stabilizer = [0]
+        closed = {0}
+        for a in stabilizer:
+            for h in schreier:
+                b = mul[h][a]
+                if b not in closed:
+                    closed.add(b)
+                    stabilizer.append(b)
+        # A fragment starts with ``s<len>:<name>=`` and no such prefix is
+        # a prefix of another, so sorting one member's fragments fixes
+        # the variable order of every member's key.
+        fragment = self._fragment
+        order = sorted(range(len(start)), key=lambda i: fragment(start[i]))
+        keys = [
+            "Store{" + ",".join([fragment(m[i]) for i in order]) + "}" for m in members
+        ]
+        best = keys.index(min(keys))
+        least = members[best]
+        if best == 0:
+            rep = store
+        else:
+            values = self._values
+            rep = Store(
+                {var: values[vid][1] for var, vid in zip(store.variables(), least)}
+            )
+        orbit = len(self._orbits)
+        self._orbits.append((rep, reached[least], tuple(stabilizer)))
+        base = orbit * len(self.perms)
+        members_table = self._members
+        for member in members:
+            members_table[_pack(member)] = base + reached[member]
+        return base
 
     # -- canonical representatives ------------------------------------- #
-
-    def _least(self, store: Store) -> List[int]:
-        """Every group element, in group order, whose image of ``store``
-        has the least ``structural_key``. No ``s<len>:<name>=`` prefix is
-        a prefix of another, so the variable names alone fix the fragment
-        order of every column, and rows sort by their first fragment."""
-        rows = sorted(self._image(var, value)[1] for var, value in store.items())
-        keys = ["Store{" + ",".join(col) + "}" for col in zip(*rows)] or [""]
-        least = min(keys)
-        return [pi for pi, key in enumerate(keys) if key == least]
 
     def store(self, store: Store) -> Store:
         """The orbit representative of a global store: the first group
         element's image with the least structural key (so a store that is
         already least is returned as is)."""
-        cached = self._globals_memo.get(store)
-        if cached is None:
-            cached = self.rename_global(store, self._least(store)[0])
-            self._globals_memo[store] = cached
-        return cached
+        rep, ties = self.least(store)
+        return store if ties[0] == 0 else rep
 
     def config(self, config: Config) -> Config:
         """The orbit representative of a configuration, renamed
         **jointly**: one permutation is applied to the global store and
         the pending multiset, so the ghost bag inside the canonical
         global still mirrors the canonical pending multiset exactly.
-        Global-store ties break on the renamed pending bag's key, so the
-        joint representative stays deterministic even for configurations
-        without a ghost mirror."""
+        Global-store ties break on the renamed pending bag's key (the
+        first least in group order), so the joint representative stays
+        deterministic even for configurations without a ghost mirror."""
         cached = self._config_memo.get(config)
         if cached is not None:
             return cached
         pending = config.pending
-        pi, *ties = self._least(config.glob)
-        if ties:
-            pi = min(
-                [pi, *ties],
-                key=lambda p: self._render(self.rename_pending(pending, p)),
-            )
+        glob = config.glob
+        rep, ties = self.least(glob)
+        pi = ties[0]
+        # Every tie renames a ghost mirror of the pending bag alike.
+        if len(ties) > 1 and not (
+            self._mirror and glob.get(self.spec.ghost_var) == pending
+        ):
+            pi = min(ties, key=lambda p: self._render(self.rename_pending(pending, p)))
         canonical = config
         if pi != 0:
-            canonical = Config(
-                self.rename_global(config.glob, pi), self.rename_pending(pending, pi)
-            )
+            canonical = Config(rep, self.rename_pending(pending, pi))
         self._config_memo[config] = canonical
         return canonical
 
@@ -448,5 +605,5 @@ class Canonicalizer:
     def __repr__(self) -> str:
         return (
             f"Canonicalizer({self.spec.name}, |G|={len(self.perms)}, "
-            f"{len(self._globals_memo)} globals memoized)"
+            f"{len(self._orbits)} orbits, {len(self._members)} members memoized)"
         )

@@ -26,7 +26,7 @@ from typing import Dict, Iterable, List, Mapping, Optional, Set
 
 from .cache import CacheStats
 from .context import NoContext, PAContext
-from .explore import ConfigKey, InstanceSummary, PendingIds, explore
+from .explore import ConfigKey, InstanceSummary, PendingIds, explore, walk_configs
 from .hashing import KeyMemo
 from .program import Program
 from .semantics import Config
@@ -134,6 +134,8 @@ class StoreUniverse:
             canonicalize=canon.config if canon is not None else None,
         )
         universe = cls.harvest(result.reachable, result.pending_ids, canon)
+        if canon is not None:
+            canon.drop_scratch()
         if canon is None and len(initials) == 1:
             # The exhaustive, unquotiented search of one initial
             # configuration is exactly ``instance_summary``'s: keep its
@@ -166,10 +168,10 @@ class StoreUniverse:
         ``bounded=True``). ``symmetry`` canonicalizes every sampled
         configuration before harvesting, folding the sample onto orbit
         representatives (locals pools group-closed, as in
-        :meth:`from_reachable`)."""
+        :meth:`from_reachable`). The walks read and fill the shared
+        columns (:func:`~repro.core.explore.walk_configs`), so the
+        conditions find every walked cell evaluated."""
         import random
-
-        from .explore import random_execution
 
         canon = None
         if symmetry is not None:
@@ -177,20 +179,16 @@ class StoreUniverse:
 
             canon = Canonicalizer.of(symmetry)
         rng = random.Random(seed)
-        initials = list(initials)
-
         ids = PendingIds()
         sampled = set()
-        for _ in range(walks):
-            init = rng.choice(initials)
-            execution = random_execution(program, init, rng, max_steps=max_steps)
-            for config in execution.configs():
-                if not isinstance(config, Config):
-                    continue
-                if canon is not None:
-                    config = canon.config(config)
-                sampled.add(ids.key(config))
-        return cls.harvest(sampled, ids, canon)
+        for config in walk_configs(program, list(initials), rng, walks, max_steps, ids):
+            if canon is not None:
+                config = canon.config(config)
+            sampled.add(ids.key(config))
+        universe = cls.harvest(sampled, ids, canon)
+        if canon is not None:
+            canon.drop_scratch()
+        return universe
 
     @classmethod
     def harvest(

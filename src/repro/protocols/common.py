@@ -384,6 +384,7 @@ def verify_protocol(
     from ..core.refinement import check_program_refinement
     from ..core.semantics import initial_config
     from ..core.store import EMPTY_STORE
+    from ..core.symmetry import Canonicalizer
     from ..core.universe import StoreUniverse
     from ..engine.rcache import ObligationCache
     from ..engine.warm import WarmState
@@ -408,11 +409,14 @@ def verify_protocol(
     )
     tracer = options.tracer
     max_configs = options.max_configs
-    symmetry = None
+    symmetry = canon = None
     parameters = dict(instance.parameters)
     if options.symmetry and instance.symmetry is not None:
         symmetry = instance.symmetry()
         parameters["symmetry"] = symmetry.name
+        # One canonicalizer for every universe build of this run: its
+        # orbit tables carry over the IS chain.
+        canon = Canonicalizer(symmetry)
     report = ProtocolReport(
         instance.name, parameters, bounded=instance.walks is not None
     )
@@ -436,7 +440,7 @@ def verify_protocol(
     def build_universe(program):
         if instance.walks is None:
             universe = StoreUniverse.from_reachable(
-                program, initials, max_configs=max_configs, symmetry=symmetry
+                program, initials, max_configs=max_configs, symmetry=canon
             )
             if program is original and universe.exploration is not None:
                 summaries.append(universe.exploration)
@@ -446,7 +450,7 @@ def verify_protocol(
                 initials,
                 walks=instance.walks,
                 seed=instance.seed,
-                symmetry=symmetry,
+                symmetry=canon,
             )
         return universe.with_context(GhostContext(GHOST))
 
@@ -472,13 +476,17 @@ def verify_protocol(
         )
 
     with tracer.scope(instance.name) if tracer is not None else nullcontext():
-        for label, application in applications:
+        for position, (label, application) in enumerate(applications, 1):
             stage = f"IS[{label}]"
             with _stage(report, stage, tracer):
                 universe = warm.universe(
                     ("universe", label) + key,
                     lambda: build_universe(application.program),
                 )
+                if position == len(applications):
+                    # No later build reads the orbit tables: free them
+                    # before the last discharge, whose peak they would add to.
+                    canon = None
                 with tracer.scope(stage) if tracer is not None else nullcontext():
                     result = application.check(
                         universe,

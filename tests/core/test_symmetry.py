@@ -106,6 +106,42 @@ def test_product_group_over_two_sorts():
     assert len(spec.group()) == 12
 
 
+def _frozen(perm):
+    return tuple(sorted((sort, tuple(sorted(m.items()))) for sort, m in perm.items()))
+
+
+@pytest.mark.parametrize(
+    "sorts",
+    [
+        {"node": (1, 2, 3)},
+        {"node": (1, 2, 3, 4)},
+        {"node": (1, 2, 3), "value": ("a", "b")},
+        {"node": (1,)},
+        {"node": (1, 2)},
+        {"lone": ("x",), "pair": (1, 2), "node": (1, 2, 3)},
+    ],
+)
+def test_generators_close_to_the_whole_group(sorts):
+    spec = sym.SymmetrySpec(name="gens", sorts=sorts)
+    group = {_frozen(p) for p in spec.group()}
+    generators = spec.generators()
+    assert len(generators) == sum(
+        (len(d) > 2) + (len(d) > 1) for d in sorts.values()
+    )
+    closure = {_frozen(spec.group()[0])}
+    frontier = [spec.group()[0]]
+    while frontier:
+        element = frontier.pop()
+        for g in generators:
+            product = {s: {v: g[s][element[s][v]] for v in d} for s, d in sorts.items()}
+            if _frozen(product) not in closure:
+                closure.add(_frozen(product))
+                frontier.append(product)
+    assert closure == group
+    canon = sym.Canonicalizer(spec)
+    assert [canon.perms[i] for i in canon.generators] == generators
+
+
 def test_token_is_deterministic_and_discriminating():
     assert _spec(3).token() == _spec(3).token()
     assert _spec(3).token() != _spec(2).token()
@@ -230,9 +266,8 @@ def test_local_orbit_closes_parameter_stores():
 
 def test_rename_is_group_action_on_stores():
     """Renaming by pi then sigma equals renaming by the composite — spot
-    check on all pairs for one store (the image table keys rows by
-    (variable, value), so each pair exercises the rename algebra, not a
-    cached composite)."""
+    check on all pairs for one store, against the rename rules directly —
+    and the canonicalizer's composition table names that composite."""
     spec = _spec(3)
     canon = sym.Canonicalizer(spec)
     store = _stores()[0]
@@ -250,6 +285,7 @@ def test_rename_is_group_action_on_stores():
             assert canon.rename_global(
                 canon.rename_global(store, i), j
             ) == canon.rename_global(store, k)
+            assert canon._mul[j][i] == k
 
 
 # --------------------------------------------------------------------- #
@@ -316,6 +352,17 @@ def _protocol_cases():
             broadcast.initial_global(3),
             broadcast.make_symmetry(3),
         ),
+        # |G| = 24: the two quotient instances of the benchmark ledger.
+        "twophase-n4": (
+            [app.program for _, app in twophase.make_sequentializations(4)],
+            twophase.initial_global(4),
+            twophase.make_symmetry(4),
+        ),
+        "nbuyer-n4": (
+            [app.program for _, app in nbuyer.make_sequentializations(4)],
+            nbuyer.initial_global(4),
+            nbuyer.make_symmetry(4),
+        ),
         "paxos-r1n2": (
             [paxos.make_sequentialization(1, 2).program],
             paxos.initial_global(1, 2),
@@ -337,6 +384,8 @@ def _protocol_cases():
         "twophase-n3",
         "nbuyer-n3",
         "broadcast-n3",
+        "twophase-n4",
+        "nbuyer-n4",
         "paxos-r1n2",
         "twophase-n3-unmirrored",
     ],
@@ -345,7 +394,7 @@ def test_canonicalizer_matches_brute_force_reference(case):
     """On every reachable configuration of the case's programs,
     ``config`` and ``store`` return exactly the brute-force reference's
     representative — the input object itself exactly when the input is
-    already least — and every image-table fragment is the whole-value
+    already least — and every value id's fragment is the whole-value
     ``structural_key`` rendering."""
     from repro.core.explore import explore
 
@@ -368,9 +417,58 @@ def test_canonicalizer_matches_brute_force_reference(case):
         assert got == glob
         assert (got is store) == (pi == 0)
     assert least_inputs and moved_inputs
-    for (var, _), (images, fragments) in canon._images.items():
-        for image, fragment in zip(images, fragments):
-            assert fragment == structural_key(var) + "=" + structural_key(image)
+    assert canon._fragments
+    for vid, fragment in canon._fragments.items():
+        var, value = canon._values[vid]
+        assert fragment == structural_key(var) + "=" + structural_key(value)
+
+
+def _reference_ties(spec, store):
+    """Every group element, in group order, mapping ``store`` to its
+    least orbit member."""
+    keys = [
+        structural_key(
+            Store({var: _reference_rename(spec, p, var, v) for var, v in store.items()})
+        )
+        for p in spec.group()
+    ]
+    return tuple(pi for pi, key in enumerate(keys) if key == min(keys))
+
+
+def test_tie_lists_are_the_brute_force_coset():
+    """``least`` returns, in group order, exactly the elements mapping a
+    store to its representative: a coset of the store's stabilizer, which
+    the canonicalizer derives from its orbit search, never by sweeping
+    the group."""
+    from repro.core.explore import explore
+
+    programs, initial_global, spec = _protocol_cases()["twophase-n3-unmirrored"]
+    stores = {
+        config.glob
+        for program in programs
+        for config in explore(program, [initial_config(initial_global)]).configs()
+    }
+    cases = [(spec, stores), (_spec(3), _stores())]
+    stabilized = 0
+    for case_spec, case_stores in cases:
+        canon = sym.Canonicalizer(case_spec)
+        for store in case_stores:
+            rep, ties = canon.least(store)
+            expected = _reference_ties(case_spec, store)
+            assert ties == expected
+            assert rep == canon.rename_global(store, ties[0])
+            stabilized += len(ties) > 1
+    assert stabilized
+
+
+def test_repr_counts_orbits_and_members():
+    canon = sym.Canonicalizer(_spec(3))
+    store = _stores()[0]
+    canon.store(store)
+    orbit = canon.orbit(store)
+    assert repr(canon) == (
+        f"Canonicalizer(test-n3, |G|=6, 1 orbits, {len(orbit)} members memoized)"
+    )
 
 
 def test_global_ties_break_on_the_renamed_pending_bag():
@@ -458,3 +556,34 @@ def test_from_reachable_closes_locals_pools_under_group():
     quotient = StoreUniverse.from_reachable(app.program, [init], symmetry=spec)
     for action, pool in plain.locals_by_action.items():
         assert set(quotient.locals_for(action)) == set(pool), action
+
+
+@pytest.mark.parametrize("case", ["twophase-n3", "paxos-r1n2"])
+def test_one_canonicalizer_across_the_chain_builds_the_same_universes(case):
+    """A canonicalizer shared by every universe build of an IS chain (as
+    ``verify_protocol`` shares one) harvests exactly what a fresh one per
+    build does: same globals in the same order, same locals pools, same
+    fingerprint."""
+    from repro.core.universe import StoreUniverse
+    from repro.engine.rcache import universe_fingerprint
+
+    programs, initial_global, spec = _protocol_cases()[case]
+    init = initial_config(initial_global)
+    builds = [
+        lambda program, symmetry: StoreUniverse.from_reachable(
+            program, [init], symmetry=symmetry
+        ),
+        lambda program, symmetry: StoreUniverse.from_random_walks(
+            program, [init], walks=10, seed=3, symmetry=symmetry
+        ),
+    ]
+    shared = sym.Canonicalizer(spec)
+    for program in programs:
+        for build in builds:
+            fresh = build(program, spec)
+            reused = build(program, shared)
+            assert reused.globals_ == fresh.globals_
+            assert reused.locals_by_action == fresh.locals_by_action
+            assert reused.symmetry is fresh.symmetry is spec
+            assert universe_fingerprint(reused) == universe_fingerprint(fresh)
+    assert shared._members and not shared._config_memo

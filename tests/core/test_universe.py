@@ -1,5 +1,7 @@
 """Tests for store universes and PA contexts."""
 
+import pytest
+
 from repro.core import (
     GhostContext,
     InstanceContext,
@@ -58,6 +60,47 @@ def test_from_random_walks():
         program, [initial_config(Store({"x": 0}))], walks=20, seed=1
     )
     assert {g["x"] for g in universe.globals_} == {0, 1, 2, 3}
+
+
+def _reference_walk_universe(program, init, walks, seed):
+    """The sampled universe as value-level walks harvest it: one
+    ``random_execution`` per walk, every reached configuration kept."""
+    import random
+
+    from repro.core.explore import PendingIds, random_execution
+    from repro.core.semantics import Config
+
+    rng = random.Random(seed)
+    ids = PendingIds()
+    sampled = set()
+    for _ in range(walks):
+        execution = random_execution(program, rng.choice([init]), rng)
+        for config in execution.configs():
+            if isinstance(config, Config):
+                sampled.add(ids.key(config))
+    return StoreUniverse.harvest(sampled, ids)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_random_walks_fill_the_columns_and_sample_as_before(seed):
+    """Walks read and fill the shared columns, yet draw the same options
+    in the same order as ``random_execution``: the same seed samples the
+    same universe, in the same order."""
+    from repro.core.cache import reset_process_cache
+    from repro.core.columnar import columnar_store
+    from repro.protocols import paxos
+
+    program = paxos.make_sequentialization(1, 2).program
+    init = initial_config(paxos.initial_global(1, 2))
+    reset_process_cache()
+    universe = StoreUniverse.from_random_walks(
+        program, [init], walks=20, seed=seed
+    )
+    columns = columnar_store()
+    assert columns.gate_fills > 0 and columns.succ_fills > 0
+    reference = _reference_walk_universe(program, init, 20, seed)
+    assert universe.globals_ == reference.globals_
+    assert universe.locals_by_action == reference.locals_by_action
 
 
 class TestContexts:

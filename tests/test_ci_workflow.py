@@ -118,6 +118,22 @@ def test_full_job_runs_the_explorer_differential_under_two_hash_seeds(workflow):
     )
 
 
+def test_full_job_runs_the_symmetry_suite_under_two_hash_seeds(workflow):
+    """Value ids and the orbit search's member order follow discovery
+    order, which hash-seeded set iteration can change: the orbit
+    representatives must not."""
+    step = next(
+        s
+        for s in _steps(workflow, "full")
+        if s.get("name") == "Symmetry representatives agree under two hash seeds"
+    )
+    assert "for seed in 0 1" in step["run"]
+    assert (
+        'PYTHONHASHSEED=$seed pytest -m "" -q tests/core/test_symmetry.py'
+        in step["run"]
+    )
+
+
 def test_tox_environments_referenced_by_ci_exist(workflow):
     tox = configparser.ConfigParser()
     tox.read(ROOT / "tox.ini")
