@@ -1,36 +1,27 @@
-"""Benchmark: warm daemon throughput vs one-shot CLI verification.
+"""Serve-path probes that the benchmark ledger does not take.
 
-The claim behind ``repro serve`` is blunt: a resident daemon answers a
-repeated verification question faster than re-launching ``python -m
-repro verify`` — because the process start, imports, universe
-construction, cache warm-up, and the obligations themselves are all
-amortized after the first request. This harness measures both sides:
+Two modes: a latency histogram under sustained load, and the subprocess
+sandbox's warm-path tax.
 
-* **cold** — N subprocess invocations of the one-shot CLI per protocol,
-  wall-clock each (includes interpreter startup, as real cold use does);
-* **warm** — an in-process daemon (fresh state dir), one warm-up request
-  per protocol, then M timed HTTP round-trips (submit + poll to
-  completion), reporting p50/p99 latency, requests/sec, and the
-  speedup of warm-median over cold-median.
+``--load SECONDS --url http://H:P`` drives an *external* daemon with a
+closed submit+poll loop for the given duration and writes a latency
+histogram JSON (``--output``, default ``serve-load.json``), the
+artifact the ``serve-smoke`` CI job uploads.
 
-The warm side also asserts the incremental-verification gate end to
-end: the second identical request must report ``executed == 0``.
-
-Results land in a ``"serve"`` section of ``BENCH_obligations.json``
-(``--smoke`` redirects to ``BENCH_serve_smoke.json`` and shrinks the
-request counts so CI can afford it).
-
-``--load SECONDS --url http://H:P`` instead drives an *external*
-daemon with a sustained submit+poll loop for the given duration and
-writes a latency histogram JSON (``--output``, default
-``serve-load.json``) — the artifact the ``serve-smoke`` CI job uploads.
+``--sandbox-overhead`` runs two embedded daemons, in-process and
+sandboxed, times warm pingpong round-trips on each, and exits nonzero
+when the sandbox's p50 exceeds the in-process p50 by more than 15%. It
+writes its JSON to ``--output`` (default ``sandbox-overhead.json``).
+This covers warm single-instance pingpong only and never reaches a
+recycle; the benchmark ledger's ``serve-sandbox`` rows measure a mixed
+deck (README, "Crash isolation").
 
 Usage::
 
-    PYTHONPATH=src python benchmarks/bench_serve.py [--smoke]
-        [--output BENCH_obligations.json]
     PYTHONPATH=src python benchmarks/bench_serve.py --load 30
         --url http://127.0.0.1:7717 [--output serve-load.json]
+    PYTHONPATH=src python benchmarks/bench_serve.py --sandbox-overhead
+        [--output sandbox-overhead.json]
 """
 
 from __future__ import annotations
@@ -39,7 +30,6 @@ import argparse
 import asyncio
 import json
 import statistics
-import subprocess
 import sys
 import tempfile
 import threading
@@ -50,9 +40,6 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 sys.path.insert(0, str(SRC))
-
-FULL_PROTOCOLS = ("pingpong", "twophase")
-SMOKE_PROTOCOLS = ("pingpong",)
 
 #: Histogram bucket upper bounds (seconds) for the load report.
 BUCKETS = (0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0, float("inf"))
@@ -93,32 +80,6 @@ def _percentile(samples, fraction: float) -> float:
     return ordered[index]
 
 
-# ------------------------------------------------------------------ #
-# Warm vs cold
-# ------------------------------------------------------------------ #
-
-
-def measure_cold(protocol: str, runs: int) -> list:
-    """One-shot CLI wall-times (subprocess, includes interpreter start)."""
-    times = []
-    for _ in range(runs):
-        started = time.perf_counter()
-        proc = subprocess.run(
-            [sys.executable, "-m", "repro", "verify", protocol],
-            cwd=ROOT,
-            env={"PYTHONPATH": str(SRC), "PATH": "/usr/bin:/bin"},
-            capture_output=True,
-            text=True,
-        )
-        elapsed = time.perf_counter() - started
-        if proc.returncode != 0:
-            raise RuntimeError(
-                f"cold verify {protocol} failed:\n{proc.stdout}{proc.stderr}"
-            )
-        times.append(elapsed)
-    return times
-
-
 class EmbeddedDaemon:
     """A ``ServeDaemon`` on a background thread, for benchmarking."""
 
@@ -143,79 +104,6 @@ class EmbeddedDaemon:
     def __exit__(self, *exc) -> None:
         self.daemon.request_shutdown()
         self.thread.join(timeout=30)
-
-
-def measure_warm(base: str, protocol: str, requests: int) -> dict:
-    """Warm-up once, then time ``requests`` identical round-trips."""
-    payload = {"kind": "verify", "protocol": protocol}
-    warmup_latency, detail = _run_to_completion(base, payload)
-    if detail["status"] != "done":
-        raise RuntimeError(f"warm-up {protocol} ended {detail['status']}")
-    latencies = []
-    second_executed = None
-    for index in range(requests):
-        latency, detail = _run_to_completion(base, payload)
-        if detail["status"] != "done":
-            raise RuntimeError(f"warm {protocol} ended {detail['status']}")
-        if index == 0:
-            second_executed = detail["result"]["obligations"]["executed"]
-        latencies.append(latency)
-    assert second_executed == 0, (
-        f"{protocol}: second identical request executed "
-        f"{second_executed} obligations (expected 0)"
-    )
-    return {
-        "warmup_seconds": round(warmup_latency, 6),
-        "requests": requests,
-        "p50_seconds": round(_percentile(latencies, 0.50), 6),
-        "p99_seconds": round(_percentile(latencies, 0.99), 6),
-        "mean_seconds": round(statistics.fmean(latencies), 6),
-        "requests_per_second": round(
-            len(latencies) / sum(latencies), 2
-        ),
-        "second_request_executed": second_executed,
-    }
-
-
-def run_bench(protocols, cold_runs: int, warm_requests: int) -> dict:
-    per_protocol = {}
-    with tempfile.TemporaryDirectory(prefix="bench-serve-") as state:
-        with EmbeddedDaemon(state) as base:
-            for protocol in protocols:
-                print(f"bench_serve: {protocol} cold x{cold_runs} ...",
-                      flush=True)
-                cold = measure_cold(protocol, cold_runs)
-                print(f"bench_serve: {protocol} warm x{warm_requests} ...",
-                      flush=True)
-                warm = measure_warm(base, protocol, warm_requests)
-                cold_median = statistics.median(cold)
-                speedup = cold_median / max(warm["p50_seconds"], 1e-9)
-                per_protocol[protocol] = {
-                    "cold": {
-                        "runs": cold_runs,
-                        "median_seconds": round(cold_median, 6),
-                        "min_seconds": round(min(cold), 6),
-                    },
-                    "warm": warm,
-                    "speedup_warm_vs_cold": round(speedup, 2),
-                }
-                print(
-                    f"bench_serve: {protocol} cold_median="
-                    f"{cold_median:.3f}s warm_p50="
-                    f"{warm['p50_seconds']:.4f}s speedup={speedup:.1f}x",
-                    flush=True,
-                )
-    return {
-        "benchmark": "warm daemon vs one-shot CLI",
-        "protocols": per_protocol,
-        "environment": {
-            "python": "%d.%d.%d" % sys.version_info[:3],
-        },
-        "verdict": all(
-            entry["speedup_warm_vs_cold"] >= 5.0
-            for entry in per_protocol.values()
-        ),
-    }
 
 
 # ------------------------------------------------------------------ #
@@ -267,7 +155,7 @@ def run_sandbox_overhead(requests: int = 30) -> dict:
         / max(sides["inprocess"]["p50_seconds"], 1e-9)
         - 1.0
     )
-    section = {
+    report = {
         "benchmark": "subprocess sandbox overhead (warm pingpong)",
         "inprocess": sides["inprocess"],
         "sandbox": sides["sandbox"],
@@ -282,7 +170,7 @@ def run_sandbox_overhead(requests: int = 30) -> dict:
         f"({overhead * 100:+.1f}%, gate +15%)",
         flush=True,
     )
-    return section
+    return report
 
 
 # ------------------------------------------------------------------ #
@@ -349,15 +237,11 @@ def main(argv=None) -> int:
         "--output",
         type=Path,
         default=None,
-        help="output JSON (default: BENCH_obligations.json 'serve' "
-        "section, or serve-load.json in --load mode)",
+        help="output JSON (default: serve-load.json in --load mode, "
+        "sandbox-overhead.json in --sandbox-overhead mode)",
     )
-    parser.add_argument(
-        "--smoke",
-        action="store_true",
-        help="tiny request counts; writes BENCH_serve_smoke.json",
-    )
-    parser.add_argument(
+    mode = parser.add_mutually_exclusive_group(required=True)
+    mode.add_argument(
         "--load",
         type=float,
         default=None,
@@ -369,55 +253,30 @@ def main(argv=None) -> int:
         default=None,
         help="base URL of a running daemon (--load mode)",
     )
-    parser.add_argument(
+    mode.add_argument(
         "--sandbox-overhead",
         action="store_true",
         help="measure subprocess-sandbox overhead on warm round-trips; "
-        "writes the 'sandbox' section of BENCH_obligations.json",
+        "exit 1 above the 15%% gate",
     )
     args = parser.parse_args(argv)
 
     if args.sandbox_overhead:
-        section = run_sandbox_overhead()
-        output = args.output or ROOT / "BENCH_obligations.json"
-        document = json.loads(output.read_text()) if output.exists() else {}
-        document["sandbox"] = section
-        output.write_text(json.dumps(document, indent=2) + "\n")
-        print(f"bench_serve: wrote {output}")
-        return 0 if section["verdict"] else 1
-
-    if args.load is not None:
-        if not args.url:
-            parser.error("--load requires --url http://HOST:PORT")
-        report = run_load(args.url, args.load)
-        output = args.output or ROOT / "serve-load.json"
+        report = run_sandbox_overhead()
+        output = args.output or ROOT / "sandbox-overhead.json"
         output.write_text(json.dumps(report, indent=2) + "\n")
         print(f"bench_serve: wrote {output}")
-        print(json.dumps({k: v for k, v in report.items()
-                          if k != "histogram"}, indent=2))
-        return 0 if report["completed_requests"] > 0 and not report["errors"] else 1
+        return 0 if report["verdict"] else 1
 
-    if args.smoke:
-        section = run_bench(SMOKE_PROTOCOLS, cold_runs=1, warm_requests=3)
-        output = args.output or ROOT / "BENCH_serve_smoke.json"
-        output.write_text(json.dumps(section, indent=2) + "\n")
-    else:
-        section = run_bench(FULL_PROTOCOLS, cold_runs=3, warm_requests=10)
-        output = args.output or ROOT / "BENCH_obligations.json"
-        if output.exists():
-            document = json.loads(output.read_text())
-        else:
-            document = {}
-        document["serve"] = section
-        output.write_text(json.dumps(document, indent=2) + "\n")
+    if not args.url:
+        parser.error("--load requires --url http://HOST:PORT")
+    report = run_load(args.url, args.load)
+    output = args.output or ROOT / "serve-load.json"
+    output.write_text(json.dumps(report, indent=2) + "\n")
     print(f"bench_serve: wrote {output}")
-    for name, entry in section["protocols"].items():
-        print(
-            f"  {name}: cold {entry['cold']['median_seconds']}s -> warm "
-            f"p50 {entry['warm']['p50_seconds']}s "
-            f"({entry['speedup_warm_vs_cold']}x)"
-        )
-    return 0 if section["verdict"] else 1
+    print(json.dumps({k: v for k, v in report.items()
+                      if k != "histogram"}, indent=2))
+    return 0 if report["completed_requests"] > 0 and not report["errors"] else 1
 
 
 if __name__ == "__main__":

@@ -56,7 +56,8 @@ sys.path.insert(0, str(SRC))
 FAULTS = "rcache.store=enospc:4;journal.append=eio:2"
 
 #: The request mix. Small on purpose: the soak's point is fault
-#: coverage, not load; bench_serve covers throughput.
+#: coverage, not load; the benchmark ledger's serve workloads cover
+#: throughput.
 REQUESTS = [
     {"kind": "verify", "protocol": "pingpong", "params": {"rounds": 2}},
     {"kind": "verify", "protocol": "pingpong", "params": {"rounds": 3}},

@@ -6,7 +6,6 @@ rendered Table 1 is written to ``benchmarks/table1_generated.txt`` by the
 Table 1 benchmark module.
 """
 
-import pytest
 
 
 def pytest_collection_modifyitems(config, items):

@@ -10,7 +10,6 @@
   load-bearing, as in CIVL.
 """
 
-import pytest
 
 from repro.core import (
     ISApplication,

@@ -12,7 +12,6 @@ sides on the same instances:
   structured candidate space — and easy-only fails consecution.
 """
 
-import pytest
 
 from repro.core import explore, initial_config
 from repro.invariants import (

@@ -9,9 +9,8 @@ must match exactly; LoC and time columns match in shape, not absolutes).
 
 import pathlib
 
-import pytest
 
-from repro.analysis import TABLE1_REGISTRY, build_table1, render_table1
+from repro.analysis import build_table1, render_table1
 from repro.protocols import (
     broadcast,
     changroberts,

@@ -127,8 +127,11 @@ def _add_resilience_flags(subparser) -> None:
     subparser.add_argument(
         "--resume",
         action="store_true",
-        help="skip obligations already journaled under --checkpoint DIR "
-        "(stale journals are refused)",
+        help="skip obligations already journaled under --checkpoint DIR; "
+        "a journal from another instance or an edited repro package is "
+        "refused, but an edit to an application defined outside the "
+        "package is not detected and replays the old verdicts (use "
+        "--cache DIR, which fingerprints content, for those)",
     )
 
 

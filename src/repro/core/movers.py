@@ -37,7 +37,7 @@ from .cache import CachedAction, process_cache
 from .columnar import left_mover_condition_columnar
 from .program import Program
 from .refinement import CheckResult, _fail
-from .store import Store, combine
+from .store import combine
 from .universe import StoreUniverse
 
 __all__ = [

@@ -123,9 +123,9 @@ class ISResult:
 
     ``timings`` and ``obligation_checked`` carry per-obligation wall-clock
     and enumeration counts when the result was produced by the obligation
-    engine (``repro.engine.obligations``); ``worker_cache_stats`` carries,
-    per discharging PID, the worker's final evaluation-cache snapshot and
-    obligation count (the serial backend contributes a single entry).
+    engine (``repro.engine.obligations``); ``worker_cache_stats`` maps
+    each PID that executed an obligation to ``{"obligations": n}`` (the
+    serial backend contributes a single entry).
     ``warmup_seconds`` is always ``0.0``: the process pool forks cold. The
     field stays because the benchmark ledger reads it.
 
@@ -227,16 +227,7 @@ class ISResult:
             f"{total:.2f}s total obligation time"
         )
         for pid, entry in sorted(self.worker_cache_stats.items()):
-            stats = entry.get("stats", {})
-            rates = ", ".join(
-                f"{kind} {100 * stats[kind].get('hit_rate', 0.0):.1f}% hit"
-                for kind in ("gate", "transitions")
-                if kind in stats
-            )
-            lines.append(
-                f"  worker {pid}: {entry.get('obligations', 0)} obligations"
-                + (f", {rates}" if rates else "")
-            )
+            lines.append(f"  worker {pid}: {entry['obligations']} obligations")
         return header + "\n" + "\n".join(lines)
 
     def __bool__(self) -> bool:

@@ -36,7 +36,7 @@ enumeration loops.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Iterable, Iterator, List, Mapping, Optional, Tuple
+from typing import Dict, Hashable, Iterable, Iterator, List, Mapping, Tuple
 
 from .hashing import unordered_items_hash
 

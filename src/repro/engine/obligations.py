@@ -525,23 +525,10 @@ def discharge(
         _emit_spans(tracer, scheduler, obligations, outcomes, cache_events)
     workers: Dict[int, dict] = {}
     for outcome in outcomes.values():
-        if outcome.cache_stats is None:
-            continue
-        entry = workers.setdefault(
-            outcome.pid, {"obligations": 0, "stats": outcome.cache_stats}
-        )
-        entry["obligations"] += 1
-        # Snapshots are cumulative per process; keep the furthest one.
-        if _snapshot_total(outcome.cache_stats) > _snapshot_total(entry["stats"]):
-            entry["stats"] = outcome.cache_stats
+        if outcome.cache_delta is not None:  # executed by outcome.pid
+            workers.setdefault(outcome.pid, {"obligations": 0})["obligations"] += 1
     merged.worker_cache_stats = workers
     return merged
-
-
-def _snapshot_total(snapshot: Mapping[str, Mapping[str, float]]) -> float:
-    return sum(
-        kind.get("hits", 0) + kind.get("misses", 0) for kind in snapshot.values()
-    )
 
 
 def _emit_spans(

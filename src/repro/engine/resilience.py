@@ -31,7 +31,7 @@ from __future__ import annotations
 import signal
 import threading
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional
 
 __all__ = [

@@ -100,10 +100,7 @@ class ObligationOutcome:
     ``attempts`` counts executions tried (1 on the happy path);
     ``resumed`` marks outcomes satisfied from a checkpoint journal
     instead of executed; ``cached`` marks outcomes satisfied from the
-    content-addressed result cache (``repro.engine.rcache``). ``cache_stats`` is the discharging process's
-    cumulative evaluation-cache snapshot (hits/misses by kind) taken
-    right after the obligation ran — both backends record it; benchmarks
-    aggregate the last snapshot per ``pid``.
+    content-addressed result cache (``repro.engine.rcache``).
 
     ``started`` (a ``perf_counter`` stamp from the discharging process —
     comparable across ``fork`` boundaries, where the monotonic clock is
@@ -112,14 +109,15 @@ class ObligationOutcome:
     backends record them unconditionally — they cost a timestamp and a
     few integer reads — so attaching a tracer never changes what the
     scheduler executes (the no-perturbation guarantee; see
-    ``repro.obs``).
+    ``repro.obs``). ``cache_delta`` is set exactly when process ``pid``
+    executed the obligation, whatever its outcome; skipped, resumed,
+    cached and parent-backstop outcomes carry ``None``.
     """
 
     key: str
     result: Optional[CheckResult]
     elapsed: float
     pid: int
-    cache_stats: Optional[dict] = None
     started: float = 0.0
     cache_delta: Optional[dict] = None
     attempts: int = 1
@@ -233,7 +231,7 @@ class SerialScheduler:
         self, app, universe, ob, lm_universes, first_attempt: int = 0
     ) -> ObligationOutcome:
         """One obligation under deadline + bounded crash retries."""
-        from ..core.cache import counts_snapshot, process_cache, snapshot_delta
+        from ..core.cache import counts_snapshot, snapshot_delta
         from .obligations import execute_obligation
 
         cfg = self.resilience
@@ -260,8 +258,8 @@ class SerialScheduler:
                     None,
                     elapsed,
                     pid,
-                    cache_stats=process_cache().as_dict(),
                     started=started,
+                    cache_delta=snapshot_delta(before, counts_snapshot()),
                     attempts=attempt + 1,
                     timed_out=True,
                 )
@@ -284,8 +282,8 @@ class SerialScheduler:
                         None,
                         time.perf_counter() - started,
                         pid,
-                        cache_stats=process_cache().as_dict(),
                         started=started,
+                        cache_delta=snapshot_delta(before, counts_snapshot()),
                         attempts=attempt,
                         error=f"{type(exc).__name__}: {exc}",
                     )
@@ -305,7 +303,6 @@ class SerialScheduler:
                 result,
                 elapsed,
                 pid,
-                cache_stats=process_cache().as_dict(),
                 started=started,
                 cache_delta=snapshot_delta(before, counts_snapshot()),
                 attempts=attempt + 1,
@@ -333,17 +330,19 @@ def _worker_run(key: str, attempt: int = 0, deadline: Optional[float] = None):
 
     Runs under the per-obligation deadline (the worker's main thread, so
     ``SIGALRM`` is always available here) and consults the fork-inherited
-    fault injector. Returns an 8-tuple; the final element flags a
+    fault injector. Returns a 7-tuple; the final element flags a
     deadline expiry — the worker converts its own timeout into data
     instead of hanging the parent.
     """
-    from ..core.cache import counts_snapshot, process_cache, snapshot_delta
+    from ..core.cache import counts_snapshot, snapshot_delta
 
     from .obligations import execute_obligation
 
     app, universe, by_key = _WORKER_PAYLOAD
     started = time.perf_counter()
     before = counts_snapshot()
+    result = None
+    timed_out = False
     try:
         with deadline_guard(deadline):
             injector = active_injector()
@@ -353,29 +352,10 @@ def _worker_run(key: str, attempt: int = 0, deadline: Optional[float] = None):
                 app, universe, by_key[key], _WORKER_LM_UNIVERSES
             )
     except ObligationTimeout:
-        elapsed = time.perf_counter() - started
-        return (
-            key,
-            None,
-            elapsed,
-            os.getpid(),
-            process_cache().as_dict(),
-            started,
-            None,
-            True,
-        )
+        timed_out = True
     elapsed = time.perf_counter() - started
     delta = snapshot_delta(before, counts_snapshot())
-    return (
-        key,
-        result,
-        elapsed,
-        os.getpid(),
-        process_cache().as_dict(),
-        started,
-        delta,
-        False,
-    )
+    return key, result, elapsed, os.getpid(), started, delta, timed_out
 
 
 def _available_cpus() -> int:
@@ -666,16 +646,7 @@ class ProcessPoolScheduler:
                     )
                 )
             else:
-                (
-                    okey,
-                    result,
-                    elapsed,
-                    pid,
-                    stats,
-                    started,
-                    delta,
-                    timed_out,
-                ) = payload
+                okey, result, elapsed, pid, started, delta, timed_out = payload
                 if timed_out:
                     self.last_events.append(
                         ResilienceEvent(
@@ -693,7 +664,6 @@ class ProcessPoolScheduler:
                         result,
                         elapsed,
                         pid,
-                        cache_stats=stats,
                         started=started,
                         cache_delta=delta,
                         attempts=attempts[key] + 1,

@@ -14,8 +14,8 @@ Metrics JSON
     per-condition / per-scope / whole-run totals. The totals are exact:
     ``totals["checked"]`` equals the sum of the merged condition map's
     ``checked`` counters for the traced checks (tested in ``tests/obs``),
-    so the file diffs cleanly against ``BENCH_obligations.json``'s
-    enumeration counts.
+    so its enumeration counts are the per-obligation ``checked``
+    figures that the benchmark ledger sums into ``obl.*.checks``.
 
 Terminal summary
     :func:`render_summary` is the ``--trace``/``--metrics`` CLI footer: a

@@ -26,7 +26,7 @@ from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence,
 
 from ..core.action import PendingAsync
 from ..core.explore import ExplorationBudgetExceeded
-from ..core.multiset import EMPTY, Multiset
+from ..core.multiset import Multiset
 from ..core.refinement import CheckResult
 from ..core.sequentialize import ISResult
 from ..core.store import Store

@@ -18,9 +18,14 @@ circuit breaker → optional in-process fallback), so a hard crash — a
 segfault, an OOM kill, ``SIGKILL`` of the sandbox itself — costs one
 worker respawn, never the daemon. Both modes share the same execution
 path (:func:`~repro.serve.executor.run_request`); the trade is the
-sandbox's serialization overhead against in-process memo reuse, and
-the benchmark (``benchmarks/bench_serve.py --sandbox-overhead``) keeps
-that trade honest.
+sandbox's serialization overhead against in-process memo reuse. That
+trade is a tracked miss: on a mixed request stream the benchmark
+ledger's ``serve-sandbox`` workload runs at 2.4–2.6× lower throughput
+than ``serve``, mostly because each recycled worker (one per 64 jobs)
+starts with empty warm maps and rebuilds every instance's universes.
+The CI gate (``benchmarks/bench_serve.py --sandbox-overhead``, ≤15%)
+covers warm single-instance pingpong only and never reaches a
+recycle.
 
 Progress streams out live: the worker attaches a
 :class:`~repro.obs.stream.StreamingTracer` whose publish callback hops

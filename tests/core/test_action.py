@@ -4,7 +4,6 @@ from repro.core import (
     Action,
     EMPTY,
     Multiset,
-    PendingAsync,
     Store,
     Transition,
     assert_action,

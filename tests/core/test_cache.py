@@ -219,9 +219,10 @@ def test_forked_child_rebuilds_cache():
 
 
 def test_serial_outcomes_carry_cache_snapshots():
-    """The serial backend snapshots the evaluation-cache counters after
-    every obligation — the per-obligation drill-down (``--stats``) must
-    work for serial runs too, not only for pool workers."""
+    """The serial backend brackets every obligation with counter
+    snapshots: each outcome carries its own hit/miss delta, and the deltas
+    add up to the process cache's counters, so the per-obligation
+    drill-down (trace spans) accounts for every evaluation."""
     app, init_global = PROTOCOL_CASES["pingpong"]()
     universe = _universe(app, init_global)
     obligations = build_obligations(app, universe)
@@ -229,31 +230,29 @@ def test_serial_outcomes_carry_cache_snapshots():
     reset_process_cache()
     outcomes = SerialScheduler().run(app, universe, obligations)
     assert len(outcomes) == len(obligations)
-    totals = []
+    summed = {}
     for ob in obligations:
-        outcome = outcomes[ob.key]
-        assert outcome.cache_stats is not None
-        assert set(outcome.cache_stats) == {"gate", "transitions"}
-        totals.append(
-            sum(
-                kind["hits"] + kind["misses"]
-                for kind in outcome.cache_stats.values()
-            )
-        )
-    # Snapshots are cumulative: totals never decrease along build order.
-    assert totals == sorted(totals)
-    assert totals[-1] > 0
+        delta = outcomes[ob.key].cache_delta
+        assert delta is not None
+        assert set(delta) == {"gate", "transitions"}
+        for kind, counts in delta.items():
+            hits, misses = summed.get(kind, (0, 0))
+            summed[kind] = (hits + counts["hits"], misses + counts["misses"])
+    assert summed == process_cache().counts_snapshot()
+    assert sum(hits + misses for hits, misses in summed.values()) > 0
 
 
 @pytest.mark.skipif(not _fork_available(), reason="requires fork start method")
 @pytest.mark.usefixtures("unclamped_pool")
 def test_pool_workers_use_private_caches():
-    """Every process-pool outcome carries the discharging worker's own
-    cache snapshot; workers are real separate processes."""
+    """Every process-pool outcome carries the cache delta of the worker
+    that discharged it; workers are real separate processes, and the
+    parent's own counters do not move."""
     app, init_global = PROTOCOL_CASES["pingpong"]()
     universe = _universe(app, init_global)
     obligations = build_obligations(app, universe)
 
+    parent_counts = process_cache().counts_snapshot()
     outcomes = ProcessPoolScheduler(jobs=2).run(
         app, universe, obligations
     )
@@ -261,5 +260,6 @@ def test_pool_workers_use_private_caches():
     worker_pids = {o.pid for o in outcomes.values()}
     assert os.getpid() not in worker_pids
     for outcome in outcomes.values():
-        assert outcome.cache_stats is not None
-        assert set(outcome.cache_stats) == {"gate", "transitions"}
+        assert outcome.cache_delta is not None
+        assert set(outcome.cache_delta) == {"gate", "transitions"}
+    assert process_cache().counts_snapshot() == parent_counts

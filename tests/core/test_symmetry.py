@@ -9,7 +9,6 @@ rename algebra itself on every container shape the protocols use.
 """
 
 from dataclasses import replace
-from itertools import permutations
 
 import pytest
 

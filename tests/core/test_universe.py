@@ -7,7 +7,6 @@ from repro.core import (
     InstanceContext,
     Multiset,
     NoContext,
-    PendingAsync,
     Store,
     StoreUniverse,
     initial_config,

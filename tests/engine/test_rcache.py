@@ -32,6 +32,7 @@ from repro.engine.rcache import (
 from repro.engine.resilience import ResilienceConfig
 from repro.engine.scheduler import ObligationOutcome, ProcessPoolScheduler
 from repro.obs import Tracer
+from repro.protocols import ALL_PROTOCOLS
 
 from .rcache_cases import (
     all_keys,
@@ -419,3 +420,53 @@ def test_cache_cli_without_a_directory_is_a_usage_error(monkeypatch, capsys):
         main(["cache", "stats"])
     assert excinfo.value.code == 2
     assert "--dir DIR (or $REPRO_CACHE)" in capsys.readouterr().err
+
+
+# --------------------------------------------------------------------- #
+# verify() pipelines: a warm re-verify executes nothing, on every protocol
+# --------------------------------------------------------------------- #
+
+#: One instance per protocol, keyed like ``ALL_PROTOCOLS`` so a protocol
+#: added there without an instance here fails collection: the Table 1
+#: instance, except that Paxos runs at R=1/N=2 here, because its R=2/N=2
+#: row takes about a second per pipeline and runs in the slow lane.
+INSTANCES = {
+    "broadcast": {"n": 3, "iterated": True},
+    "pingpong": {"rounds": 3},
+    "prodcons": {"bound": 4},
+    "nbuyer": {"n": 3},
+    "changroberts": {"n": 4},
+    "twophase": {"n": 3},
+    "paxos": {"rounds": 1, "num_nodes": 2},
+}
+
+
+def _verdicts(report):
+    return [(label, condition_map(result)) for label, result in report.is_results]
+
+
+@pytest.mark.parametrize(
+    "protocol, params",
+    [pytest.param(name, INSTANCES[name], id=name) for name in sorted(ALL_PROTOCOLS)]
+    + [
+        pytest.param(
+            "paxos",
+            {"rounds": 2, "num_nodes": 2},
+            id="paxos-r2n2",
+            marks=pytest.mark.slow,
+        )
+    ],
+)
+def test_warm_verify_executes_zero_obligations(tmp_path, protocol, params):
+    """A second ``verify(cache=d)`` of an unchanged protocol reproduces
+    the report's verdicts and executes no obligation."""
+    verify = ALL_PROTOCOLS[protocol].verify
+    cold = verify(cache=tmp_path, **params)
+    with count_executions() as executed:
+        warm = verify(cache=tmp_path, **params)
+    assert warm.ok == cold.ok and warm.status == cold.status
+    assert _verdicts(warm) == _verdicts(cold)
+    assert not executed, f"{protocol}: warm re-verify executed {executed}"
+    total = sum(result.num_obligations for _, result in warm.is_results)
+    cached = sum(len(result.cached_keys) for _, result in warm.is_results)
+    assert total > 0 and cached == total

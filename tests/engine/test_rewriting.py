@@ -13,7 +13,6 @@ import pytest
 from repro.core import (
     Execution,
     ISApplication,
-    Step,
     initial_config,
     random_execution,
     terminating_executions,

@@ -120,8 +120,8 @@ def test_worker_cache_stats_cover_all_obligations(good, universe):
     total = 0
     for pid, entry in result.worker_cache_stats.items():
         assert pid != os.getpid()
+        assert set(entry) == {"obligations"}
         assert entry["obligations"] > 0
-        assert set(entry["stats"]) == {"gate", "transitions"}
         total += entry["obligations"]
     assert total == result.num_obligations
 

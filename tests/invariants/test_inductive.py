@@ -1,7 +1,6 @@
 """Tests for the baseline inductive-invariant checker and the invariant
 library (the Section 5.2 invariant-complexity comparison)."""
 
-import pytest
 
 from repro.core import Store, explore, initial_config
 from repro.invariants import (

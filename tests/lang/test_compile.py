@@ -4,7 +4,6 @@ import pytest
 
 from repro.core import (
     EMPTY,
-    EMPTY_STORE,
     Multiset,
     Store,
     instance_summary,

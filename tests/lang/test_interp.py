@@ -4,7 +4,6 @@ import pytest
 
 from repro.core import (
     EMPTY,
-    Multiset,
     Store,
     explore,
     initial_config,

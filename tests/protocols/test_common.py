@@ -70,7 +70,6 @@ class TestSubMultisets:
 
     @given(st.lists(st.integers(0, 2), min_size=0, max_size=5))
     def test_counts_match_binomial_product(self, elems):
-        from math import comb
 
         bag = Multiset(elems)
         k = len(bag) // 2

@@ -10,7 +10,6 @@ from repro.core import (
     pa,
     ISApplication,
     Multiset,
-    Store,
     Transition,
     choice_from_policy,
     instance_summary,

@@ -1,6 +1,5 @@
 """Integration tests for Producer-Consumer."""
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

@@ -1,12 +1,10 @@
 """Integration tests for two-phase commit with early abort."""
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import (
     EMPTY_STORE,
-    Multiset,
     Store,
     check_program_refinement,
     combine,

@@ -17,7 +17,7 @@ from repro.lang import (
     V,
 )
 from repro.reduction import analyze_module, successors
-from repro.reduction.lipton import check_procedure_pattern, module_context
+from repro.reduction.lipton import module_context
 
 GLOBALS = ("x", "CH")
 
