@@ -8,10 +8,12 @@ closed submit+poll loop for the given duration and writes a latency
 histogram JSON (``--output``, default ``serve-load.json``), the
 artifact the ``serve-smoke`` CI job uploads.
 
-``--sandbox-overhead`` runs two embedded daemons, in-process and
-sandboxed, times warm pingpong round-trips on each, and exits nonzero
-when the sandbox's p50 exceeds the in-process p50 by more than 15%. It
-writes its JSON to ``--output`` (default ``sandbox-overhead.json``).
+``--sandbox-overhead`` runs two embedded daemons at once, in-process and
+sandboxed, times warm pingpong round-trips in alternating pairs (one on
+each, the order flipping every pair, so host drift lands on both sides),
+and exits nonzero when the median per-pair ratio sandbox/in-process
+exceeds 1.15. It writes its JSON to ``--output`` (default
+``sandbox-overhead.json``).
 This covers warm single-instance pingpong only and never reaches a
 recycle; the benchmark ledger's ``serve-sandbox`` rows measure a mixed
 deck (README, "Crash isolation").
@@ -28,6 +30,7 @@ from __future__ import annotations
 
 import argparse
 import asyncio
+import contextlib
 import json
 import statistics
 import sys
@@ -115,59 +118,67 @@ def run_sandbox_overhead(requests: int = 30) -> dict:
     """Warm pingpong round-trips, in-process vs subprocess sandbox.
 
     Both sides are the same daemon, same request, same HTTP submit+poll
-    loop; the only difference is the isolation level, so the p50 delta
-    *is* the sandbox tax (JSONL protocol hop, span forwarding, the
-    supervised pipe). The acceptance gate: ≤ 15% on the warm path.
+    loop; the only difference is the isolation level, so the per-pair
+    ratio *is* the sandbox tax (JSONL protocol hop, span forwarding, the
+    supervised pipe). Both daemons run for the whole measurement and the
+    requests alternate in pairs, so a drift in host load hits both
+    sides of a pair alike. The acceptance gate: the median pair ratio
+    ≤ 1.15 on the warm path.
     """
     payload = {"kind": "verify", "protocol": "pingpong",
                "params": {"rounds": 2}}
-    sides = {}
-    for mode, config in (
-        ("inprocess", {}),
-        ("sandbox", {"sandbox": True}),
-    ):
-        with tempfile.TemporaryDirectory(prefix=f"bench-{mode}-") as state:
-            with EmbeddedDaemon(state, **config) as base:
-                print(f"bench_serve: sandbox-overhead {mode} "
-                      f"x{requests} ...", flush=True)
-                # Two warm-ups: populate the rcache, then serve one
-                # fully-cached request so timing starts at steady state.
-                for _ in range(2):
-                    _latency, detail = _run_to_completion(base, payload)
-                    if detail["status"] != "done":
-                        raise RuntimeError(
-                            f"{mode} warm-up ended {detail['status']}"
-                        )
-                latencies = []
-                for _ in range(requests):
-                    latency, detail = _run_to_completion(base, payload)
-                    if detail["result"]["obligations"]["executed"]:
-                        raise RuntimeError(f"{mode}: warm run re-executed")
-                    latencies.append(latency)
-                sides[mode] = {
-                    "requests": requests,
-                    "p50_seconds": round(_percentile(latencies, 0.50), 6),
-                    "p99_seconds": round(_percentile(latencies, 0.99), 6),
-                    "mean_seconds": round(statistics.fmean(latencies), 6),
-                }
-    overhead = (
-        sides["sandbox"]["p50_seconds"]
-        / max(sides["inprocess"]["p50_seconds"], 1e-9)
-        - 1.0
-    )
+    modes = (("inprocess", {}), ("sandbox", {"sandbox": True}))
+    latencies = {mode: [] for mode, _config in modes}
+    with contextlib.ExitStack() as stack:
+        bases = {}
+        for mode, config in modes:
+            state = stack.enter_context(
+                tempfile.TemporaryDirectory(prefix=f"bench-{mode}-")
+            )
+            bases[mode] = stack.enter_context(EmbeddedDaemon(state, **config))
+            # Two warm-ups: populate the rcache, then serve one
+            # fully-cached request so timing starts at steady state.
+            for _ in range(2):
+                _latency, detail = _run_to_completion(bases[mode], payload)
+                if detail["status"] != "done":
+                    raise RuntimeError(f"{mode} warm-up ended {detail['status']}")
+        print(f"bench_serve: sandbox-overhead x{requests} alternating pairs ...",
+              flush=True)
+        for pair in range(requests):
+            order = modes if pair % 2 == 0 else modes[::-1]
+            for mode, _config in order:
+                latency, detail = _run_to_completion(bases[mode], payload)
+                if detail["result"]["obligations"]["executed"]:
+                    raise RuntimeError(f"{mode}: warm run re-executed")
+                latencies[mode].append(latency)
+    sides = {
+        mode: {
+            "requests": requests,
+            "p50_seconds": round(_percentile(samples, 0.50), 6),
+            "p99_seconds": round(_percentile(samples, 0.99), 6),
+            "mean_seconds": round(statistics.fmean(samples), 6),
+        }
+        for mode, samples in latencies.items()
+    }
+    ratios = [
+        sandbox / max(inprocess, 1e-9)
+        for inprocess, sandbox in zip(latencies["inprocess"], latencies["sandbox"])
+    ]
+    overhead = statistics.median(ratios) - 1.0
     report = {
-        "benchmark": "subprocess sandbox overhead (warm pingpong)",
+        "benchmark": "subprocess sandbox overhead (warm pingpong, paired)",
         "inprocess": sides["inprocess"],
         "sandbox": sides["sandbox"],
+        "pairs": requests,
         "overhead_fraction": round(overhead, 4),
         "gate_max_fraction": 0.15,
         "verdict": overhead <= 0.15,
     }
     print(
-        f"bench_serve: sandbox overhead p50 "
+        f"bench_serve: sandbox overhead median pair ratio "
+        f"{overhead * 100:+.1f}% over {requests} pairs (p50 "
         f"{sides['inprocess']['p50_seconds']}s -> "
-        f"{sides['sandbox']['p50_seconds']}s "
-        f"({overhead * 100:+.1f}%, gate +15%)",
+        f"{sides['sandbox']['p50_seconds']}s, gate +15%)",
         flush=True,
     )
     return report

@@ -1,8 +1,8 @@
 """Chaos soak: a seeded fault schedule against a live ``repro serve``.
 
 The robustness claim this drill gates: under randomized sandbox-worker
-SIGKILLs, injected disk faults (``rcache.store=enospc``,
-``journal.append=eio``), and SIGTERM restarts of the daemon itself —
+SIGKILLs, injected disk faults (``rcache.store=enospc``), and SIGTERM
+restarts of the daemon itself —
 all while a client keeps submitting verification jobs —
 
 * the service stays live (every ``/healthz`` probe answers),
@@ -15,7 +15,8 @@ all while a client keeps submitting verification jobs —
 
 Verdicts may never silently degrade: a disk full, a dead worker, or a
 killed daemon can cost time (respawns, re-execution, restart replay)
-but not soundness — caches degrade to misses, journals to re-runs.
+but not soundness — failed result-cache stores degrade to misses, and
+misses to re-runs.
 
 The schedule is a seeded ``random.Random`` walk over four actions
 (submit / kill the sandbox worker / SIGTERM+restart the daemon /
@@ -50,10 +51,10 @@ SRC = ROOT / "src"
 sys.path.insert(0, str(SRC))
 
 #: Faults armed for the daemon *and* (inherited) every sandbox worker:
-#: the first rcache stores hit a full disk, the first checkpoint-journal
-#: appends hit I/O errors. Counters re-arm per spawned process, so every
-#: respawned worker takes fresh hits — the soak never runs out of chaos.
-FAULTS = "rcache.store=enospc:4;journal.append=eio:2"
+#: the first rcache stores hit a full disk. Counters re-arm per spawned
+#: process, so every respawned worker takes fresh hits — the soak never
+#: runs out of chaos.
+FAULTS = "rcache.store=enospc:4"
 
 #: The request mix. Small on purpose: the soak's point is fault
 #: coverage, not load; the benchmark ledger's serve workloads cover

@@ -33,17 +33,16 @@ Cache flags (``verify`` and ``table1``)
     fingerprints changed. ``$REPRO_CACHE`` supplies a default directory;
     ``--no-cache`` disables both; ``--cache-stats`` prints greppable
     ``rcache:`` counter lines (hits/misses/invalidations and the
-    executed-vs-cached split) after the report.
+    executed-vs-cached split) after the report. Every obligation is
+    stored as it completes, so re-running an interrupted command with the
+    same ``--cache`` is the resume: it executes only what never finished.
 
 Resilience flags (``verify`` and ``table1``)
     ``--timeout-per-obligation S`` arms a wall-clock deadline per
     obligation attempt (expired obligations report TIMEOUT instead of
-    hanging the run); ``--max-retries K`` bounds crash retries;
-    ``--checkpoint DIR`` journals completed obligations (one JSONL file
-    per IS application, fsync'd per wave) and ``--resume`` skips the
-    journaled ones on restart — a journal from a different run is refused
-    (exit 2). Ctrl-C prints the salvaged partial report and exits 130, as
-    does a run whose discharge was interrupted.
+    hanging the run); ``--max-retries K`` bounds crash retries. Ctrl-C
+    prints the salvaged partial report and exits 130, as does a run whose
+    discharge was interrupted.
 ``explain <fixture> [--jobs N] [--json FILE]``
     Run a seeded failing fixture (``repro.diagnose.fixtures``) end to end
     and print the diagnosis: every counterexample minimized by
@@ -61,8 +60,9 @@ Resilience flags (``verify`` and ``table1``)
     ``/jobs/<id>/events``, and journals job state under ``--state DIR``
     so a restart resumes in-flight runs. Host, port, and queue depth
     default from ``REPRO_SERVE_HOST`` / ``REPRO_SERVE_PORT`` /
-    ``REPRO_SERVE_QUEUE_DEPTH``. SIGTERM drains: in-flight work is
-    salvaged to the journals before exit. Jobs discharge serially: the
+    ``REPRO_SERVE_QUEUE_DEPTH``. SIGTERM drains: the in-flight job is
+    interrupted, its completed obligations already stored, before exit.
+    Jobs discharge serially: the
     daemon runs them beside other threads, and forking a process pool
     from a multi-threaded process can deadlock the child.
 ``list``
@@ -76,27 +76,18 @@ import os
 import sys
 
 
-def _make_resilience(parser, args):
+def _make_resilience(args):
     """A ``ResilienceConfig`` when any resilience flag was used, else
     ``None`` — the default path stays the pre-resilience one."""
-    if getattr(args, "resume", False) and not getattr(args, "checkpoint", None):
-        parser.error("--resume requires --checkpoint DIR")
-    if not (
-        getattr(args, "timeout_per_obligation", None) is not None
-        or getattr(args, "max_retries", None) is not None
-        or getattr(args, "checkpoint", None)
-    ):
+    kwargs = {
+        name: getattr(args, name)
+        for name in ("timeout_per_obligation", "max_retries")
+        if getattr(args, name, None) is not None
+    }
+    if not kwargs:
         return None
     from .engine.resilience import ResilienceConfig
 
-    kwargs = {}
-    if args.timeout_per_obligation is not None:
-        kwargs["timeout_per_obligation"] = args.timeout_per_obligation
-    if args.max_retries is not None:
-        kwargs["max_retries"] = args.max_retries
-    if args.checkpoint:
-        kwargs["checkpoint_dir"] = args.checkpoint
-        kwargs["resume"] = bool(args.resume)
     return ResilienceConfig(**kwargs)
 
 
@@ -117,22 +108,6 @@ def _add_resilience_flags(subparser) -> None:
         help="crash retries per obligation before it degrades to "
         "in-parent execution and reports CRASH (default: 2)",
     )
-    subparser.add_argument(
-        "--checkpoint",
-        metavar="DIR",
-        default=None,
-        help="journal completed obligations to DIR (one JSONL file per "
-        "IS application, fsync'd per wave)",
-    )
-    subparser.add_argument(
-        "--resume",
-        action="store_true",
-        help="skip obligations already journaled under --checkpoint DIR; "
-        "a journal from another instance or an edited repro package is "
-        "refused, but an edit to an application defined outside the "
-        "package is not detected and replays the old verdicts (use "
-        "--cache DIR, which fingerprints content, for those)",
-    )
 
 
 def _add_cache_flags(subparser) -> None:
@@ -142,7 +117,9 @@ def _add_cache_flags(subparser) -> None:
         default=None,
         help="persistent obligation result cache: obligations whose "
         "dependency fingerprints are unchanged are seeded from DIR "
-        "instead of re-executed (default: $REPRO_CACHE if set)",
+        "instead of re-executed, and each is stored as it completes, so "
+        "rerunning an interrupted command with the same DIR resumes it "
+        "(default: $REPRO_CACHE if set)",
     )
     subparser.add_argument(
         "--no-cache",
@@ -184,16 +161,14 @@ def _print_cache_stats(cache, reports) -> None:
         f"invalidations={stats.invalidations} stores={stats.stores} "
         f"uncacheable={stats.uncacheable} write_errors={stats.write_errors}"
     )
-    total = cached = resumed = 0
+    total = cached = 0
     for report in reports:
         for _label, result in report.is_results:
             total += result.num_obligations
             cached += len(result.cached_keys)
-            resumed += len(result.resumed_keys)
-    executed = total - cached - resumed
     print(
-        f"rcache: obligations={total} executed={executed} "
-        f"cached={cached} resumed={resumed}"
+        f"rcache: obligations={total} executed={total - cached} "
+        f"cached={cached}"
     )
 
 
@@ -265,15 +240,10 @@ def _cmd_table1(args) -> int:
         render_table1,
         verify_trace_consistency,
     )
-    from .engine.recordlog import StaleLogError
 
     options = _run_options(args)
     tracer, cache = options.tracer, options.cache
-    try:
-        rows = build_table1(**vars(options))
-    except StaleLogError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    rows = build_table1(**vars(options))
     print(render_table1(rows))
     if cache is not None and args.cache_stats:
         _print_cache_stats(
@@ -297,7 +267,6 @@ def _cmd_table1(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    from .engine.recordlog import StaleLogError
     from .protocols import ALL_PROTOCOLS
 
     module = ALL_PROTOCOLS.get(args.protocol)
@@ -307,11 +276,7 @@ def _cmd_verify(args) -> int:
         return 2
     options = _run_options(args)
     tracer, cache = options.tracer, options.cache
-    try:
-        report = module.verify(**vars(options))
-    except StaleLogError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    report = module.verify(**vars(options))
     print(report.summary())
     if cache is not None and args.cache_stats:
         _print_cache_stats(cache, [report])
@@ -594,8 +559,8 @@ def main(argv=None) -> int:
         "--state",
         metavar="DIR",
         default=None,
-        help="root for persistent state: job journal, per-job checkpoint "
-        "journals, and the obligation result cache (default: in-memory)",
+        help="root for persistent state: the job journal and the "
+        "obligation result cache (default: in-memory)",
     )
     serve.add_argument(
         "--max-configs",
@@ -702,7 +667,7 @@ def main(argv=None) -> int:
     sub.add_parser("list", help="list protocols")
     args = parser.parse_args(argv)
     if args.command in ("table1", "verify"):
-        args.resilience_config = _make_resilience(parser, args)
+        args.resilience_config = _make_resilience(args)
         args.cache_config = _make_cache(parser, args)
     if args.command == "cache":
         return _cmd_cache(parser, args)

@@ -131,8 +131,9 @@ class ISResult:
 
     The resilience fields record how a fault-tolerant run went:
     ``interrupted`` marks a run stopped by ``KeyboardInterrupt`` (the
-    condition map is a salvaged partial); ``resumed_keys`` are obligations
-    satisfied from a checkpoint journal rather than re-executed;
+    condition map is a salvaged partial); ``resumed_keys`` is always
+    empty (a resume is a rerun whose completed obligations are
+    ``cached_keys``) and stays because the benchmark ledger reads it;
     ``timeout_keys``/``crashed_keys`` are obligations that hit their
     deadline or crashed past the retry budget; ``retries`` counts extra
     execution attempts; ``resilience_events`` is the scheduler's recovery
@@ -589,9 +590,9 @@ class ISApplication:
         fail_fast: bool = False,
         tracer=None,
         resilience=None,
-        checkpoint_label: Optional[str] = None,
         cache=None,
         symmetry=None,
+        warm=None,
     ) -> ISResult:
         """Check all IS conditions over a store universe.
 
@@ -614,14 +615,16 @@ class ISApplication:
 
         ``resilience`` (a
         :class:`~repro.engine.resilience.ResilienceConfig`) arms
-        per-obligation deadlines, crash retries, and checkpoint/resume;
-        ``checkpoint_label`` names this application's journal file. See
+        per-obligation deadlines and crash retries. See
         ``repro.engine.obligations.discharge``.
 
         ``cache`` (an :class:`~repro.engine.rcache.ObligationCache` or a
         directory path) reuses persisted results for obligations whose
         dependency fingerprints are unchanged — they are seeded, not
-        executed — and stores every freshly completed obligation back.
+        executed — and stores every obligation back as it completes, so
+        re-running with the same cache resumes a killed run. ``warm`` (a
+        :class:`~repro.engine.warm.WarmState`) memoizes this pair's
+        fingerprints and cache entries across daemon requests.
 
         ``symmetry`` (a :class:`~repro.core.symmetry.SymmetrySpec`) folds
         the universe onto orbit representatives before discharging — a
@@ -644,8 +647,8 @@ class ISApplication:
             fail_fast=fail_fast,
             tracer=tracer,
             resilience=resilience,
-            checkpoint_label=checkpoint_label,
             cache=cache,
+            warm=warm,
         )
 
     def check_inline(

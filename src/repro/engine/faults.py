@@ -41,12 +41,12 @@ Filesystem faults
 -----------------
 Beyond obligation faults, the injector models *disk* failures for the
 persistence layers (``repro.engine.rcache``, and
-``repro.engine.recordlog`` under both journals). A spec whose mode is
-one of :data:`_FS_MODES` — ``enospc`` (disk full), ``eio`` (I/O
+``repro.engine.recordlog`` under the serve job journal). A spec whose
+mode is one of :data:`_FS_MODES` — ``enospc`` (disk full), ``eio`` (I/O
 error), ``eperm`` (permission denied), ``torn`` (partial write lands on
-disk, then the write errors) — is keyed by a *write site* rather than an obligation key
-(``rcache.store``, ``rcache.index``, ``journal.append``,
-``jobs.append``) and consulted through :func:`maybe_fail_write` at the
+disk, then the write errors) — is keyed by a *write site* rather than an
+obligation key (``rcache.store``, ``rcache.index``, ``jobs.append``) and
+consulted through :func:`maybe_fail_write` at the
 moment of the write. ``times`` bounds firings per process via an
 injector-internal counter (writes have no scheduler attempt number), so
 ``REPRO_FAULTS="rcache.store=enospc:4"`` models transient disk pressure

@@ -312,8 +312,8 @@ def discharge(
     fail_fast: bool = False,
     tracer=None,
     resilience: Optional[ResilienceConfig] = None,
-    checkpoint_label: Optional[str] = None,
     cache=None,
+    warm=None,
 ) -> ISResult:
     """Build, schedule, and merge the obligation DAG for one application.
 
@@ -323,38 +323,34 @@ def discharge(
     obligation list is the same for every backend.
 
     ``tracer`` (a :class:`repro.obs.Tracer`) records one span per
-    obligation — skipped obligations included (zero duration, flagged) —
-    plus any resilience events (timeouts, retries, pool rebuilds). Spans are
-    derived *after* scheduling from the outcomes and events the scheduler
-    records anyway, so a tracer can never perturb verdicts, condition
-    maps, or scheduling/recovery decisions.
+    obligation — skipped obligations included (zero duration, flagged),
+    each carrying its result-cache decision — plus any resilience events
+    (timeouts, retries, pool rebuilds). Spans are derived *after*
+    scheduling from the outcomes and events the scheduler records anyway,
+    so a tracer can never perturb verdicts, condition maps, or
+    scheduling/recovery decisions.
 
     ``resilience`` (a :class:`~repro.engine.resilience.ResilienceConfig`)
-    arms per-obligation deadlines, crash retries, and — via its
-    ``checkpoint_dir``/``resume`` fields — the append-only outcome
-    journal: completed ``CheckResult``s are journaled per wave, and a
-    resumed run seeds them back instead of re-executing (outcomes marked
-    ``resumed``). ``checkpoint_label`` names the journal file (one per IS
-    application). A ``KeyboardInterrupt`` mid-run is salvaged: the
-    completed outcomes are merged into a partial result with
-    ``interrupted=True`` and the unexecuted obligations marked with
-    ``interrupted`` timeout witnesses.
+    arms per-obligation deadlines and crash retries. A
+    ``KeyboardInterrupt`` mid-run is salvaged: the completed outcomes are
+    merged into a partial result with ``interrupted=True`` and the
+    unexecuted obligations marked with ``interrupted`` timeout witnesses.
 
     ``cache`` (an :class:`~repro.engine.rcache.ObligationCache`, or a
     directory path) arms the persistent content-addressed result store:
     before scheduling, every obligation's dependency fingerprint is
-    computed and looked up — a hit seeds the recorded verdict (witnesses
-    included) exactly like a journaled outcome and the obligation never
-    executes (outcomes marked ``cached``); every freshly completed
-    obligation is stored back. Cache decisions are recorded as events on
-    the cache object and become ``rcache`` spans when a tracer is
-    attached — derived after the fact, so tracing never perturbs caching
-    (or vice versa).
+    looked up — a hit seeds the recorded verdict (witnesses included)
+    into the fail-fast logic and the obligation never executes (outcomes
+    marked ``cached``). Every completed obligation is stored the moment
+    the scheduler records it, so re-running a killed run with the same
+    cache is the resume. The identity index is flushed once, after
+    scheduling (an interrupted run included). ``warm`` (a daemon's
+    :class:`~repro.engine.warm.WarmState`) memoizes the fingerprints and
+    entries of a resident ``(app, universe)`` pair.
     """
     import os as _os
     import time as _time
 
-    from .journal import CheckpointJournal, run_fingerprint
     from .rcache import DependencyFingerprinter, ObligationCache
     from .scheduler import ObligationOutcome, make_scheduler
 
@@ -366,75 +362,60 @@ def discharge(
         else getattr(scheduler, "resilience", None)
     ) or ResilienceConfig()
     obligations = build_obligations(app, universe, lm_skip=lm_skip)
-    journal = None
-    journaled: Dict[str, object] = {}
-    if cfg.checkpoint_dir:
-        fingerprint = run_fingerprint(app, universe, obligations)
-        journal, journaled = CheckpointJournal.open(
-            cfg.checkpoint_dir,
-            checkpoint_label,
-            fingerprint,
-            num_obligations=len(obligations),
-            resume=cfg.resume,
-        )
     cache = ObligationCache.ensure(cache)
     cache_hits: Dict[str, object] = {}
-    fingerprints: Dict[str, Tuple[Optional[str], str]] = {}
-    cache_stats_before = cache.stats.snapshot() if cache is not None else None
-    cache_events_before = len(cache.events) if cache is not None else 0
+    #: Per obligation: hit, miss, invalidation or uncacheable.
+    decisions: Dict[str, str] = {}
+    on_complete = None
     if cache is not None:
-        fingerprinter = DependencyFingerprinter(app, universe)
+        cache_stats_before = cache.stats.snapshot()
+        fingerprints = {} if warm is None else warm.fingerprints(app, universe)
+        # WarmState.lookup/store take the cache first, like the unbound
+        # ObligationCache methods.
+        front = ObligationCache if warm is None else warm
+        fingerprinter = None
         for ob in obligations:
-            if ob.key in journaled:
-                # The journal's verdicts take precedence: they belong to
-                # *this* run (fingerprint-checked on load).
-                continue
-            pair = (fingerprinter.fingerprint(ob), fingerprinter.identity(ob))
-            fingerprints[ob.key] = pair
+            pair = fingerprints.get(ob.key)
+            if pair is None:
+                if fingerprinter is None:
+                    fingerprinter = DependencyFingerprinter(app, universe)
+                pair = fingerprints[ob.key] = (
+                    fingerprinter.fingerprint(ob),
+                    fingerprinter.identity(ob),
+                )
             if pair[0] is None:
-                cache.note_uncacheable(ob.key)
+                cache.stats.uncacheable += 1
+                decisions[ob.key] = "uncacheable"
                 continue
-            entry = cache.lookup(pair[0], pair[1], ob.key)
+            entry = front.lookup(cache, pair[0], pair[1], ob.key)
             if entry is not None:
                 cache_hits[ob.key] = entry
-    todo = [
-        ob
-        for ob in obligations
-        if ob.key not in journaled and ob.key not in cache_hits
-    ]
-    seed_verdicts = {k: r.holds for k, r in journaled.items()}
-    seed_verdicts.update({k: e.holds for k, e in cache_hits.items()})
+                decisions[ob.key] = "hit"
+            else:
+                decisions[ob.key] = cache.miss_kind(*pair)
+
+        def on_complete(outcome) -> None:
+            fingerprint, identity = fingerprints[outcome.key]
+            if fingerprint is not None:
+                front.store(cache, fingerprint, identity, outcome.key, outcome)
+
+    todo = [ob for ob in obligations if ob.key not in cache_hits]
     interrupted = False
     try:
-        if journal is not None or cache is not None:
-            outcomes = scheduler.run(
-                app,
-                universe,
-                todo,
-                fail_fast=fail_fast,
-                journal=journal,
-                seed_verdicts=seed_verdicts,
-            )
-        else:
-            outcomes = scheduler.run(
-                app, universe, obligations, fail_fast=fail_fast
-            )
+        outcomes = scheduler.run(
+            app,
+            universe,
+            todo,
+            fail_fast=fail_fast,
+            on_complete=on_complete,
+            seed_verdicts={k: e.holds for k, e in cache_hits.items()},
+        )
     except DischargeInterrupted as exc:
         outcomes = exc.outcomes
         interrupted = True
     finally:
-        if journal is not None:
-            journal.close()
-    for key, record in journaled.items():
-        outcomes[key] = ObligationOutcome(
-            key,
-            record.to_result(),
-            0.0,
-            _os.getpid(),
-            started=_time.perf_counter(),
-            attempts=record.attempts,
-            resumed=True,
-        )
+        if cache is not None:
+            cache.flush()
     for key, entry in cache_hits.items():
         outcomes[key] = ObligationOutcome(
             key,
@@ -445,14 +426,6 @@ def discharge(
             attempts=entry.attempts,
             cached=True,
         )
-    if cache is not None:
-        for key, outcome in outcomes.items():
-            if outcome.result is None or outcome.cached or outcome.resumed:
-                continue
-            pair = fingerprints.get(key)
-            if pair is not None and pair[0] is not None:
-                cache.store(pair[0], pair[1], key, outcome)
-        cache.flush()
     results: Dict[str, CheckResult] = {}
     timings: Dict[str, float] = {}
     by_key = {ob.key: ob for ob in obligations}
@@ -489,10 +462,7 @@ def discharge(
                 results[ob.key] = _fault_result(ob, None, None)
     merged = merge_outcomes(app, obligations, results, timings=timings)
     merged.interrupted = interrupted
-    merged.resumed_keys = sorted(journaled)
     merged.cached_keys = sorted(cache_hits)
-    if cache is not None:
-        merged.rcache_stats = cache.stats.delta(cache_stats_before)
     merged.timeout_keys = sorted(
         k for k, o in outcomes.items() if o.timed_out
     )
@@ -503,26 +473,21 @@ def discharge(
         max(0, o.attempts - 1) for o in outcomes.values()
     )
     merged.resilience_events = list(getattr(scheduler, "last_events", ()) or ())
-    if journal is not None and journal.write_errors:
-        # Surface checkpoint degradation alongside scheduler recovery:
-        # the run completed, but a resume would re-execute unjournaled
-        # outcomes (see repro.engine.journal, "Disk faults degrade").
-        merged.resilience_events.append(
-            ResilienceEvent(
-                kind="journal-write-error",
-                key="journal",
-                at=_time.perf_counter(),
-                detail=(
-                    f"{journal.write_errors} failed journal write(s); "
-                    f"checkpointing degraded for {journal.path.name}"
-                ),
+    if cache is not None:
+        merged.rcache_stats = cache.stats.delta(cache_stats_before)
+        write_errors = merged.rcache_stats["write_errors"]
+        if write_errors:
+            # The run completed, but a rerun re-executes what was not stored.
+            merged.resilience_events.append(
+                ResilienceEvent(
+                    "rcache-write-error",
+                    at=_time.perf_counter(),
+                    detail=f"{write_errors} failed result-cache write(s); "
+                    "storing degraded",
+                )
             )
-        )
     if tracer is not None:
-        cache_events = (
-            cache.events[cache_events_before:] if cache is not None else ()
-        )
-        _emit_spans(tracer, scheduler, obligations, outcomes, cache_events)
+        _emit_spans(tracer, scheduler, obligations, outcomes, decisions)
     workers: Dict[int, dict] = {}
     for outcome in outcomes.values():
         if outcome.cache_delta is not None:  # executed by outcome.pid
@@ -531,13 +496,11 @@ def discharge(
     return merged
 
 
-def _emit_spans(
-    tracer, scheduler, obligations, outcomes, cache_events=()
-) -> None:
+def _emit_spans(tracer, scheduler, obligations, outcomes, decisions) -> None:
     """Turn scheduler outcomes into tracer spans (one per obligation, in
-    build order, plus the result cache's hit/miss/invalidation events).
-    Purely derivational: reads outcome fields and events the engine
-    populates unconditionally."""
+    build order, each with its result-cache decision). Purely
+    derivational: reads outcome fields and decisions the engine records
+    unconditionally."""
     import os
 
     from ..obs.tracer import Span
@@ -564,21 +527,8 @@ def _emit_spans(
                 cache_delta=outcome.cache_delta,
                 attempts=outcome.attempts,
                 timed_out=outcome.timed_out,
-                resumed=outcome.resumed,
                 cached=outcome.cached,
-            )
-        )
-    for event in cache_events:
-        tracer.add(
-            Span(
-                name=f"rcache:{event.kind}",
-                category="rcache",
-                start=event.at,
-                duration=0.0,
-                pid=os.getpid(),
-                backend=backend,
-                kind=event.kind,
-                condition=event.key,
+                rcache=decisions.get(ob.key, ""),
             )
         )
     for event in getattr(scheduler, "last_events", ()) or ():

@@ -5,8 +5,8 @@ application into independent proof obligations, each of which reads a
 *small* slice of the application: an abstraction check reads one program
 action and its abstraction, I1 reads ``M`` and the invariant, an LM cell
 reads one abstraction and one program action, and so on. This module
-generalizes the run-level fingerprint of ``repro.engine.journal`` into a
-**per-obligation dependency fingerprint**: a content hash of
+keys each obligation's result by a **per-obligation dependency
+fingerprint**: a content hash of
 
 * the engine schema version (:data:`RCACHE_SCHEMA`),
 * the obligation's kind, key, and instance parameters,
@@ -44,12 +44,18 @@ store) and is never consulted to answer a lookup; corrupt or missing
 entries degrade to misses, never to wrong verdicts. Entry writes are
 atomic (temp file + rename), so a killed run leaves no torn objects.
 
+**Resume.** ``discharge`` stores each outcome the moment it completes,
+so re-running a killed run with the same cache directory *is* the
+resume. A crash mid-write leaves no entry, a stray temp file (never
+read), or a whole entry; a torn final file (the ``torn`` fault) fails
+to decode and is a miss, never a verdict.
+
 **Disk faults degrade, never abort.** Every write path — entry store,
 index flush, even creating the cache directory — tolerates ``OSError``
 (``ENOSPC``, ``EIO``, permissions): the failed write is counted in
-``stats.write_errors``, recorded as a ``write_error`` cache event (so it
-surfaces as an ``rcache:write_error`` span and in ``--cache-stats``),
-and the run continues with the entry simply *not cached*. This is sound
+``stats.write_errors`` (printed by ``--cache-stats``; ``discharge``
+adds one ``rcache-write-error`` resilience event), and the run continues
+with the entry simply *not cached*. This is sound
 for the same reason a cold cache is sound: a missing entry can only
 cause re-execution, never a wrong verdict (see DESIGN, "Why degraded
 writes preserve soundness").
@@ -66,18 +72,20 @@ index (last writer wins per identity, nobody tears the file), and entry
 objects are content-addressed so concurrent writers racing on the same
 fingerprint write identical bytes.
 
-Cache hit/miss/invalidation events are recorded unconditionally on the
-cache object and turned into zero-duration ``rcache`` spans *after*
-discharge, preserving the tracing layer's no-perturbation guarantee.
+Each obligation's cache decision (hit, miss, invalidation or
+uncacheable) rides on its obligation span, derived *after* discharge,
+preserving the tracing layer's no-perturbation guarantee.
 """
 
 from __future__ import annotations
 
+import base64
 import dataclasses
 import functools
 import hashlib
 import json
 import os
+import pickle
 import re
 import time
 import types
@@ -91,9 +99,9 @@ from ..core.columnar import ColumnarStore
 from ..core.mapping import FrozenDict
 from ..core.multiset import Multiset
 from ..core.program import Program
+from ..core.refinement import CheckResult
 from ..core.store import Store, StoreInterner
 from . import faults
-from .journal import JournaledOutcome
 
 try:  # advisory inter-process locking; absent on non-POSIX platforms
     import fcntl
@@ -108,7 +116,7 @@ __all__ = [
     "universe_fingerprint",
     "DependencyFingerprinter",
     "RcacheStats",
-    "CacheEvent",
+    "CacheEntry",
     "ObligationCache",
 ]
 
@@ -564,14 +572,61 @@ class DependencyFingerprinter:
 
 
 @dataclass
-class CacheEvent:
-    """One cache decision, recorded unconditionally (spans are derived
-    from these after discharge — tracing never perturbs caching)."""
+class CacheEntry:
+    """One stored obligation outcome: enough to rebuild the
+    ``CheckResult`` and seed the fail-fast verdict map. The record is
+    JSON; witnesses are a base64-wrapped pickle of the typed
+    counterexample list (the envelope greppable, the payload exact)."""
 
-    kind: str  # hit | miss | invalidation | store | uncacheable | write_error
     key: str
-    fingerprint: str = ""
-    at: float = 0.0
+    holds: bool
+    checked: int
+    name: str
+    elapsed: float
+    attempts: int
+    witnesses_b64: Optional[str] = None
+
+    @staticmethod
+    def record_of(outcome) -> dict:
+        """The JSON record of one completed scheduler outcome."""
+        result = outcome.result
+        return {
+            "key": outcome.key,
+            "name": result.name,
+            "holds": result.holds,
+            "checked": result.checked,
+            "elapsed": round(outcome.elapsed, 6),
+            "attempts": getattr(outcome, "attempts", 1),
+            "witnesses": (
+                base64.b64encode(pickle.dumps(result.counterexamples)).decode()
+                if result.counterexamples
+                else None
+            ),
+        }
+
+    @classmethod
+    def from_record(cls, record: dict) -> "CacheEntry":
+        """Decode one record; raises on anything malformed — the witness
+        payload included, which must decode now, not at merge time."""
+        entry = cls(
+            key=record["key"],
+            holds=bool(record["holds"]),
+            checked=int(record["checked"]),
+            name=record["name"],
+            elapsed=float(record.get("elapsed", 0.0)),
+            attempts=int(record.get("attempts", 1)),
+            witnesses_b64=record.get("witnesses"),
+        )
+        entry.to_result()
+        return entry
+
+    def to_result(self) -> CheckResult:
+        counterexamples: List = []
+        if self.witnesses_b64:
+            counterexamples = pickle.loads(base64.b64decode(self.witnesses_b64))
+        return CheckResult(
+            self.name, self.holds, counterexamples, checked=self.checked
+        )
 
 
 @dataclass
@@ -608,8 +663,8 @@ class ObligationCache:
     """Content-addressed store of completed obligation results.
 
     One instance may serve many ``discharge()`` calls (a whole protocol
-    pipeline, or a full Table 1 sweep); ``stats`` and ``events``
-    accumulate across them and callers snapshot/slice per discharge.
+    pipeline, or a full Table 1 sweep); ``stats`` accumulate across them
+    and callers snapshot per discharge.
     """
 
     def __init__(self, directory, max_mb: Optional[float] = None):
@@ -618,7 +673,6 @@ class ObligationCache:
         self.index_path = self.directory / "index.json"
         self.lock_path = self.directory / ".lock"
         self.stats = RcacheStats()
-        self.events: List[CacheEvent] = []
         #: Set when the cache directory itself cannot be created — every
         #: lookup is then a miss and every store a counted write_error.
         self.disabled = False
@@ -638,7 +692,6 @@ class ObligationCache:
         except OSError:
             self.disabled = True
             self.stats.write_errors += 1
-            self._event("write_error", "mkdir")
         self._index: Dict[str, str] = self._load_index()
         self._index_dirty = False
 
@@ -701,7 +754,6 @@ class ObligationCache:
                 )
             except OSError:
                 self.stats.write_errors += 1
-                self._event("write_error", "index")
                 return
             self._index_dirty = False
         finally:
@@ -764,29 +816,25 @@ class ObligationCache:
     # Lookup / store
     # ------------------------------------------------------------------ #
 
-    def _event(self, kind: str, key: str, fingerprint: str = "") -> None:
-        self.events.append(
-            CacheEvent(kind, key, fingerprint, at=time.perf_counter())
-        )
-
-    def note_uncacheable(self, key: str) -> None:
-        self.stats.uncacheable += 1
-        self._event("uncacheable", key)
+    def miss_kind(self, fingerprint: str, identity: str) -> str:
+        """``"invalidation"`` when ``identity`` was last stored under a
+        *different* fingerprint (its content changed), else ``"miss"``."""
+        known = self._index.get(identity)
+        if known is not None and known != fingerprint:
+            return "invalidation"
+        return "miss"
 
     def lookup(
         self, fingerprint: str, identity: str, key: str
-    ) -> Optional[JournaledOutcome]:
+    ) -> Optional[CacheEntry]:
         """The completed outcome stored under ``fingerprint``, or ``None``.
 
-        Corrupt, missing, mismatched, or undecodable entries are misses.
-        A miss whose ``identity`` was last stored under a *different*
-        fingerprint is counted as an invalidation — the obligation's
-        content changed since it was cached.
+        Corrupt, missing, mismatched, or undecodable entries are misses,
+        counted as plain misses or invalidations (:meth:`miss_kind`).
         """
         entry = self._read_entry(fingerprint, key)
         if entry is not None:
             self.stats.hits += 1
-            self._event("hit", key, fingerprint)
             try:
                 # Refresh mtime so quota GC evicts least-recently-*used*,
                 # not least-recently-written. Best-effort.
@@ -794,27 +842,23 @@ class ObligationCache:
             except OSError:
                 pass
             return entry
-        known = self._index.get(identity)
-        if known is not None and known != fingerprint:
+        if self.miss_kind(fingerprint, identity) == "invalidation":
             self.stats.invalidations += 1
-            self._event("invalidation", key, fingerprint)
         else:
             self.stats.misses += 1
-            self._event("miss", key, fingerprint)
         return None
 
-    def _read_entry(
-        self, fingerprint: str, key: str
-    ) -> Optional[JournaledOutcome]:
+    def _read_entry(self, fingerprint: str, key: str) -> Optional[CacheEntry]:
         path = self.objects_dir / f"{fingerprint}.json"
         try:
             record = json.loads(path.read_text())
             if record.get("schema") != RCACHE_SCHEMA:
                 return None
-            if record.get("key") != key:
-                # sha256 collision or tampering; never trust it.
+            if record.get("key") != key or record.get("fingerprint") != fingerprint:
+                # sha256 collision, a moved file or tampering; never
+                # trust it.
                 return None
-            return JournaledOutcome.from_record(record)
+            return CacheEntry.from_record(record)
         except FileNotFoundError:
             return None
         except Exception:
@@ -824,26 +868,20 @@ class ObligationCache:
         """Persist one *completed* scheduler outcome; True when written.
 
         Only genuine verdicts are stored: skipped, timed-out, crashed,
-        resumed-from-journal, and cache-hit outcomes are not (the first
-        three must re-attempt; the last two are already on disk).
+        and cache-hit outcomes are not (the first three must re-attempt;
+        the last is already on disk).
 
         A disk failure (``ENOSPC``/``EIO``/permissions) never propagates:
-        the entry degrades to a future miss, ``stats.write_errors``
-        counts it, and a ``write_error`` event marks the key — the verify
-        run itself is unaffected.
+        the entry degrades to a future miss and ``stats.write_errors``
+        counts it — the verify run itself is unaffected.
         """
         result = getattr(outcome, "result", None)
-        if (
-            result is None
-            or getattr(outcome, "resumed", False)
-            or getattr(outcome, "cached", False)
-            or self.disabled
-        ):
+        if result is None or getattr(outcome, "cached", False) or self.disabled:
             return False
         record = {
             "schema": RCACHE_SCHEMA,
             "fingerprint": fingerprint,
-            **JournaledOutcome.record_of(outcome),
+            **CacheEntry.record_of(outcome),
         }
         try:
             self._atomic_write(
@@ -853,12 +891,10 @@ class ObligationCache:
             )
         except OSError:
             self.stats.write_errors += 1
-            self._event("write_error", key, fingerprint)
             return False
         self._index[identity] = fingerprint
         self._index_dirty = True
         self.stats.stores += 1
-        self._event("store", key, fingerprint)
         if self.max_mb is not None:
             self._stores_since_gc += 1
             if self._stores_since_gc >= _GC_EVERY:

@@ -1,5 +1,4 @@
-"""One durable record log: the append-only JSONL file under both the
-engine's checkpoint journal (:mod:`repro.engine.journal`) and the serve
+"""One durable record log: the append-only JSONL file under the serve
 daemon's job journal (:mod:`repro.serve.jobs`).
 
 Layout: line 1 is a header object carrying a ``schema`` tag; every
@@ -18,24 +17,21 @@ The log owns the durability mechanics, and nothing else:
   and an unterminated tail is truncated back to the last newline, so the
   next record never fuses onto a torn half-line.
 * **Appending** flushes every record to the OS; :meth:`RecordLog.sync`
-  adds an fsync and :meth:`RecordLog.maybe_sync` throttles it. Every
-  write, the header included, first consults the fault injector at the
-  log's write site.
+  adds an fsync. Every write, the header included, first consults the
+  fault injector at the log's write site.
 * **Disk faults degrade, never abort**: an ``OSError`` anywhere on the
   write side counts in ``write_errors`` and closes the handle; nothing
   raises. Appends to a closed log are refused.
 
-Policy stays with the owners: which fingerprint is theirs, how records
-fold (the engine trusts nothing after a bad line, the daemon skips it),
-and whether a failed write latches off (the engine, for the rest of one
-run) or reopens on the next append (the daemon).
+Policy stays with the owner: which fingerprint is its own, how records
+fold (the job journal skips a bad line), and whether a failed write
+latches off or reopens on the next append (the job journal reopens).
 """
 
 from __future__ import annotations
 
 import json
 import os
-import time
 from pathlib import Path
 from typing import List, Optional, Tuple
 
@@ -45,8 +41,8 @@ __all__ = ["StaleLogError", "RecordLog", "read_log"]
 
 
 class StaleLogError(RuntimeError):
-    """A log that is not this owner's: empty, an unreadable or foreign
-    header, or (checked by the owner) a different run's fingerprint."""
+    """A log that is not this owner's: empty, or an unreadable or foreign
+    header."""
 
 
 def _check_header(path, line: bytes, schema: str, kind: str) -> dict:
@@ -95,7 +91,7 @@ class RecordLog:
 
     ``header`` is written whenever the file starts fresh; its
     ``schema`` is the tag the header check demands. ``site`` is the
-    fault-injection write site (``journal.append``, ``jobs.append``).
+    fault-injection write site (``jobs.append``).
     """
 
     def __init__(self, path, header: dict, kind: str, site: str) -> None:
@@ -104,7 +100,6 @@ class RecordLog:
         self.kind = kind
         self.site = site
         self._handle = None
-        self._last_fsync = 0.0
         #: Failed writes (header, records, fsyncs), each degraded to a
         #: closed handle instead of an exception.
         self.write_errors = 0
@@ -175,29 +170,15 @@ class RecordLog:
 
     def _fsync(self) -> None:
         os.fsync(self._handle.fileno())
-        self._last_fsync = time.perf_counter()
 
     def sync(self) -> None:
-        """fsync what the appends already flushed — wave boundaries,
-        interrupts and durable job events."""
+        """fsync what the appends already flushed (durable job events)."""
         if self._handle is None:
             return
         try:
             self._fsync()
         except OSError:
             self._fail()
-
-    def maybe_sync(self, min_interval: float = 1.0) -> None:
-        """fsync at most once per ``min_interval``.
-
-        The serial backend's per-obligation throttle: an fsync per
-        record would dominate short obligations, while the per-record
-        flush already survives the *process* dying. Only a machine-level
-        crash inside the interval loses records — at most the last
-        interval's worth, which a resume re-executes.
-        """
-        if time.perf_counter() - self._last_fsync >= min_interval:
-            self.sync()
 
     def _fail(self) -> None:
         self.write_errors += 1

@@ -5,10 +5,9 @@ CIVL hands every proof obligation to an SMT solver that can time out,
 crash, or be killed, and the verifier survives all three. This module is
 the policy half of the same property for the explicit-state engine: a
 :class:`ResilienceConfig` bundles the per-obligation wall-clock deadline,
-the crash-retry budget with exponential backoff, the pool-rebuild bound,
-and the checkpoint location, and travels as one value from the CLI down
-to the schedulers (the mechanism half lives in
-``repro.engine.scheduler``; the journal in ``repro.engine.journal``).
+the crash-retry budget with exponential backoff and the pool-rebuild
+bound, and travels as one value from the CLI down to the schedulers (the
+mechanism half lives in ``repro.engine.scheduler``).
 
 Deadlines are enforced *inside the discharging process* with a real-time
 interval timer (``SIGALRM``): the worker — or the serial backend's parent
@@ -20,10 +19,10 @@ without ``SIGALRM`` the guard degrades to a no-op — the parent-side
 backstop in the pool scheduler still bounds the damage there.
 
 :class:`DischargeInterrupted` is the structured form of Ctrl-C: the
-scheduler salvages every completed outcome, flushes the checkpoint
-journal, and raises this instead of letting ``KeyboardInterrupt``
-unwind with everything lost; ``discharge`` turns it into a partial,
-explicitly-marked result.
+scheduler salvages every completed outcome (each already handed to the
+result cache as it completed) and raises this instead of letting
+``KeyboardInterrupt`` unwind with everything lost; ``discharge`` turns
+it into a partial, explicitly-marked result.
 """
 
 from __future__ import annotations
@@ -50,7 +49,7 @@ class ObligationTimeout(Exception):
 
 class DischargeInterrupted(Exception):
     """A discharge run stopped by ``KeyboardInterrupt``, carrying the
-    outcomes completed (and journaled) before the interrupt."""
+    outcomes completed (and stored) before the interrupt."""
 
     def __init__(self, outcomes: Dict[str, object]):
         super().__init__(f"interrupted after {len(outcomes)} outcomes")
@@ -72,10 +71,6 @@ class ResilienceConfig:
     ``timeout * parent_backstop_factor + parent_backstop_slack`` — is how
     long the parent waits on a single future before declaring the worker
     wedged beyond the in-worker alarm's reach.
-
-    ``checkpoint_dir``/``resume`` configure the append-only outcome
-    journal (``repro.engine.journal``); they are carried here so one
-    object plumbs through every ``verify()`` pipeline.
     """
 
     timeout_per_obligation: Optional[float] = None
@@ -85,8 +80,6 @@ class ResilienceConfig:
     max_pool_rebuilds: int = 3
     parent_backstop_factor: float = 2.0
     parent_backstop_slack: float = 5.0
-    checkpoint_dir: Optional[str] = None
-    resume: bool = False
 
     def backoff_for(self, attempt: int) -> float:
         """Sleep before retry ``attempt`` (1-based): exponential."""
@@ -116,8 +109,8 @@ class ResilienceEvent:
     (an obligation fell back to in-parent execution),
     ``degrade-run`` (the whole run fell back to the serial backend),
     ``parent-timeout`` (the parent-side backstop expired for a wedged
-    worker), ``interrupted``, and ``journal-write-error`` (a checkpoint
-    append failed on disk and the journal degraded to no-checkpoint —
+    worker), ``interrupted``, and ``rcache-write-error`` (result-cache
+    writes failed on disk, so a rerun re-executes those obligations —
     appended by ``discharge()`` after the run, not by a scheduler).
     Schedulers record these unconditionally — they cost one list
     append — so attaching a tracer never changes recovery decisions (the

@@ -50,8 +50,12 @@ three failure modes an SMT back end exhibits in CIVL —
   retries the lost obligations. Past the rebuild budget the whole run
   degrades to the serial backend with a warning.
 
+Both backends hand each outcome to an optional ``on_complete`` callback
+as they record it (the pool's parent as each future resolves), so
+``discharge`` stores every completed result before a kill can lose it.
+
 ``KeyboardInterrupt`` is salvaged, not dropped: completed outcomes are
-kept, the checkpoint journal (if any) is flushed, and the structured
+kept, and the structured
 :class:`~repro.engine.resilience.DischargeInterrupted` carries the
 partial run out to the merge layer. Every recovery action is recorded as
 a :class:`~repro.engine.resilience.ResilienceEvent` on
@@ -66,7 +70,7 @@ import os
 import time
 import warnings
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..core.explore import ExplorationBudgetExceeded
 from ..core.refinement import CheckResult
@@ -98,9 +102,8 @@ class ObligationOutcome:
     ``error`` set), its deadline expired (``timed_out=True``), or it
     crashed past the retry budget (``error`` carries the last failure).
     ``attempts`` counts executions tried (1 on the happy path);
-    ``resumed`` marks outcomes satisfied from a checkpoint journal
-    instead of executed; ``cached`` marks outcomes satisfied from the
-    content-addressed result cache (``repro.engine.rcache``).
+    ``cached`` marks outcomes satisfied from the content-addressed result
+    cache (``repro.engine.rcache``) instead of executed.
 
     ``started`` (a ``perf_counter`` stamp from the discharging process —
     comparable across ``fork`` boundaries, where the monotonic clock is
@@ -110,8 +113,8 @@ class ObligationOutcome:
     few integer reads — so attaching a tracer never changes what the
     scheduler executes (the no-perturbation guarantee; see
     ``repro.obs``). ``cache_delta`` is set exactly when process ``pid``
-    executed the obligation, whatever its outcome; skipped, resumed,
-    cached and parent-backstop outcomes carry ``None``.
+    executed the obligation, whatever its outcome; skipped, cached and
+    parent-backstop outcomes carry ``None``.
     """
 
     key: str
@@ -123,7 +126,6 @@ class ObligationOutcome:
     attempts: int = 1
     timed_out: bool = False
     error: Optional[str] = None
-    resumed: bool = False
     cached: bool = False
 
     @property
@@ -163,13 +165,15 @@ def _waves(obligations) -> List[List]:
     return waves
 
 
-def _record(outcomes, verdicts, outcome: ObligationOutcome) -> None:
-    """File one outcome; faulted obligations count as failed deps so
-    fail-fast skipping stays deterministic downstream."""
+def _record(outcomes, verdicts, outcome: ObligationOutcome, on_complete) -> None:
+    """File one outcome and hand it to ``on_complete``; faulted ones count
+    as failed deps, so fail-fast skipping stays deterministic."""
     outcomes[outcome.key] = outcome
     verdicts[outcome.key] = (
         outcome.result.holds if outcome.result is not None else False
     )
+    if on_complete is not None:
+        on_complete(outcome)
 
 
 class SerialScheduler:
@@ -195,7 +199,7 @@ class SerialScheduler:
         universe: StoreUniverse,
         obligations: Sequence,
         fail_fast: bool = False,
-        journal=None,
+        on_complete: Optional[Callable[[ObligationOutcome], None]] = None,
         seed_verdicts: Optional[Dict[str, bool]] = None,
     ) -> Dict[str, ObligationOutcome]:
         pid = os.getpid()
@@ -215,15 +219,11 @@ class SerialScheduler:
                 outcome = self._execute_with_recovery(
                     app, universe, ob, lm_universes
                 )
-                _record(outcomes, verdicts, outcome)
-                if journal is not None and journal.record(outcome):
-                    journal.maybe_sync()
+                _record(outcomes, verdicts, outcome, on_complete)
         except KeyboardInterrupt:
             self.last_events.append(
                 ResilienceEvent("interrupted", at=time.perf_counter())
             )
-            if journal is not None:
-                journal.sync()
             raise DischargeInterrupted(outcomes) from None
         return outcomes
 
@@ -436,7 +436,7 @@ class ProcessPoolScheduler:
         universe: StoreUniverse,
         obligations: Sequence,
         fail_fast: bool = False,
-        journal=None,
+        on_complete: Optional[Callable[[ObligationOutcome], None]] = None,
         seed_verdicts: Optional[Dict[str, bool]] = None,
     ) -> Dict[str, ObligationOutcome]:
         cfg = self.resilience
@@ -452,7 +452,7 @@ class ProcessPoolScheduler:
                     universe,
                     obligations,
                     fail_fast=fail_fast,
-                    journal=journal,
+                    on_complete=on_complete,
                     seed_verdicts=seed_verdicts,
                 )
             finally:
@@ -495,21 +495,12 @@ class ProcessPoolScheduler:
                         verdicts,
                         parent_lm_universes,
                         rebuilds,
+                        on_complete,
                     )
-                if journal is not None:
-                    for ob in wave:
-                        outcome = outcomes.get(ob.key)
-                        if outcome is not None:
-                            journal.record(outcome)
-                    journal.sync()
         except KeyboardInterrupt:
             self.last_events.append(
                 ResilienceEvent("interrupted", at=time.perf_counter())
             )
-            if journal is not None:
-                for outcome in outcomes.values():
-                    journal.record(outcome)
-                journal.sync()
             raise DischargeInterrupted(outcomes) from None
         finally:
             if pool is not None:
@@ -532,10 +523,12 @@ class ProcessPoolScheduler:
         verdicts,
         parent_lm_universes,
         rebuilds: int,
+        on_complete,
     ):
         """One submit-and-collect round over the wave's pending
-        obligations; mutates ``pending``/``outcomes`` and returns the
-        (possibly rebuilt or ``None``-degraded) pool + rebuild count."""
+        obligations; mutates ``pending``/``outcomes``, hands each
+        resolved outcome to ``on_complete``, and returns the (possibly
+        rebuilt or ``None``-degraded) pool + rebuild count."""
         from concurrent.futures import BrokenExecutor
         from concurrent.futures import TimeoutError as FuturesTimeout
 
@@ -559,6 +552,7 @@ class ProcessPoolScheduler:
                 self._parent_execute(
                     app, universe, ob, attempts[key], parent_lm_universes
                 ),
+                on_complete,
             )
         if not pending:
             return pool, rebuilds
@@ -572,6 +566,7 @@ class ProcessPoolScheduler:
                     self._parent_execute(
                         app, universe, ob, attempts[key], parent_lm_universes
                     ),
+                    on_complete,
                 )
             return pool, rebuilds
 
@@ -614,6 +609,7 @@ class ProcessPoolScheduler:
                         attempts=attempts[key] + 1,
                         timed_out=True,
                     ),
+                    on_complete,
                 )
                 del pending[key]
                 broken = True
@@ -669,6 +665,7 @@ class ProcessPoolScheduler:
                         attempts=attempts[key] + 1,
                         timed_out=timed_out,
                     ),
+                    on_complete,
                 )
                 del pending[key]
         for key in lost:

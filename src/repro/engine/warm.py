@@ -17,7 +17,12 @@ requests:
   are stable across requests and the universe memos keyed by them keep
   hitting instead of growing;
 * the derived pipeline stages (sequential spec, ground truth) that are
-  pure functions of the protocol instance.
+  pure functions of the protocol instance;
+* per resident ``(app, universe)`` pair, each obligation's
+  ``(fingerprint, identity)``, and a bounded in-memory front of the
+  result-cache entries read or stored, keyed by ``(fingerprint,
+  obligation key)``: a repeated request neither fingerprints nor reads
+  the disk.
 
 Soundness: every entry is keyed by the full instance identity —
 protocol name, instance parameters, IS label, and exploration budget —
@@ -26,8 +31,13 @@ over those keys. Reuse can therefore never change a verdict, only skip
 recomputation; obligation *results* are additionally guarded by the
 result cache's per-obligation dependency fingerprints
 (``repro.engine.rcache``), which hash actual gate/transition content.
-``tests/serve/test_warm.py`` holds warm re-runs to typed-identical
-reports against cold ones.
+The fingerprint memo trusts what the universe memo does: resident
+objects are never edited in place (a closure cell changed under a
+resident pair is not seen until ``forget()``). The entry front is
+content-addressed, so it is sound in any scope. ``tests/serve/test_warm.py``
+holds warm re-runs to typed-identical reports against cold ones, and
+``tests/engine/test_rcache_fingerprint.py`` every memoized fingerprint
+to a fresh fingerprinter's.
 
 The maps are bounded (:attr:`WarmState.max_entries`, FIFO eviction) so a
 client sweeping instance parameters cannot grow the daemon without
@@ -42,9 +52,13 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional, Tuple
 
-from .rcache import ObligationCache
+from .rcache import CacheEntry, ObligationCache
 
 __all__ = ["WarmState", "WarmStats"]
+
+#: Bound on the in-memory front of result-cache entries (entries, not
+#: bytes; a passing obligation's entry is a few hundred bytes).
+FRONT_ENTRIES = 4096
 
 
 @dataclass
@@ -96,6 +110,10 @@ class WarmState:
         self._universes: "OrderedDict[Tuple, object]" = OrderedDict()
         self._stages: "OrderedDict[Tuple, object]" = OrderedDict()
         self._pipelines: "OrderedDict[Tuple, object]" = OrderedDict()
+        #: ``(id(app), id(universe))`` -> ``(app, universe, {key: pair})``
+        #: for resident universes only; dropped with the universe.
+        self._fingerprints: Dict[Tuple[int, int], Tuple] = {}
+        self._front: "OrderedDict[Tuple[str, str], CacheEntry]" = OrderedDict()
 
     # ------------------------------------------------------------------ #
     # Memo maps
@@ -116,8 +134,14 @@ class WarmState:
         setattr(self.stats, builds, getattr(self.stats, builds) + 1)
         table[key] = value
         while len(table) > self.max_entries:
-            table.popitem(last=False)
+            _, evicted = table.popitem(last=False)
             self.stats.evictions += 1
+            if table is self._universes:
+                self._fingerprints = {
+                    pair: memo
+                    for pair, memo in self._fingerprints.items()
+                    if memo[1] is not evicted
+                }
         return value
 
     def universe(self, key: Tuple, build: Callable):
@@ -146,16 +170,54 @@ class WarmState:
             self._pipelines, key, build, "pipeline_hits", "pipeline_builds"
         )
 
+    def fingerprints(self, app, universe) -> Dict[str, Tuple]:
+        """The ``{obligation key: (fingerprint, identity)}`` memo that
+        ``discharge`` fills for one ``(app, universe)`` pair; kept only
+        while ``universe`` is resident, otherwise a throwaway dict. (The
+        entry holds both objects, so neither id is reused meanwhile.)"""
+        pair = (id(app), id(universe))
+        if pair not in self._fingerprints:
+            if not any(value is universe for value in self._universes.values()):
+                return {}
+            self._fingerprints[pair] = (app, universe, {})
+        return self._fingerprints[pair][2]
+
+    def lookup(self, cache, fingerprint: str, identity: str, key: str):
+        """``cache.lookup`` behind the in-memory front: a front hit counts
+        as a cache hit and reads nothing from disk."""
+        entry = self._front.get((fingerprint, key))
+        if entry is not None:
+            cache.stats.hits += 1
+        else:
+            entry = cache.lookup(fingerprint, identity, key)
+        if entry is not None:
+            self._remember((fingerprint, key), entry)
+        return entry
+
+    def store(self, cache, fingerprint: str, identity: str, key: str, outcome):
+        """``cache.store``, remembering what landed in the front."""
+        if cache.store(fingerprint, identity, key, outcome):
+            record = CacheEntry.record_of(outcome)
+            self._remember((fingerprint, key), CacheEntry.from_record(record))
+
+    def _remember(self, front_key: Tuple[str, str], entry: CacheEntry) -> None:
+        self._front[front_key] = entry
+        self._front.move_to_end(front_key)
+        while len(self._front) > FRONT_ENTRIES:
+            self._front.popitem(last=False)
+
     # ------------------------------------------------------------------ #
     # Introspection / maintenance
     # ------------------------------------------------------------------ #
 
     def forget(self) -> None:
-        """Drop every resident map (tests and memory pressure); the
-        result cache on disk — and its open instance — survive."""
+        """Drop every resident map and memo (tests and memory pressure);
+        the result cache on disk — and its open instance — survive."""
         self._universes.clear()
         self._stages.clear()
         self._pipelines.clear()
+        self._fingerprints.clear()
+        self._front.clear()
 
     def describe(self) -> Dict[str, object]:
         """JSON-ready summary for ``/healthz``."""

@@ -100,10 +100,10 @@ def chrome_trace(tracer: Tracer) -> dict:
                 args["attempts"] = span.attempts
             if span.timed_out:
                 args["timed_out"] = True
-            if span.resumed:
-                args["resumed"] = True
             if span.cached:
                 args["cached"] = True
+            if span.rcache:
+                args["rcache"] = span.rcache
         if span.cache_delta is not None:
             args["cache_delta"] = span.cache_delta
         events.append(
@@ -145,7 +145,6 @@ def _aggregate(spans: Iterable[Span]) -> dict:
         "cache_delta": {},
         "timeouts": 0,
         "retried": 0,
-        "resumed": 0,
         "cached": 0,
     }
     for span in spans:
@@ -160,8 +159,6 @@ def _aggregate(spans: Iterable[Span]) -> dict:
             group["failed"] += 1
         if span.attempts > 1:
             group["retried"] += 1
-        if span.resumed:
-            group["resumed"] += 1
         if span.cached:
             group["cached"] += 1
         if span.cache_delta:

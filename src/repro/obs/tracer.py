@@ -56,12 +56,10 @@ class Span:
     crash, retry, pool-rebuild, ... — and ``condition`` the obligation
     key). Obligation spans additionally carry ``attempts`` (execution
     attempts; >1 means the obligation was retried), ``timed_out`` (its
-    deadline expired), ``resumed`` (satisfied from a checkpoint
-    journal, not executed), and ``cached`` (satisfied from the
-    content-addressed result cache, not executed). ``category ==
-    "rcache"`` spans are zero-duration markers of result-cache decisions
-    (``kind`` is hit/miss/invalidation/store/uncacheable and
-    ``condition`` the obligation key).
+    deadline expired), ``cached`` (satisfied from the content-addressed
+    result cache, not executed), and ``rcache`` (the result cache's
+    decision for this obligation — hit, miss, invalidation or
+    uncacheable — or empty when the run had no cache).
     """
 
     name: str
@@ -79,8 +77,8 @@ class Span:
     cache_delta: Optional[Dict[str, Dict[str, int]]] = None
     attempts: int = 0
     timed_out: bool = False
-    resumed: bool = False
     cached: bool = False
+    rcache: str = ""
 
     @property
     def end(self) -> float:
@@ -108,10 +106,10 @@ class Span:
                 record["attempts"] = self.attempts
             if self.timed_out:
                 record["timed_out"] = True
-            if self.resumed:
-                record["resumed"] = True
             if self.cached:
                 record["cached"] = True
+            if self.rcache:
+                record["rcache"] = self.rcache
         if self.category == "resilience":
             record["attempts"] = self.attempts
         if self.cache_delta is not None:

@@ -292,24 +292,27 @@ class RunOptions:
     #: sweep. Never affects verdicts or reports.
     tracer: object = None
     #: A :class:`~repro.engine.resilience.ResilienceConfig`:
-    #: per-obligation deadlines, crash retries, and checkpoint/resume for
-    #: every IS check, journaled under ``{protocol}-IS-{label}``. Expired
-    #: deadlines render TIMEOUT. With or without it, a ``KeyboardInterrupt``
-    #: yields a partial INTERRUPTED report of everything completed (and
-    #: journaled) before the stop, not a traceback.
+    #: per-obligation deadlines and crash retries for every IS check.
+    #: Expired deadlines render TIMEOUT. With or without it, a
+    #: ``KeyboardInterrupt`` yields a partial INTERRUPTED report of
+    #: everything completed (and, with a ``cache``, stored) before the
+    #: stop, not a traceback.
     resilience: object = None
     #: An :class:`~repro.engine.rcache.ObligationCache` or a directory
     #: path: obligations whose dependency fingerprints are unchanged are
     #: seeded from the store (``ISResult.cached_keys``) instead of
-    #: executed, and fresh results are stored back. One instance serves
-    #: all of a run's IS applications.
+    #: executed, and each fresh result is stored as it completes, so
+    #: re-running with the same cache resumes an interrupted run. One
+    #: instance serves all of a run's IS applications.
     cache: object = None
     #: A :class:`~repro.engine.warm.WarmState`: this run is one request
     #: against a resident daemon. The per-run process-cache reset is
     #: skipped (interner, evaluation and columnar memos stay hot),
     #: universes, IS applications and the spec/ground-truth stages are
-    #: reused from the warm maps keyed by the full instance identity, and
-    #: ``warm.rcache`` is the result cache unless ``cache`` is given.
+    #: reused from the warm maps keyed by the full instance identity,
+    #: each resident universe's obligation fingerprints and cache entries
+    #: are memoized, and ``warm.rcache`` is the result cache unless
+    #: ``cache`` is given.
     #: Verdicts are warm/cold-identical (``repro.engine.warm``).
     warm: object = None
     #: Quotient every IS universe by the instance's declared permutation
@@ -494,8 +497,10 @@ def verify_protocol(
                         fail_fast=options.fail_fast,
                         tracer=tracer,
                         resilience=options.resilience,
-                        checkpoint_label=f"{instance.name}-IS-{label}",
                         cache=cache,
+                        # A daemon request only: a cold run fingerprints
+                        # and reads each pair once anyway.
+                        warm=options.warm,
                     )
                 report.is_results.append((label, result))
                 report.explain_targets.append((label, application, universe))

@@ -306,7 +306,6 @@ def make_module(
         Call,
         Foreach,
         Havoc,
-        If,
         MapAssign,
         Module,
         Procedure,

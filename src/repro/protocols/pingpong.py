@@ -261,7 +261,6 @@ def make_module(rounds: int):
         Send,
         V,
         C,
-        MapGet,
     )
 
     # Channels at this layer are a 2-entry map {"ping": ..., "pong": ...}

@@ -54,9 +54,8 @@ class ServeConfig:
     """One immutable value carrying every daemon knob.
 
     ``state_dir`` roots all persistence: the job journal
-    (``jobs.jsonl``), the per-job checkpoint journals
-    (``ckpt/<code digest>/<request fingerprint>/``), and
-    the resident result cache (``rcache/``). ``None`` runs fully
+    (``jobs.jsonl``) and the resident result cache (``rcache/``), which
+    stores each obligation as it completes. ``None`` runs fully
     in-memory — still warm across requests, but nothing survives a
     restart. ``max_configs``/``timeout_per_obligation`` are *caps*: a
     job asking for more is clamped, a job asking for nothing gets the

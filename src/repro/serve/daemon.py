@@ -36,11 +36,11 @@ SSE to current ones.
 Shutdown is a protocol, not an ``exit()``: SIGTERM (or SIGINT) stops
 admission (``503``), raises ``KeyboardInterrupt`` *inside* the worker
 thread via ``PyThreadState_SetAsyncExc`` so the engine's salvage path
-journals what it finished, waits at most ``drain_grace`` seconds, and
+keeps what it finished, waits at most ``drain_grace`` seconds, and
 records ``interrupted`` for whatever remains. On the next start the job
-journal's unfinished backlog is re-enqueued, and each job's engine
-checkpoint journal (named by the package's code digest and the request
-fingerprint) turns the re-run into a resume.
+journal's unfinished backlog is re-enqueued, and the result cache under
+``--state`` (which stores each obligation as it completes) turns the
+re-run into a resume: only the unfinished obligations execute.
 """
 
 from __future__ import annotations
@@ -48,7 +48,6 @@ from __future__ import annotations
 import asyncio
 import ctypes
 import math
-import shutil
 import signal
 import sys
 import threading
@@ -208,7 +207,6 @@ class ServeDaemon:
         self._loop = asyncio.get_running_loop()
         self._queue = asyncio.Queue(maxsize=self.config.queue_depth)
         self._stop = asyncio.Event()
-        self._prune_stale_checkpoints()
         self._open_store()
         for backlog in self._restart_backlog():
             self._queue.put_nowait(backlog)
@@ -322,23 +320,6 @@ class ServeDaemon:
         if self.state_dir is None:
             return None
         return self.state_dir / "jobs.jsonl"
-
-    def _prune_stale_checkpoints(self) -> None:
-        """Delete the ``ckpt/<digest>`` trees of other code digests: no
-        daemon on this code resumes from them (:meth:`_resilience`), so
-        they only grow the state directory. The current digest's
-        per-request journals stay; they are the warm resume path."""
-        if self.state_dir is None:
-            return
-        root = self.state_dir / "ckpt"
-        if not root.is_dir():
-            return
-        from ..engine.journal import code_digest
-
-        current = code_digest()[:16]
-        for tree in root.iterdir():
-            if tree.name != current and tree.is_dir():
-                shutil.rmtree(tree, ignore_errors=True)
 
     def _open_store(self) -> None:
         path = self._store_path()
@@ -561,8 +542,8 @@ class ServeDaemon:
                     loop.call_soon_threadsafe(finish)
                 except RuntimeError:
                     # The loop is gone: a hung job outlived the drain
-                    # grace and only woke after shutdown. Its journals
-                    # were already salvaged; nothing to deliver.
+                    # grace and only woke after shutdown. Its completed
+                    # obligations are already stored; nothing to deliver.
                     pass
 
         thread = threading.Thread(
@@ -631,38 +612,19 @@ class ServeDaemon:
     # -------------------------------------------------------------- #
 
     def _budgets(self, request: JobRequest) -> dict:
-        """Per-job budgets clamped to the operator ceiling."""
+        """Per-job budgets clamped to the operator ceiling, plus the
+        operator's per-obligation deadline."""
         max_configs = request.max_configs
         clamped = False
         if self.config.max_configs is not None:
             if max_configs is None or max_configs > self.config.max_configs:
                 clamped = max_configs is not None
                 max_configs = self.config.max_configs
-        return {"max_configs": max_configs, "clamped": clamped}
-
-    def _resilience(self, request: JobRequest):
-        checkpoint_dir = None
-        if self.state_dir is not None:
-            # Nested under the code digest: a daemon restarted on edited
-            # code starts fresh journals instead of resuming old verdicts.
-            from ..engine.journal import code_digest
-
-            code = code_digest()[:16]
-            checkpoint_dir = str(
-                self.state_dir / "ckpt" / code / request.fingerprint
-            )
-        timeout = self.config.timeout_per_obligation
-        if checkpoint_dir is None and timeout is None:
-            return None
-        from ..engine.resilience import ResilienceConfig
-
-        kwargs = {}
-        if timeout is not None:
-            kwargs["timeout_per_obligation"] = timeout
-        if checkpoint_dir is not None:
-            kwargs["checkpoint_dir"] = checkpoint_dir
-            kwargs["resume"] = True
-        return ResilienceConfig(**kwargs)
+        return {
+            "max_configs": max_configs,
+            "clamped": clamped,
+            "timeout_per_obligation": self.config.timeout_per_obligation,
+        }
 
     def _execute(self, job: Job, publish_span) -> dict:
         """One job, either isolation level (runs on the worker thread).
@@ -676,36 +638,27 @@ class ServeDaemon:
         """
         request = job.request
         budgets = self._budgets(request)
-        resilience = self._resilience(request)
         if self.executor is not None:
             try:
-                return self.executor.execute(
-                    job.id, request, budgets, resilience, publish_span
-                )
+                return self.executor.execute(job.id, request, budgets, publish_span)
             except SandboxCrashed as crash:
                 if not self.config.sandbox_fallback:
                     return crashed_payload(request, crash)
-                payload = self._run_inprocess(
-                    job, request, budgets, resilience, publish_span
-                )
+                payload = self._run_inprocess(job, request, budgets, publish_span)
                 payload["sandbox"] = {
                     "mode": "inprocess-fallback",
                     "crashes": crash.crashes,
                     "detail": crash.detail,
                 }
                 return payload
-        return self._run_inprocess(
-            job, request, budgets, resilience, publish_span
-        )
+        return self._run_inprocess(job, request, budgets, publish_span)
 
     def _run_inprocess(
-        self, job: Job, request: JobRequest, budgets, resilience, publish_span
+        self, job: Job, request: JobRequest, budgets, publish_span
     ) -> dict:
         tracer = StreamingTracer(publish_span)
         tracer.meta["job"] = job.id
-        return run_request(
-            request, self.warm, budgets, resilience=resilience, tracer=tracer
-        )
+        return run_request(request, self.warm, budgets, tracer=tracer)
 
 
 def run_daemon(config: ServeConfig) -> int:
@@ -715,7 +668,7 @@ def run_daemon(config: ServeConfig) -> int:
         asyncio.run(daemon.run())
     except KeyboardInterrupt:
         # Signal handlers normally drain first; a second Ctrl-C lands
-        # here. Nothing left to salvage — the journals are flushed per
-        # record.
+        # here. Nothing left to salvage — job events and obligation
+        # results are written as they happen.
         return 130
     return 0

@@ -43,13 +43,14 @@ above failing:
 
 The daemon stays up through all of it: ``SIGKILL`` of the sandbox is
 rung 1, and a daemon restart re-enqueues from the job journal as before
-(the worker journals engine checkpoints to the same state directory, so
-the re-run resumes).
+(the worker stores each completed obligation in the result cache under
+the same state directory, so the re-run executes only what never
+completed).
 
 Protocol (one JSON object per line):
 
 * parent → worker: ``{"op": "job", "job_id", "request", "budgets",
-  "resilience", "attempt"}`` and ``{"op": "exit"}``;
+  "attempt"}`` and ``{"op": "exit"}``;
 * worker → parent: ``{"type": "ready", "pid", "limits"}``,
   ``{"type": "heartbeat"}``, ``{"type": "span", "job_id", "record"}``
   (live tracer forwarding), ``{"type": "result", "job_id", "payload"}``,
@@ -140,7 +141,6 @@ def run_request(
     request: JobRequest,
     warm,
     budgets: dict,
-    resilience=None,
     tracer=None,
 ) -> dict:
     """Execute one validated request against a warm state; returns the
@@ -149,15 +149,20 @@ def run_request(
     This is the single execution path for both isolation levels: the
     daemon's in-process worker thread calls it directly, the sandbox
     worker calls it inside the subprocess. ``budgets`` comes from
-    ``ServeDaemon._budgets`` (already operator-clamped); ``resilience``
-    is an optional :class:`~repro.engine.resilience.ResilienceConfig`.
+    ``ServeDaemon._budgets`` (already operator-clamped); its
+    ``timeout_per_obligation``, when set, arms per-obligation deadlines.
     """
+    from ..engine.resilience import ResilienceConfig
     from ..protocols.common import RunOptions
 
     rcache_before = None
     if warm.rcache is not None:
         rcache_before = warm.rcache.stats.snapshot()
     started = time.perf_counter()
+    timeout = budgets.get("timeout_per_obligation")
+    resilience = None
+    if timeout is not None:
+        resilience = ResilienceConfig(timeout_per_obligation=timeout)
     options = RunOptions(
         max_configs=budgets.get("max_configs"),
         fail_fast=request.fail_fast,
@@ -270,19 +275,13 @@ def report_payload(report) -> dict:
 
 
 def obligation_split(reports) -> dict:
-    """total/executed/cached/resumed obligation counts over reports."""
-    total = cached = resumed = 0
+    """total/executed/cached obligation counts over reports."""
+    total = cached = 0
     for report in reports:
         for _label, result in report.is_results:
             total += result.num_obligations
             cached += len(result.cached_keys)
-            resumed += len(result.resumed_keys)
-    return {
-        "total": total,
-        "executed": total - cached - resumed,
-        "cached": cached,
-        "resumed": resumed,
-    }
+    return {"total": total, "executed": total - cached, "cached": cached}
 
 
 def crashed_payload(request: JobRequest, crash: SandboxCrashed) -> dict:
@@ -305,36 +304,6 @@ def crashed_payload(request: JobRequest, crash: SandboxCrashed) -> dict:
     if request.fixture is not None:
         payload["fixture"] = request.fixture
     return payload
-
-
-def _resilience_to_wire(resilience) -> Optional[dict]:
-    if resilience is None:
-        return None
-    return {
-        "timeout_per_obligation": resilience.timeout_per_obligation,
-        "checkpoint_dir": (
-            str(resilience.checkpoint_dir)
-            if resilience.checkpoint_dir is not None
-            else None
-        ),
-        "resume": bool(resilience.resume),
-    }
-
-
-def _resilience_from_wire(wire: Optional[dict]):
-    if not wire:
-        return None
-    from ..engine.resilience import ResilienceConfig
-
-    kwargs = {}
-    if wire.get("timeout_per_obligation") is not None:
-        kwargs["timeout_per_obligation"] = float(wire["timeout_per_obligation"])
-    if wire.get("checkpoint_dir") is not None:
-        kwargs["checkpoint_dir"] = wire["checkpoint_dir"]
-        kwargs["resume"] = bool(wire.get("resume", True))
-    if not kwargs:
-        return None
-    return ResilienceConfig(**kwargs)
 
 
 # ---------------------------------------------------------------------- #
@@ -376,7 +345,6 @@ class SandboxExecutor:
         job_id: str,
         request: JobRequest,
         budgets: dict,
-        resilience=None,
         publish_span=None,
     ) -> dict:
         """Run one job in the sandbox, climbing the degradation ladder.
@@ -399,8 +367,7 @@ class SandboxExecutor:
             try:
                 self._ensure_worker()
                 payload = self._run_once(
-                    job_id, request, budgets, resilience, publish_span,
-                    attempt=crashes,
+                    job_id, request, budgets, publish_span, attempt=crashes,
                 )
             except SandboxJobError:
                 self._note_completed(fingerprint)
@@ -538,7 +505,7 @@ class SandboxExecutor:
                 return
 
     def _run_once(
-        self, job_id, request, budgets, resilience, publish_span, attempt
+        self, job_id, request, budgets, publish_span, attempt
     ) -> dict:
         self._send(
             {
@@ -546,7 +513,6 @@ class SandboxExecutor:
                 "job_id": job_id,
                 "request": request.as_payload(),
                 "budgets": budgets,
-                "resilience": _resilience_to_wire(resilience),
                 "attempt": attempt,
             }
         )
@@ -772,11 +738,7 @@ def worker_main(argv: Optional[list] = None) -> int:
             tracer = StreamingTracer(publish)
             tracer.meta["job"] = job_id
             payload = run_request(
-                request,
-                warm,
-                message.get("budgets") or {},
-                resilience=_resilience_from_wire(message.get("resilience")),
-                tracer=tracer,
+                request, warm, message.get("budgets") or {}, tracer=tracer
             )
             emit({"type": "result", "job_id": job_id, "payload": payload})
         except KeyboardInterrupt:

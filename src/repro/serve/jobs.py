@@ -5,21 +5,16 @@ A *job* is one verification request: ``verify`` (one protocol),
 fixture). Its lifecycle is ``queued -> running -> done`` with two
 off-ramps: ``interrupted`` (the daemon was stopped mid-run — the job is
 re-enqueued on restart and its obligation-level progress survives in the
-engine's checkpoint journal) and ``failed`` (the request itself was
-unservable: unknown protocol, bad parameters).
+result cache, which stores each obligation as it completes) and
+``failed`` (the request itself was unservable: unknown protocol, bad
+parameters).
 
-Persistence is one :class:`~repro.engine.recordlog.RecordLog` (the
-same append-only JSONL log as the engine's checkpoint journal:
-schema-tagged header, torn-tail recovery, disk-fault degradation) with
+Persistence is one :class:`~repro.engine.recordlog.RecordLog`
+(schema-tagged header, torn-tail recovery, disk-fault degradation) with
 fingerprint-guarded records. The *fingerprint* here is the canonical
 hash of the request payload: every record carries both the id and the
-fingerprint, a loaded record whose embedded request no longer hashes to
-its recorded fingerprint is dropped as corrupt, and the fingerprint
-also names the job's engine checkpoint directory — so a restarted
-daemon resumes the same obligation journal for the same question, and
-the engine's own staleness guard
-(:class:`~repro.engine.recordlog.StaleLogError`) refuses it if the code
-changed underneath.
+fingerprint, and a loaded record whose embedded request no longer hashes
+to its recorded fingerprint is dropped as corrupt.
 """
 
 from __future__ import annotations
@@ -142,7 +137,7 @@ class JobRequest:
     @property
     def fingerprint(self) -> str:
         """Content hash of the canonical request — the identity that
-        names the checkpoint directory and guards journal records."""
+        guards journal records and keys the sandbox circuit breaker."""
         canon = json.dumps(self.as_payload(), sort_keys=True)
         return hashlib.sha256(canon.encode("utf-8")).hexdigest()
 
@@ -220,8 +215,7 @@ class JobStore:
     Disk faults degrade, never abort — the header write at boot
     included: a failed write counts in ``write_errors`` and closes the
     log, and the *next* record reopens it (a long-lived daemon should
-    resume journaling once disk pressure clears — unlike the engine
-    journal, which latches off for the remainder of its single run).
+    resume journaling once disk pressure clears).
     """
 
     def __init__(self, path) -> None:

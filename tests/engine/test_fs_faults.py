@@ -3,10 +3,11 @@
 The contract under test (see ``repro.engine.faults`` "Filesystem
 faults"): an injected ``enospc``/``eio``/``eperm``/``torn`` fault on a
 write site never aborts a run — the result cache degrades to a counted
-miss, the checkpoint journal latches itself degraded and surfaces a
-``journal-write-error`` resilience event, and the serve job store drops
-the one damaged record and recovers on the next append. Verdicts are
-byte-identical to a fault-free run throughout.
+miss and ``discharge`` surfaces an ``rcache-write-error`` resilience
+event; the record log closes on a failed write and refuses further
+appends; and the serve job store drops the one damaged record and
+recovers on the next append. Verdicts are byte-identical to a fault-free
+run throughout.
 """
 
 from __future__ import annotations
@@ -18,10 +19,9 @@ import pytest
 
 from repro.core.refinement import CheckResult
 from repro.engine.faults import FAULTS_ENV, FaultInjector, clear, install
-from repro.engine.journal import CheckpointJournal, run_fingerprint
-from repro.engine.obligations import Obligation, discharge
+from repro.engine.obligations import discharge
 from repro.engine.rcache import ObligationCache
-from repro.engine.resilience import ResilienceConfig
+from repro.engine.recordlog import RecordLog, StaleLogError, read_log
 from repro.engine.scheduler import ObligationOutcome
 from repro.serve.jobs import Job, JobRequest, JobStore
 
@@ -57,14 +57,13 @@ FP = "a" * 64
 @pytest.mark.parametrize("mode", ["enospc", "eio", "eperm"])
 def test_store_oserror_degrades_to_counted_miss(tmp_path, mode):
     """A failed entry write must not propagate: ``store()`` returns
-    False, ``write_errors`` counts it, and a ``write_error`` event is
-    recorded for tracing."""
+    False and ``write_errors`` counts it (``--cache-stats`` prints it)."""
     install(FaultInjector.from_env(f"rcache.store={mode}"))
     cache = ObligationCache(tmp_path / "rc")
     assert cache.store(FP, "id1", "I1", _outcome()) is False
     assert cache.stats.write_errors == 1
     assert cache.stats.stores == 0
-    assert [e.kind for e in cache.events if e.kind == "write_error"]
+    assert not list(cache.objects_dir.glob("*"))
     # The entry never landed: a later lookup is an ordinary miss.
     assert cache.lookup(FP, "id1", "I1") is None
     assert cache.stats.misses == 1
@@ -141,106 +140,92 @@ def test_unwritable_cache_directory_disables_cache(tmp_path):
 
 
 # --------------------------------------------------------------------- #
-# Checkpoint journal — degrade, never abort
+# The record log — degrade, never abort
 # --------------------------------------------------------------------- #
 
-CHAIN = [
-    Obligation(key="A", kind="abs", condition="A"),
-    Obligation(key="B", kind="I1", condition="B", deps=("A",)),
-]
+SCHEMA = "repro.test/log/v1"
+KIND = "a test log"
+
+
+def _log(path) -> RecordLog:
+    return RecordLog(path, {"schema": SCHEMA}, KIND, "jobs.append")
 
 
 def test_journal_append_fault_latches_degraded(tmp_path):
-    install(FaultInjector.from_env("journal.append=eio"))
-    journal, completed = CheckpointJournal.open(
-        tmp_path, "case", run_fingerprint(None, None, CHAIN), len(CHAIN)
-    )
-    assert completed == {}
-    assert journal.record(_outcome("A")) is False
-    assert journal.degraded
-    assert journal.write_errors == 1
-    # Once degraded the journal is inert — no further writes, no raise.
-    assert journal.record(_outcome("B")) is False
-    assert journal.write_errors == 1
-    journal.close()
+    """A failed append closes the log: it counts once, and every later
+    append is refused without another write or a raise (the job store
+    reopens on its next record; the log itself never does)."""
+    log = _log(tmp_path / "case.jsonl")
+    assert log.open(fresh=True)
+    install(FaultInjector.from_env("jobs.append=eio"))
+    assert log.append({"key": "A"}) is False
+    assert not log.is_open
+    assert log.write_errors == 1
+    assert log.append({"key": "B"}) is False
+    assert log.write_errors == 1
+    log.close()
+    clear()
+    assert read_log(log.path, SCHEMA, KIND)[1] == []
 
 
 def test_torn_journal_append_leaves_loadable_prefix(tmp_path):
-    """A torn append writes half a record; the established torn-tail
-    recovery must drop exactly that line on reload — and the resumed
-    run's own appends must survive it (the reopen truncates the torn
-    half-line instead of fusing the next record onto it)."""
-    fingerprint = run_fingerprint(None, None, CHAIN)
-    journal, _ = CheckpointJournal.open(tmp_path, "case", fingerprint, len(CHAIN))
-    assert journal.record(_outcome("A"))
-    install(FaultInjector.from_env("journal.append=torn"))
-    assert journal.record(_outcome("B")) is False
-    assert journal.degraded
-    journal.close()
+    """A torn append writes half a record; the torn-tail recovery must
+    drop exactly that line on reload — and a reopened log's own appends
+    must survive it (the reopen truncates the torn half-line instead of
+    fusing the next record onto it)."""
+    path = tmp_path / "case.jsonl"
+    log = _log(path)
+    log.open(fresh=True)
+    assert log.append({"key": "A"})
+    install(FaultInjector.from_env("jobs.append=torn"))
+    assert log.append({"key": "B"}) is False
+    log.close()
     clear()
-    reopened, completed = CheckpointJournal.open(
-        tmp_path, "case", fingerprint, len(CHAIN), resume=True
-    )
-    assert set(completed) == {"A"}
-    assert reopened.record(_outcome("C"))
+    assert read_log(path, SCHEMA, KIND)[1] == [{"key": "A"}]
+    reopened = _log(path)
+    assert reopened.open()
+    assert reopened.append({"key": "C"})
     reopened.close()
-    reloaded = CheckpointJournal.load(tmp_path / "case.jsonl", fingerprint)
-    assert set(reloaded) == {"A", "C"}
+    assert read_log(path, SCHEMA, KIND)[1] == [{"key": "A"}, {"key": "C"}]
 
 
 def test_headerless_journal_resumes_from_zero_not_stale(tmp_path):
-    """Found by the chaos soak: a header append killed by EIO leaves an
-    empty journal file; a later ``resume=True`` open must degrade to
-    resume-from-zero, not refuse with StaleLogError (which failed
-    the retried job). A *parseable* foreign header must still refuse."""
-    fingerprint = run_fingerprint(None, None, CHAIN)
-    install(FaultInjector.from_env("journal.append=eio:1"))
-    broken, _ = CheckpointJournal.open(tmp_path, "case", fingerprint, len(CHAIN))
-    assert broken.degraded
-    broken.close()
+    """Found by the chaos soak: a header write killed by EIO leaves an
+    empty log file; a later append-open must restart it fresh, not
+    refuse it as stale. Reading a *parseable* foreign header still
+    refuses."""
+    path = tmp_path / "case.jsonl"
+    install(FaultInjector.from_env("jobs.append=eio:1"))
+    broken = _log(path)
+    assert broken.open() is False
     clear()
-    assert (tmp_path / "case.jsonl").read_bytes() == b""
-    journal, completed = CheckpointJournal.open(
-        tmp_path, "case", fingerprint, len(CHAIN), resume=True
-    )
-    assert completed == {}
-    assert not journal.degraded
-    assert journal.record(_outcome("A"))  # journaling works again
-    journal.close()
-    # The loud path is untouched: a genuine journal of a different run
-    # still refuses to resume.
-    from repro.engine.recordlog import StaleLogError
-
-    other, _ = CheckpointJournal.open(tmp_path, "case", "b" * 64, len(CHAIN))
-    other.record(_outcome("A"))
-    other.close()
-    with pytest.raises(StaleLogError, match="different run"):
-        CheckpointJournal.open(
-            tmp_path, "case", fingerprint, len(CHAIN), resume=True
-        )
+    assert path.read_bytes() == b""
+    log = _log(path)
+    assert log.open()
+    assert log.append({"key": "A"})  # appending works again
+    log.close()
+    assert read_log(path, SCHEMA, KIND)[1] == [{"key": "A"}]
+    path.write_text('{"schema": "other/v1"}\n{"key": "A"}\n')
+    with pytest.raises(StaleLogError, match="not a test log"):
+        read_log(path, SCHEMA, KIND)
 
 
 def test_discharge_surfaces_journal_degradation_as_event(tmp_path):
-    """A run whose journal dies mid-flight still completes with the
-    fault-free verdict, and ``discharge()`` appends one
-    ``journal-write-error`` resilience event so operators see that a
-    resume would re-execute."""
+    """A run whose result-cache writes die mid-flight still completes
+    with the fault-free verdict, and ``discharge()`` appends one
+    ``rcache-write-error`` resilience event so operators see that a
+    rerun would re-execute what was not stored."""
     app, universe = build("pingpong")
     reference = discharge(app, universe)
-    install(FaultInjector.from_env("journal.append=enospc"))
-    result = discharge(
-        app,
-        universe,
-        resilience=ResilienceConfig(checkpoint_dir=str(tmp_path)),
-        checkpoint_label="pingpong",
-    )
-    assert result.holds is reference.holds
-    kinds = [e.kind for e in result.resilience_events]
-    assert "journal-write-error" in kinds
-    event = next(
-        e for e in result.resilience_events if e.kind == "journal-write-error"
-    )
-    assert "degraded" in event.detail
+    install(FaultInjector.from_env("rcache.store=enospc:3"))
+    result = discharge(app, universe, cache=tmp_path / "rc")
+    assert result == reference
+    assert result.rcache_stats["write_errors"] == 3
+    events = [
+        e for e in result.resilience_events if e.kind == "rcache-write-error"
+    ]
+    assert len(events) == 1
+    assert "degraded" in events[0].detail
 
 
 # --------------------------------------------------------------------- #

@@ -1,10 +1,14 @@
-"""Checkpoint journal format, staleness guard, and torn-tail recovery.
+"""Durable outcome records: the record log and the result-cache entry.
 
-The journal's contract: the file on disk is always a valid prefix of the
-run (header + one JSON line per *completed* obligation), a resume only
-accepts a journal whose fingerprint matches the current run, and a
+Two formats keep what a run has finished. The record log
+(``repro.engine.recordlog``) is the serve job journal's file: the file on
+disk is always a valid prefix (header + one JSON line per record), and a
 truncated trailing record — the writer died mid-append — is dropped
-rather than poisoning the load.
+rather than poisoning the load. The result cache's entry
+(``repro.engine.rcache.CacheEntry``) is the engine's record of one
+completed obligation: only completed outcomes are stored, each the moment
+the scheduler records it, and an entry that does not answer exactly the
+question asked is never served.
 """
 
 from __future__ import annotations
@@ -16,14 +20,12 @@ import pytest
 
 import repro.engine.obligations as obligations_mod
 from repro.core.refinement import CheckResult
-from repro.engine.journal import (
-    JOURNAL_SCHEMA,
-    CheckpointJournal,
-    run_fingerprint,
-)
-from repro.engine.obligations import Obligation
-from repro.engine.recordlog import StaleLogError
+from repro.engine.obligations import Obligation, build_obligations, discharge
+from repro.engine.rcache import CacheEntry, DependencyFingerprinter, ObligationCache
+from repro.engine.recordlog import RecordLog, StaleLogError, read_log
 from repro.engine.scheduler import ObligationOutcome, SerialScheduler
+
+from .rcache_cases import build, count_executions, rebuild
 
 CHAIN = [
     Obligation(key="A", kind="abs", condition="A"),
@@ -33,6 +35,8 @@ CHAIN = [
 ]
 
 FP = "f" * 64
+SCHEMA = "repro.test/log/v1"
+KIND = "a test log"
 
 
 def _completed(key, holds=True, checked=7, witnesses=()):
@@ -45,40 +49,55 @@ def _completed(key, holds=True, checked=7, witnesses=()):
     )
 
 
+def _log(path) -> RecordLog:
+    return RecordLog(path, {"schema": SCHEMA}, KIND, "jobs.append")
+
+
+def _records(path):
+    _header, records = read_log(path, SCHEMA, KIND)
+    return records
+
+
 # --------------------------------------------------------------------- #
 # Fingerprint
 # --------------------------------------------------------------------- #
 
 
 def test_fingerprint_is_deterministic_and_key_sensitive():
-    fp = run_fingerprint(None, None, CHAIN)
-    assert fp == run_fingerprint(None, None, CHAIN)
-    assert fp != run_fingerprint(None, None, CHAIN[:-1])
+    app, universe = build("pingpong")
+    obligations = build_obligations(app, universe)
+    first = DependencyFingerprinter(app, universe)
+    again = DependencyFingerprinter(app, universe)
+    fingerprints = [first.fingerprint(ob) for ob in obligations]
+    assert fingerprints == [again.fingerprint(ob) for ob in obligations]
+    assert len(set(fingerprints)) == len(obligations)
 
 
-def test_resume_under_a_different_code_digest_is_stale(tmp_path, monkeypatch):
-    """Editing the package changes every run fingerprint: a journal
-    written before the edit is refused, never replayed."""
-    import repro.engine.journal as journal_mod
-    from repro.core import initial_config
-    from repro.core.context import GhostContext
-    from repro.core.universe import StoreUniverse
-    from repro.engine.resilience import ResilienceConfig
-    from repro.protocols import pingpong
-    from repro.protocols.common import GHOST
+def test_resume_under_a_different_code_digest_is_stale(tmp_path):
+    """An edit to the code an obligation reads moves its fingerprint: a
+    rerun against entries stored before the edit re-executes exactly the
+    readers, never replaying their old verdicts."""
+    app, universe = build("pingpong")
+    first = app.check(universe, cache=tmp_path)
+    with count_executions() as executed:
+        again = app.check(universe, cache=tmp_path)
+    assert not executed and again.conditions == first.conditions
 
-    app = pingpong.make_sequentialization(2)
-    universe = StoreUniverse.from_reachable(
-        app.program, [initial_config(pingpong.initial_global(2))]
-    ).with_context(GhostContext(GHOST))
-    resume = ResilienceConfig(checkpoint_dir=str(tmp_path), resume=True)
-    first = app.check(universe, resilience=resume, checkpoint_label="pp")
-    again = app.check(universe, resilience=resume, checkpoint_label="pp")
-    assert again.resumed_keys and again.conditions == first.conditions
-
-    monkeypatch.setattr(journal_mod, "_CODE_DIGEST", "0" * 64)
-    with pytest.raises(StaleLogError, match="different run"):
-        app.check(universe, resilience=resume, checkpoint_label="pp")
+    gate = app.invariant.gate
+    edited = rebuild(
+        app,
+        invariant=type(app.invariant)(
+            app.invariant.name,
+            lambda state: bool(gate(state)),
+            app.invariant.transitions,
+            app.invariant.params,
+        ),
+    )
+    with count_executions() as executed:
+        rerun = edited.check(universe, cache=tmp_path)
+    assert {"I1", "I2"} <= set(executed)
+    assert not set(executed) & set(rerun.cached_keys)
+    assert rerun.rcache_stats["invalidations"] == len(executed)
 
 
 # --------------------------------------------------------------------- #
@@ -87,103 +106,92 @@ def test_resume_under_a_different_code_digest_is_stale(tmp_path, monkeypatch):
 
 
 def test_fresh_journal_writes_header_then_records(tmp_path):
-    journal, completed = CheckpointJournal.open(tmp_path, "demo", FP, 4)
-    assert completed == {}
-    assert journal.record(_completed("A"))
-    journal.close()
+    path = tmp_path / "demo.jsonl"
+    log = _log(path)
+    assert log.open(fresh=True)
+    assert log.append({"key": "A", "holds": True})
+    log.close()
 
-    lines = (tmp_path / "demo.jsonl").read_text().splitlines()
-    header = json.loads(lines[0])
-    assert header == {
-        "schema": JOURNAL_SCHEMA,
-        "fingerprint": FP,
-        "label": "demo",
-        "obligations": 4,
-    }
-    record = json.loads(lines[1])
-    assert record["key"] == "A" and record["holds"] is True
-    assert record["checked"] == 7 and record["witnesses"] is None
+    lines = path.read_text().splitlines()
+    assert json.loads(lines[0]) == {"schema": SCHEMA}
+    assert json.loads(lines[1]) == {"key": "A", "holds": True}
+    assert _records(path) == [{"key": "A", "holds": True}]
 
 
 def test_only_completed_outcomes_are_journaled(tmp_path):
-    journal, _ = CheckpointJournal.open(tmp_path, "demo", FP, 4)
+    cache = ObligationCache(tmp_path)
     pid = os.getpid()
     skipped = ObligationOutcome("B", None, 0.0, pid)
     timed_out = ObligationOutcome("C", None, 1.0, pid, timed_out=True)
     crashed = ObligationOutcome("D", None, 1.0, pid, error="FaultError: boom")
-    resumed = _completed("A")
-    resumed.resumed = True
-    assert not journal.record(skipped)
-    assert not journal.record(timed_out)
-    assert not journal.record(crashed)
-    assert not journal.record(resumed)
-    journal.close()
-    assert len((tmp_path / "demo.jsonl").read_text().splitlines()) == 1
+    cached = _completed("A")
+    cached.cached = True
+    for outcome in (skipped, timed_out, crashed, cached):
+        assert not cache.store(FP, "id", outcome.key, outcome)
+    assert cache.store(FP, "id", "A", _completed("A"))
+    assert len(cache) == 1 and cache.stats.stores == 1
 
 
 def test_witnesses_roundtrip_through_base64_pickle(tmp_path):
-    journal, _ = CheckpointJournal.open(tmp_path, "demo", FP, 4)
-    journal.record(_completed("A", holds=False, witnesses=[("store", 1), ("store", 2)]))
-    journal.close()
-
-    loaded = CheckpointJournal.load(tmp_path / "demo.jsonl", FP)
-    result = loaded["A"].to_result()
+    outcome = _completed("A", holds=False, witnesses=[("store", 1), ("store", 2)])
+    record = CacheEntry.record_of(outcome)
+    assert isinstance(record["witnesses"], str)
+    assert json.loads(json.dumps(record)) == record
+    result = CacheEntry.from_record(record).to_result()
     assert result.holds is False
     assert result.counterexamples == [("store", 1), ("store", 2)]
 
+    cache = ObligationCache(tmp_path)
+    assert cache.store(FP, "id", "A", outcome)
+    stored = ObligationCache(tmp_path).lookup(FP, "id", "A").to_result()
+    assert stored.counterexamples == [("store", 1), ("store", 2)]
+
 
 def test_open_without_resume_truncates_existing_journal(tmp_path):
-    journal, _ = CheckpointJournal.open(tmp_path, "demo", FP, 4)
-    journal.record(_completed("A"))
-    journal.close()
-    journal, completed = CheckpointJournal.open(tmp_path, "demo", FP, 4)
-    journal.close()
-    assert completed == {}
-    assert len((tmp_path / "demo.jsonl").read_text().splitlines()) == 1
+    path = tmp_path / "demo.jsonl"
+    log = _log(path)
+    log.open(fresh=True)
+    log.append({"key": "A"})
+    log.close()
+    fresh = _log(path)
+    assert fresh.open(fresh=True)
+    fresh.close()
+    assert _records(path) == []
+    assert len(path.read_text().splitlines()) == 1
 
 
 def test_resume_loads_completed_outcomes_and_appends(tmp_path):
-    journal, _ = CheckpointJournal.open(tmp_path, "demo", FP, 4)
-    journal.record(_completed("A"))
-    journal.record(_completed("B", holds=False))
-    journal.close()
+    """A killed run's rerun with the same cache serves what completed
+    and stores the rest, leaving every obligation stored."""
+    app, universe = build("pingpong")
+    keys = [ob.key for ob in build_obligations(app, universe)]
+    cache = ObligationCache(tmp_path)
+    outcomes = SerialScheduler().run(app, universe, build_obligations(app, universe))
+    fingerprinter = DependencyFingerprinter(app, universe)
+    by_key = {ob.key: ob for ob in build_obligations(app, universe)}
+    for key in keys[:3]:  # the run died after three obligations
+        ob = by_key[key]
+        cache.store(
+            fingerprinter.fingerprint(ob),
+            fingerprinter.identity(ob),
+            key,
+            outcomes[key],
+        )
 
-    journal, completed = CheckpointJournal.open(
-        tmp_path, "demo", FP, 4, resume=True
-    )
-    assert set(completed) == {"A", "B"}
-    assert completed["B"].holds is False
-    # Appending after a resume extends the same file (no new header).
-    journal.record(_completed("C"))
-    journal.close()
-    lines = (tmp_path / "demo.jsonl").read_text().splitlines()
-    assert len(lines) == 4 and json.loads(lines[-1])["key"] == "C"
+    with count_executions() as executed:
+        resumed = app.check(universe, cache=tmp_path)
+    assert resumed.cached_keys == sorted(keys[:3])
+    assert sorted(executed) == sorted(keys[3:])
+    assert len(ObligationCache(tmp_path)) == len(keys)
+    assert resumed == app.check(universe)
 
 
 def test_newest_record_wins_on_duplicate_keys(tmp_path):
-    journal, _ = CheckpointJournal.open(tmp_path, "demo", FP, 4)
-    journal.record(_completed("A", holds=False))
-    journal.record(_completed("A", holds=True, checked=11))
-    journal.close()
-    loaded = CheckpointJournal.load(tmp_path / "demo.jsonl", FP)
-    assert loaded["A"].holds is True and loaded["A"].checked == 11
-
-
-def test_maybe_sync_flushes_but_throttles_fsync(tmp_path, monkeypatch):
-    journal, _ = CheckpointJournal.open(tmp_path, "demo", FP, 4)
-    fsyncs = []
-    monkeypatch.setattr(
-        "repro.engine.journal.os.fsync", lambda fd: fsyncs.append(fd)
-    )
-    for key in ("A", "B", "C", "D"):
-        journal.record(_completed(key))
-        journal.maybe_sync(min_interval=3600.0)
-    # Flushed (visible on disk) without one fsync per record.
-    assert not fsyncs
-    assert len((tmp_path / "demo.jsonl").read_text().splitlines()) == 5
-    journal.sync()
-    assert len(fsyncs) == 1
-    journal.close()
+    cache = ObligationCache(tmp_path)
+    cache.store(FP, "id", "A", _completed("A", holds=False))
+    cache.store(FP, "id", "A", _completed("A", holds=True, checked=11))
+    entry = ObligationCache(tmp_path).lookup(FP, "id", "A")
+    assert entry.holds is True and entry.checked == 11
 
 
 # --------------------------------------------------------------------- #
@@ -192,18 +200,22 @@ def test_maybe_sync_flushes_but_throttles_fsync(tmp_path, monkeypatch):
 
 
 def test_resume_refuses_mismatched_fingerprint(tmp_path):
-    journal, _ = CheckpointJournal.open(tmp_path, "demo", FP, 4)
-    journal.record(_completed("A"))
-    journal.close()
-    with pytest.raises(StaleLogError, match="different run"):
-        CheckpointJournal.open(tmp_path, "demo", "0" * 64, 4, resume=True)
+    """An entry is served only under the fingerprint it records: a file
+    moved or copied to another fingerprint's name is a miss."""
+    cache = ObligationCache(tmp_path)
+    cache.store(FP, "id", "A", _completed("A"))
+    other = "0" * 64
+    (cache.objects_dir / f"{FP}.json").replace(cache.objects_dir / f"{other}.json")
+    assert cache.lookup(other, "id", "A") is None
+    assert cache.lookup(FP, "id", "A") is None
+    assert cache.stats.hits == 0
 
 
 def test_load_refuses_corrupted_header(tmp_path):
     path = tmp_path / "demo.jsonl"
     path.write_text("{not json\n")
     with pytest.raises(StaleLogError, match="unreadable header"):
-        CheckpointJournal.load(path, FP)
+        read_log(path, SCHEMA, KIND)
 
 
 def test_torn_multibyte_header_raises_stale_not_unicode_error(tmp_path):
@@ -214,80 +226,81 @@ def test_torn_multibyte_header_raises_stale_not_unicode_error(tmp_path):
     torn = '{"label": "café"'.encode("utf-8")[:-2]  # cut inside 'é'
     path.write_bytes(torn + b"\n")
     with pytest.raises(StaleLogError, match="unreadable header"):
-        CheckpointJournal.load(path, FP)
+        read_log(path, SCHEMA, KIND)
 
 
 def test_binary_garbage_header_raises_stale_not_unicode_error(tmp_path):
     path = tmp_path / "demo.jsonl"
     path.write_bytes(b"\xff\xfe\x00garbage\n")
     with pytest.raises(StaleLogError, match="unreadable header"):
-        CheckpointJournal.load(path, FP)
+        read_log(path, SCHEMA, KIND)
 
 
 def test_torn_multibyte_trailing_record_is_dropped(tmp_path):
     """Byte-level torn tail: a record cut mid-multibyte-sequence drops
     exactly like one cut mid-JSON, keeping the valid prefix."""
-    journal, _ = CheckpointJournal.open(tmp_path, "demo", FP, 4)
-    journal.record(_completed("A"))
-    journal.close()
     path = tmp_path / "demo.jsonl"
+    log = _log(path)
+    log.open(fresh=True)
+    log.append({"key": "A"})
+    log.close()
     with open(path, "ab") as handle:
         handle.write('{"key": "café'.encode("utf-8")[:-1])
-    loaded = CheckpointJournal.load(path, FP)
-    assert set(loaded) == {"A"}
+    assert _records(path) == [{"key": "A"}]
 
 
 def test_load_refuses_wrong_schema_and_empty_file(tmp_path):
     path = tmp_path / "demo.jsonl"
     path.write_text(json.dumps({"schema": "something/else"}) + "\n")
-    with pytest.raises(StaleLogError, match="not an obligation journal"):
-        CheckpointJournal.load(path, FP)
+    with pytest.raises(StaleLogError, match="not a test log"):
+        read_log(path, SCHEMA, KIND)
     path.write_text("")
     with pytest.raises(StaleLogError, match="empty journal"):
-        CheckpointJournal.load(path, FP)
+        read_log(path, SCHEMA, KIND)
 
 
 def test_torn_trailing_record_is_dropped(tmp_path):
-    journal, _ = CheckpointJournal.open(tmp_path, "demo", FP, 4)
-    journal.record(_completed("A"))
-    journal.record(_completed("B"))
-    journal.close()
     path = tmp_path / "demo.jsonl"
+    log = _log(path)
+    log.open(fresh=True)
+    log.append({"key": "A"})
+    log.append({"key": "B"})
+    log.close()
     with open(path, "a", encoding="utf-8") as handle:
         handle.write('{"key": "C", "hol')  # the writer died mid-append
-    loaded = CheckpointJournal.load(path, FP)
-    assert set(loaded) == {"A", "B"}
+    assert _records(path) == [{"key": "A"}, {"key": "B"}]
 
 
 def test_nothing_after_mid_file_corruption_is_trusted(tmp_path):
-    journal, _ = CheckpointJournal.open(tmp_path, "demo", FP, 4)
-    journal.record(_completed("A"))
-    journal.close()
+    """A damaged line reads back as ``None`` in place, so its owner sees
+    where the damage is; and a result-cache entry whose JSON envelope
+    decodes but whose witness payload does not is a miss, never a
+    verdict."""
     path = tmp_path / "demo.jsonl"
-    lines = path.read_text().splitlines()
-    good_tail = json.dumps(
-        {"key": "B", "name": "B", "holds": True, "checked": 1}
+    path.write_text(
+        "\n".join([json.dumps({"schema": SCHEMA}), '{"key": "A"}', "garbage",
+                   '{"key": "B"}']) + "\n"
     )
-    path.write_text("\n".join([lines[0], lines[1], "garbage", good_tail]) + "\n")
-    loaded = CheckpointJournal.load(path, FP)
-    assert set(loaded) == {"A"}
+    assert _records(path) == [{"key": "A"}, None, {"key": "B"}]
 
-
-def test_label_slug_sanitizes_path_hostile_characters(tmp_path):
-    journal, _ = CheckpointJournal.open(
-        tmp_path, "paxos-IS-Paxos (r=2/n=2)", FP, 4
-    )
-    journal.close()
-    assert journal.path.parent == tmp_path
-    assert journal.path.name == "paxos-IS-Paxos-r-2-n-2.jsonl"
+    cache = ObligationCache(tmp_path / "rc")
+    cache.store(FP, "id", "A", _completed("A", holds=False, witnesses=[1]))
+    entry = cache.objects_dir / f"{FP}.json"
+    record = json.loads(entry.read_text())
+    record["witnesses"] = "bm90IGEgcGlja2xl"  # base64 of b"not a pickle"
+    entry.write_text(json.dumps(record))
+    assert cache.lookup(FP, "id", "A") is None
+    assert cache.stats.hits == 0
 
 
 # --------------------------------------------------------------------- #
-# Scheduler integration: journal + seeded verdicts
+# Scheduler integration: stored on completion, seeded verdicts
 # --------------------------------------------------------------------- #
 
 
 def test_serial_scheduler_journals_completed_outcomes(tmp_path, monkeypatch):
+    """Every outcome reaches ``on_complete`` as the scheduler records it,
+    and ``discharge`` stores each one, failures included."""
     monkeypatch.setattr(
         obligations_mod,
         "execute_obligation",
@@ -295,17 +308,20 @@ def test_serial_scheduler_journals_completed_outcomes(tmp_path, monkeypatch):
             ob.key, ob.key != "A"
         ),
     )
-    journal, _ = CheckpointJournal.open(tmp_path, "run", FP, len(CHAIN))
-    SerialScheduler().run(None, None, CHAIN, journal=journal)
-    journal.close()
-    loaded = CheckpointJournal.load(tmp_path / "run.jsonl", FP)
-    assert set(loaded) == {"A", "B", "C", "D"}
-    assert loaded["A"].holds is False and loaded["B"].holds is True
+    completed = []
+    SerialScheduler().run(None, None, CHAIN, on_complete=completed.append)
+    assert [o.key for o in completed] == ["A", "B", "C", "D"]
+    assert completed[0].result.holds is False
+
+    app, universe = build("pingpong")
+    cache = ObligationCache(tmp_path)
+    result = discharge(app, universe, cache=cache)
+    assert cache.stats.stores == result.num_obligations == len(cache)
 
 
 def test_seeded_verdicts_drive_fail_fast_skips(monkeypatch):
-    """Resume semantics at the scheduler level: a journaled FAIL for A
-    must skip A's dependents exactly as a live FAIL would."""
+    """Resume semantics at the scheduler level: a stored FAIL for A must
+    skip A's dependents exactly as a live FAIL would."""
     monkeypatch.setattr(
         obligations_mod,
         "execute_obligation",

@@ -5,8 +5,8 @@ order-insensitive, closure-sensitive), the content-addressed store
 (``ObligationCache`` — roundtrip, corruption tolerance, invalidation
 attribution), and the ``discharge()`` integration (uncacheable values
 degrade to execution, cached FAILs seed fail-fast, the pool backend hits
-the same cache, journal resume outranks the cache, and tracing a warm run
-perturbs nothing).
+the same cache, and tracing a warm run perturbs nothing while each
+obligation span carries its cache decision).
 """
 
 from __future__ import annotations
@@ -20,16 +20,15 @@ from repro.core.refinement import CheckResult
 from repro.core.store import Store
 from repro.core.multiset import Multiset
 from repro.diagnose.fixtures import FIXTURES
-from repro.engine.journal import JournaledOutcome
 from repro.engine.obligations import build_obligations
 from repro.engine.rcache import (
+    CacheEntry,
     DependencyFingerprinter,
     ObligationCache,
     Unfingerprintable,
     stable_digest,
     universe_fingerprint,
 )
-from repro.engine.resilience import ResilienceConfig
 from repro.engine.scheduler import ObligationOutcome, ProcessPoolScheduler
 from repro.obs import Tracer
 from repro.protocols import ALL_PROTOCOLS
@@ -203,7 +202,7 @@ def test_store_lookup_roundtrip_with_witnesses(tmp_path):
     assert len(cache) == 1
 
     entry = cache.lookup(FP_A, IDENTITY, "I1")
-    assert isinstance(entry, JournaledOutcome)
+    assert isinstance(entry, CacheEntry)
     result = entry.to_result()
     assert result.holds is False
     assert result.counterexamples == [("store", 1), ("store", 2)]
@@ -212,10 +211,13 @@ def test_store_lookup_roundtrip_with_witnesses(tmp_path):
 
 
 def test_store_refuses_incomplete_resumed_and_cached_outcomes(tmp_path):
+    """Skipped and faulted outcomes must re-attempt, and a cache hit (what
+    a resumed obligation now is) is already stored."""
     cache = ObligationCache(tmp_path)
     skipped = ObligationOutcome("I1", None, 0.0, os.getpid())
     assert not cache.store(FP_A, IDENTITY, "I1", skipped)
-    assert not cache.store(FP_A, IDENTITY, "I1", _outcome(resumed=True))
+    timed_out = ObligationOutcome("I1", None, 1.0, os.getpid(), timed_out=True)
+    assert not cache.store(FP_A, IDENTITY, "I1", timed_out)
     assert not cache.store(FP_A, IDENTITY, "I1", _outcome(cached=True))
     assert len(cache) == 0 and cache.stats.stores == 0
 
@@ -334,33 +336,6 @@ def test_pool_scheduler_shares_the_cache(tmp_path):
     assert condition_map(serial) == condition_map(cold) == condition_map(warm)
 
 
-def test_journal_resume_outranks_the_cache(tmp_path):
-    app, universe = build("pingpong")
-    resilience = ResilienceConfig(
-        checkpoint_dir=str(tmp_path / "ckpt"), resume=True
-    )
-    first = app.check(
-        universe,
-        jobs=1,
-        resilience=resilience,
-        checkpoint_label="pp",
-        cache=tmp_path / "cache",
-    )
-    assert first.holds and not first.resumed_keys
-    second = app.check(
-        universe,
-        jobs=1,
-        resilience=resilience,
-        checkpoint_label="pp",
-        cache=tmp_path / "cache",
-    )
-    # Every obligation is journaled, so the resume seeds everything and
-    # the cache is never consulted for them.
-    assert set(second.resumed_keys) == all_keys(app, universe)
-    assert not second.cached_keys
-    assert condition_map(first) == condition_map(second)
-
-
 def test_tracing_a_warm_run_perturbs_nothing_and_labels_spans(tmp_path):
     app, universe = build("pingpong")
     app.check(universe, jobs=1, cache=tmp_path)
@@ -371,16 +346,37 @@ def test_tracing_a_warm_run_perturbs_nothing_and_labels_spans(tmp_path):
     assert condition_map(untraced) == condition_map(traced)
     assert untraced.cached_keys == traced.cached_keys
 
-    rcache_spans = [s for s in tracer.spans if s.category == "rcache"]
-    assert {s.kind for s in rcache_spans} == {"hit"}
-    assert len(rcache_spans) == len(traced.cached_keys)
-    obligation_spans = [
-        s for s in tracer.spans if s.category == "obligation"
-    ]
-    assert obligation_spans and all(s.cached for s in obligation_spans)
+    # One span per obligation, each carrying its decision; no separate
+    # cache-decision spans.
+    assert {s.category for s in tracer.spans} == {"obligation"}
+    obligation_spans = tracer.spans
+    assert len(obligation_spans) == len(traced.cached_keys)
+    assert all(s.cached and s.rcache == "hit" for s in obligation_spans)
     assert all(
-        s.as_dict()["cached"] is True for s in obligation_spans
+        s.as_dict()["cached"] is True and s.as_dict()["rcache"] == "hit"
+        for s in obligation_spans
     )
+
+    # A cold traced run labels every obligation a miss, and an edit of the
+    # invariant labels exactly its readers invalidations.
+    cold_tracer = Tracer()
+    app.check(universe, jobs=1, cache=tmp_path / "cold", tracer=cold_tracer)
+    assert {s.rcache for s in cold_tracer.spans} == {"miss"}
+    gate = app.invariant.gate
+    edited = rebuild(
+        app,
+        invariant=type(app.invariant)(
+            app.invariant.name,
+            lambda state: bool(gate(state)),
+            app.invariant.transitions,
+            app.invariant.params,
+        ),
+    )
+    edit_tracer = Tracer()
+    result = edited.check(universe, jobs=1, cache=tmp_path, tracer=edit_tracer)
+    invalidated = {s.name for s in edit_tracer.spans if s.rcache == "invalidation"}
+    assert invalidated == set(result.timings) - set(result.cached_keys)
+    assert len(invalidated) == result.rcache_stats["invalidations"] > 0
 
 
 def test_cli_style_stats_delta_is_per_discharge(tmp_path):

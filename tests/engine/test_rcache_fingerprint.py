@@ -259,19 +259,24 @@ def _catalogue_sessions(monkeypatch, warm, symmetry):
 def test_warm_runs_keep_every_fingerprint_byte_identical(
     monkeypatch, tmp_path, symmetry
 ):
+    """Warm requests serve every resident pair's fingerprints from the
+    warm state's memo, and every memoized ``(fingerprint, identity)``
+    equals a fresh fingerprinter's."""
     warm = WarmState(rcache=tmp_path / "rcache")
     first = _catalogue_sessions(monkeypatch, warm, symmetry)
     second = _catalogue_sessions(monkeypatch, warm, symmetry)
-    assert len(first) == len(second) > len(SERVE_CATALOGUE)
-    for (app, universe, run1), (app2, universe2, run2) in zip(first, second):
-        # The second run is served from the resident universe.
-        assert app2 is app and universe2 is universe
-        assert [fp for _, fp in run1] == [fp for _, fp in run2]
+    assert len(first) > len(SERVE_CATALOGUE)
+    # Every pair stays resident, so the warm requests fingerprint nothing.
+    assert second == []
+    for app, universe, run in first:
+        memo = warm.fingerprints(app, universe)
+        assert len(memo) == len(run)
         reference = _FreshFingerprinter(
             app, dataclasses.replace(universe, _pools_digest=None)
         )
-        for ob, fp in run2:
+        for ob, fp in run:
             assert fp is not None and fp == reference.fingerprint(ob), ob.key
+            assert memo[ob.key] == (fp, reference.identity(ob)), ob.key
         # A resident universe's pools are never digested again.
         assert universe._pools_digest is not None
         hasher = _StoreCountingHasher()

@@ -1,44 +1,45 @@
-"""Crash-point enumeration of the record log under both journals.
+"""Crash-point enumeration of both durable stores: the engine's
+result-cache entries and the serve job journal's record log.
 
 In the style of Pillai et al., "All File Systems Are Not Created Equal"
 (OSDI 2014): rather than sampling crashes, construct every state a crash
 or a disk fault can leave behind and check that recovery reaches a
-record prefix from each one.
+correct state from each one.
 
-* **Every byte offset.** Appends are sequential, so a crash leaves some
-  byte prefix of the file. A real pingpong checkpoint journal and a job
-  journal covering all four lifecycle events are cut at every offset;
-  each cut must load as a record prefix (or refuse with
-  ``StaleLogError`` when the header itself is cut), and an append-open
-  plus one more record must read that record back.
-* **Every fault at every append.** Each fs fault mode fires at each
-  append index — the header included — on both write sites.
-* **End to end.** Pingpong resumed from every record boundary and
-  mid-record cut (every byte in the slow lane), and from every faulted
-  run, must reproduce the uncheckpointed verdicts.
+* **Every byte offset.** Job-journal appends are sequential, so a crash
+  leaves some byte prefix of the file: a job journal covering all four
+  lifecycle events is cut at every offset, must load as a record prefix
+  (or refuse with ``StaleLogError`` when the header itself is cut), and
+  an append-open plus one more record must read that record back. Every
+  stored pingpong result-cache entry is cut at every offset too: a cut
+  entry is a miss, never a verdict, and re-storing the obligation
+  replaces it.
+* **Every fault at every write.** Each fs fault mode fires at each
+  result-cache store and at each job-journal append (the header
+  included).
+* **End to end.** A pingpong run killed after every obligation, at every
+  stage of the next entry's write — mid temp-file, before the rename,
+  after the rename but before the index flush, and a torn final file
+  (every byte in the slow lane) — reruns with the same cache to the
+  uncached verdicts, re-executing only what never completed.
 """
 
 from __future__ import annotations
 
 import json
-import os
 
 import pytest
 
-from repro.core.refinement import CheckResult
 from repro.engine.faults import FAULTS_ENV, FaultInjector, clear, install
-from repro.engine.journal import CheckpointJournal
-from repro.engine.obligations import discharge
+from repro.engine.obligations import build_obligations, discharge
+from repro.engine.rcache import DependencyFingerprinter, ObligationCache
 from repro.engine.recordlog import StaleLogError
-from repro.engine.resilience import ResilienceConfig
-from repro.engine.scheduler import ObligationOutcome
 from repro.serve.daemon import FINISHED_STATES
 from repro.serve.jobs import Job, JobRequest, JobStore
 
-from .rcache_cases import build
+from .rcache_cases import build, count_executions
 
 FS_MODES = ("enospc", "eio", "eperm", "torn")
-LABEL = "pingpong"
 
 #: A job journal script covering every lifecycle event: job a finishes,
 #: b is interrupted and re-taken, c never leaves the queue.
@@ -55,8 +56,8 @@ JOB_SCRIPT = (
 
 
 class FaultAtAppend(FaultInjector):
-    """Fires ``mode`` on the ``index``-th write to ``site`` (0 is the
-    header) and on no other write."""
+    """Fires ``mode`` on the ``index``-th write to ``site`` (for a log, 0
+    is the header) and on no other write."""
 
     def __init__(self, site: str, mode: str, index: int) -> None:
         super().__init__()
@@ -83,44 +84,44 @@ def _complete_lines(data: bytes, cut: int) -> int:
     return data.count(b"\n", 0, cut)
 
 
-def _extra_outcome():
-    return ObligationOutcome(
-        "extra", CheckResult("extra", True, [], checked=1), 0.0, os.getpid()
-    )
-
-
-def _checkpointed(app, universe, directory, resume=False):
-    return discharge(
-        app,
-        universe,
-        resilience=ResilienceConfig(checkpoint_dir=str(directory), resume=resume),
-        checkpoint_label=LABEL,
-    )
-
-
-# --------------------------------------------------------------------- #
-# The recorded logs
-# --------------------------------------------------------------------- #
-
-
 @pytest.fixture(scope="module")
 def pingpong():
-    """``(app, universe, uncheckpointed reference result)``."""
+    """``(app, universe, uncached reference result)``."""
     app, universe = build("pingpong")
     return app, universe, discharge(app, universe)
 
 
 @pytest.fixture(scope="module")
-def engine_log(pingpong, tmp_path_factory):
-    """``(bytes, fingerprint, record keys)`` of a real pingpong journal."""
+def entries(pingpong, tmp_path_factory):
+    """``[(key, fingerprint, identity, entry bytes)]`` of a real pingpong
+    run's stores, in completion (build) order."""
     app, universe, _reference = pingpong
-    directory = tmp_path_factory.mktemp("journal")
-    _checkpointed(app, universe, directory)
-    data = (directory / f"{LABEL}.jsonl").read_bytes()
-    header, *records = data.splitlines()
-    keys = [json.loads(line)["key"] for line in records]
-    assert len(keys) == len(set(keys)) > 1
-    return data, json.loads(header)["fingerprint"], keys
+    cache = ObligationCache(tmp_path_factory.mktemp("rcache"))
+    discharge(app, universe, cache=cache)
+    fingerprinter = DependencyFingerprinter(app, universe)
+    stored = []
+    for ob in build_obligations(app, universe):
+        fingerprint = fingerprinter.fingerprint(ob)
+        data = (cache.objects_dir / f"{fingerprint}.json").read_bytes()
+        stored.append((ob.key, fingerprint, fingerprinter.identity(ob), data))
+    assert len(stored) == len({fp for _, fp, _, _ in stored}) > 1
+    return stored
+
+
+def _verdict(data: bytes) -> dict:
+    """An entry's record minus its wall-clock ``elapsed``."""
+    record = json.loads(data)
+    del record["elapsed"]
+    return record
+
+
+def _killed_cache(directory, entries, done: int):
+    """A cache directory as a kill after ``done`` completed stores leaves
+    it: those entries whole, no index (it is flushed once, at the end)."""
+    cache = ObligationCache(directory)
+    for _key, fingerprint, _identity, data in entries[:done]:
+        (cache.objects_dir / f"{fingerprint}.json").write_bytes(data)
+    return cache
 
 
 def _job(job_id: str) -> Job:
@@ -175,28 +176,34 @@ def jobs_log(tmp_path_factory):
 # --------------------------------------------------------------------- #
 
 
-def test_engine_journal_cut_at_every_byte_recovers_a_prefix(tmp_path, engine_log):
-    data, fingerprint, keys = engine_log
-    path = tmp_path / f"{LABEL}.jsonl"
-    for cut in range(len(data) + 1):
-        path.write_bytes(data[:cut])
-        records = _complete_lines(data, cut) - 1
-        if records < 0:
-            with pytest.raises(StaleLogError):
-                CheckpointJournal.load(path, fingerprint)
-        else:
-            loaded = CheckpointJournal.load(path, fingerprint)
-            assert list(loaded) == keys[:records], cut
-        prefix = keys[: max(records, 0)]
-        journal, completed = CheckpointJournal.open(
-            tmp_path, LABEL, fingerprint, len(keys), resume=True
-        )
-        assert list(completed) == prefix, cut
-        assert journal.record(_extra_outcome())
-        journal.close()
-        assert journal.write_errors == 0
-        reloaded = CheckpointJournal.load(path, fingerprint)
-        assert list(reloaded) == prefix + ["extra"], cut
+def test_engine_journal_cut_at_every_byte_recovers_a_prefix(
+    tmp_path, pingpong, entries
+):
+    """Every stored entry cut at every byte offset: only the whole entry
+    is served, a cut one is a miss, and storing the re-executed outcome
+    over the cut file restores the entry."""
+    app, universe, reference = pingpong
+    cache = ObligationCache(tmp_path)
+    for key, fingerprint, identity, data in entries:
+        path = cache.objects_dir / f"{fingerprint}.json"
+        for cut in range(len(data) + 1):
+            path.write_bytes(data[:cut])
+            entry = cache.lookup(fingerprint, identity, key)
+            if cut < len(data):
+                assert entry is None, (key, cut)
+            else:
+                assert entry.key == key and entry.holds
+        path.write_bytes(data[: len(data) // 2])
+    assert cache.stats.hits == len(entries)
+    # A rerun over every torn entry re-executes all of them and stores
+    # them back whole.
+    with count_executions() as executed:
+        rerun = discharge(app, universe, cache=cache)
+    assert rerun == reference and not rerun.cached_keys
+    assert len(executed) == len(entries)
+    for _key, fingerprint, _identity, data in entries:
+        path = cache.objects_dir / f"{fingerprint}.json"
+        assert _verdict(path.read_bytes()) == _verdict(data)
 
 
 def test_job_journal_cut_at_every_byte_recovers_a_prefix(tmp_path, jobs_log):
@@ -234,30 +241,30 @@ def test_job_journal_cut_at_every_byte_recovers_a_prefix(tmp_path, jobs_log):
 
 
 @pytest.mark.parametrize("mode", FS_MODES)
-def test_engine_journal_fault_at_every_append(tmp_path, pingpong, engine_log, mode):
-    """The faulted run keeps its verdicts and leaves a record prefix (the
-    journal latches off at the failed append); resuming from it reaches
-    the uncheckpointed verdicts and journals every obligation."""
+def test_engine_journal_fault_at_every_append(tmp_path, pingpong, entries, mode):
+    """A fault at each store keeps the run's verdicts, loses exactly that
+    entry (a torn one lands but never decodes), and surfaces one
+    ``rcache-write-error`` event; the rerun with the same cache executes
+    only the lost obligation and stores it."""
     app, universe, reference = pingpong
-    _data, fingerprint, keys = engine_log
-    path = tmp_path / f"{LABEL}.jsonl"
-    for index in range(1 + len(keys)):
-        install(FaultAtAppend("journal.append", mode, index))
-        faulted = _checkpointed(app, universe, tmp_path)
+    keys = [key for key, *_ in entries]
+    for index, (key, fingerprint, _identity, data) in enumerate(entries):
+        directory = tmp_path / f"{mode}-{index}"
+        install(FaultAtAppend("rcache.store", mode, index))
+        faulted = discharge(app, universe, cache=directory)
         clear()
         assert faulted == reference, index
+        assert faulted.rcache_stats["write_errors"] == 1, index
         kinds = [e.kind for e in faulted.resilience_events]
-        assert kinds.count("journal-write-error") == 1, index
-        prefix = keys[: max(index - 1, 0)]
-        if index == 0:
-            with pytest.raises(StaleLogError):
-                CheckpointJournal.load(path, fingerprint)
-        else:
-            assert list(CheckpointJournal.load(path, fingerprint)) == prefix
-        resumed = _checkpointed(app, universe, tmp_path, resume=True)
-        assert resumed == reference, index
-        assert resumed.resumed_keys == sorted(prefix), index
-        assert set(CheckpointJournal.load(path, fingerprint)) == set(keys)
+        assert kinds == ["rcache-write-error"], index
+        path = ObligationCache(directory).objects_dir / f"{fingerprint}.json"
+        assert path.exists() == (mode == "torn"), index
+        with count_executions() as executed:
+            rerun = discharge(app, universe, cache=directory)
+        assert rerun == reference, index
+        assert executed == [key], index
+        assert rerun.cached_keys == sorted(set(keys) - {key}), index
+        assert _verdict(path.read_bytes()) == _verdict(data), index
 
 
 @pytest.mark.parametrize("mode", FS_MODES)
@@ -282,31 +289,47 @@ def test_job_journal_fault_at_every_append(tmp_path, jobs_log, mode):
 
 
 # --------------------------------------------------------------------- #
-# End to end: resume from every crash point
+# End to end: rerun from every crash point of an entry write
 # --------------------------------------------------------------------- #
 
 
-def _record_cuts(data: bytes):
-    """Empty file, every record boundary, and the middle of every line."""
-    ends = [i + 1 for i, byte in enumerate(data) if byte == ord("\n")]
-    starts = [0] + ends[:-1]
-    return sorted({0, *ends, *((s + e) // 2 for s, e in zip(starts, ends))})
+def _crash_states(data: bytes, every_byte: bool):
+    """``(stage, cut, landed)`` for each crash point of one entry write:
+    the temp file cut (mid temp-file) or whole (before the rename), the
+    entry renamed into place but the index never flushed, and the final
+    file torn (at every byte with ``every_byte``; nothing reads a temp
+    file, so its cuts stay few). ``landed`` says whether the entry
+    counts as stored."""
+    yield from (("temp", cut, False) for cut in (0, len(data) // 2, len(data)))
+    yield ("renamed", len(data), True)
+    cuts = range(len(data)) if every_byte else (0, len(data) // 2)
+    yield from (("torn", cut, False) for cut in cuts)
 
 
 @pytest.mark.parametrize(
     "every_byte", [False, pytest.param(True, marks=pytest.mark.slow)]
 )
 def test_resume_from_every_crash_point_matches_uncheckpointed(
-    tmp_path, pingpong, engine_log, every_byte
+    tmp_path, pingpong, entries, every_byte
 ):
     app, universe, reference = pingpong
-    data, fingerprint, keys = engine_log
-    path = tmp_path / f"{LABEL}.jsonl"
-    cuts = range(len(data) + 1) if every_byte else _record_cuts(data)
-    for cut in cuts:
-        path.write_bytes(data[:cut])
-        prefix = keys[: max(_complete_lines(data, cut) - 1, 0)]
-        resumed = _checkpointed(app, universe, tmp_path, resume=True)
-        assert resumed == reference, cut
-        assert resumed.resumed_keys == sorted(prefix), cut
-        assert set(CheckpointJournal.load(path, fingerprint)) == set(keys), cut
+    keys = [key for key, *_ in entries]
+    run = 0
+    for done, (_key, fingerprint, _identity, data) in enumerate(entries):
+        for stage, cut, landed in _crash_states(data, every_byte):
+            run += 1
+            cache = _killed_cache(tmp_path / f"run-{run}", entries, done)
+            final = cache.objects_dir / f"{fingerprint}.json"
+            if stage == "temp":
+                final.with_name(f".{final.name}.1.tmp").write_bytes(data[:cut])
+            else:
+                final.write_bytes(data[:cut])
+            assert not cache.index_path.exists()
+            served = set(keys[: done + landed])
+            with count_executions() as executed:
+                rerun = discharge(app, universe, cache=cache.directory)
+            assert rerun == reference, (stage, done, cut)
+            assert set(rerun.cached_keys) == served, (stage, done, cut)
+            assert set(executed) == set(keys) - served, (stage, done, cut)
+            assert _verdict(final.read_bytes()) == _verdict(data), (stage, done)
+            assert len(ObligationCache(cache.directory)) == len(keys)

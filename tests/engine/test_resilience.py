@@ -5,8 +5,8 @@ here with the deterministic injector (``repro.engine.faults``) and checked
 end to end: a seeded hang is killed by the per-obligation deadline, a
 worker ``os._exit`` is recovered by a pool rebuild + retry, a persistent
 crasher degrades to in-parent execution, a broken-pool budget degrades the
-whole run to serial, and Ctrl-C salvages completed outcomes (and flushes
-the journal) instead of dropping them.
+whole run to serial, and Ctrl-C salvages completed outcomes (each
+already handed to the result cache) instead of dropping them.
 
 The headline property — ISSUE acceptance — is *verdict identity*: under
 injection, a pool run terminates and agrees with a clean serial run on
@@ -28,7 +28,6 @@ from repro.core.context import GhostContext
 from repro.core.refinement import CheckResult
 from repro.core.universe import StoreUniverse
 from repro.engine.faults import FaultInjector, FaultSpec, clear, install
-from repro.engine.journal import CheckpointJournal
 from repro.engine.obligations import Obligation
 from repro.engine.resilience import (
     DischargeInterrupted,
@@ -202,16 +201,16 @@ def test_serial_interrupt_salvages_completed_outcomes():
     assert all(o.result.holds for o in salvaged.values())
 
 
-def test_serial_interrupt_flushes_journal_before_raising(tmp_path):
+def test_serial_interrupt_flushes_journal_before_raising():
+    """Every outcome completed before the interrupt has already reached
+    ``on_complete`` (the result-cache store) when the salvage raises."""
     install(FaultInjector([FaultSpec("C", "interrupt")]))
-    journal, _ = CheckpointJournal.open(tmp_path, "run", "f" * 64, len(CHAIN))
+    completed = []
     with pytest.raises(DischargeInterrupted):
         SerialScheduler(resilience=_fast_cfg()).run(
-            None, None, CHAIN, journal=journal
+            None, None, CHAIN, on_complete=completed.append
         )
-    journal.close()
-    loaded = CheckpointJournal.load(tmp_path / "run.jsonl", "f" * 64)
-    assert set(loaded) == {"A", "B"}
+    assert [o.key for o in completed] == ["A", "B"]
 
 
 # --------------------------------------------------------------------- #
@@ -304,6 +303,20 @@ def test_pool_interrupt_in_worker_salvages_and_raises():
     assert "B" not in exc_info.value.outcomes
     # The first wave (A, D) completed before B's wave was interrupted.
     assert {"A", "D"} <= set(exc_info.value.outcomes)
+
+
+@needs_fork
+def test_pool_parent_hands_each_resolved_outcome_to_on_complete():
+    """The pool's parent reports each outcome as its future resolves, so
+    an interrupt in a later wave finds the earlier ones already stored."""
+    install(FaultInjector([FaultSpec("B", "interrupt")]))
+    completed = []
+    with pytest.raises(DischargeInterrupted) as exc_info:
+        ProcessPoolScheduler(2, resilience=_fast_cfg()).run(
+            None, None, CHAIN, on_complete=completed.append
+        )
+    assert {o.key for o in completed} == set(exc_info.value.outcomes)
+    assert {"A", "D"} <= {o.key for o in completed}
 
 
 @needs_fork
@@ -439,9 +452,9 @@ def test_protocol_verdicts_identical_serial_vs_faulted_pool(protocol):
 
 @pytest.mark.real_protocol
 def test_resume_reexecutes_only_unjournaled_obligations(tmp_path, monkeypatch):
-    """ISSUE acceptance: a killed-then-resumed run completes without
-    re-executing journaled obligations — asserted by counting executor
-    invocations across the interrupted run and the resumed run."""
+    """A killed run's rerun with the same result cache completes without
+    re-executing the obligations stored before the kill — asserted by
+    counting executor invocations across both runs."""
     app, init_global = _protocol_instance("pingpong")
     universe = _universe_for(app, init_global)
     calls = []
@@ -454,25 +467,23 @@ def test_resume_reexecutes_only_unjournaled_obligations(tmp_path, monkeypatch):
     monkeypatch.setattr(obligations_mod, "execute_obligation", counting)
 
     # The injector fires before the executor is entered, so the first
-    # run's call list is exactly the set of completed (journaled) keys.
+    # run's call list is exactly the set of completed (stored) keys.
     install(FaultInjector([FaultSpec("I2", "interrupt")]))
     partial = obligations_mod.discharge(
-        app, universe, resilience=_fast_cfg(checkpoint_dir=str(tmp_path))
+        app, universe, resilience=_fast_cfg(), cache=tmp_path
     )
     assert partial.interrupted
-    journaled = set(calls)
-    assert journaled and "I2" not in journaled
+    stored = set(calls)
+    assert stored and "I2" not in stored
 
     clear()
     calls.clear()
     resumed = obligations_mod.discharge(
-        app,
-        universe,
-        resilience=_fast_cfg(checkpoint_dir=str(tmp_path), resume=True),
+        app, universe, resilience=_fast_cfg(), cache=tmp_path
     )
     assert resumed.holds and not resumed.interrupted
-    assert set(resumed.resumed_keys) == journaled
-    assert journaled.isdisjoint(calls), "journaled obligations re-executed"
+    assert set(resumed.cached_keys) == stored
+    assert stored.isdisjoint(calls), "stored obligations re-executed"
     assert "I2" in calls  # the interrupted obligation itself did rerun
 
 

@@ -34,7 +34,7 @@ SAMPLED = {"rounds": 1, "num_nodes": 2, "walks": 5}
 
 def _executed(report) -> int:
     return sum(
-        result.num_obligations - len(result.cached_keys) - len(result.resumed_keys)
+        result.num_obligations - len(result.cached_keys)
         for _, result in report.is_results
     )
 
@@ -74,11 +74,13 @@ def test_sampled_paxos_journals_and_traces_its_spec_stage(tmp_path):
     tracer = Tracer()
     report = paxos.verify_sampled(
         **SAMPLED,
-        resilience=ResilienceConfig(checkpoint_dir=str(tmp_path)),
+        resilience=ResilienceConfig(timeout_per_obligation=600.0),
+        cache=tmp_path,
         tracer=tracer,
     )
     assert report.status == "OK", report.summary()
-    assert list(tmp_path.glob("*.jsonl")), "no checkpoint journal written"
+    stored = len(list((tmp_path / "objects").glob("*.json")))
+    assert stored == report.is_results[0][1].num_obligations
     phases = {span.name for span in tracer.spans if span.category == "phase"}
     assert {"IS[Paxos]", "sequential spec"} <= phases
 

@@ -3,9 +3,9 @@
 The in-process suite (test_daemon) covers SIGTERM's cooperative drain;
 these tests cover the uncooperative end: SIGKILL mid-job — no drain, no
 atexit, no flush — then a restart on the same state directory. The
-contract is the journals': the job journal re-enqueues the unfinished
-job, the obligation checkpoint journal seeds back every outcome that
-was appended before the kill (``resumed > 0``), and the rerun's typed
+contract is the two stores': the job journal re-enqueues the unfinished
+job, the result cache serves back every obligation stored before the
+kill (``cached > 0``, so ``executed < total``), and the rerun's typed
 verdict is the ordinary one.
 
 The full randomized chaos soak (worker kills + disk faults under load)
@@ -105,12 +105,9 @@ class DaemonProcess:
         self.proc.stdout.close()
 
 
-def _checkpoint_lines(state_dir) -> int:
-    """Outcome records across every per-job checkpoint journal."""
-    total = 0
-    for path in Path(state_dir).glob("ckpt/**/*.jsonl"):
-        total += max(0, len(path.read_text().splitlines()) - 1)  # - header
-    return total
+def _stored_entries(state_dir) -> int:
+    """Obligation results in the daemon's result cache."""
+    return len(list(Path(state_dir).glob("rcache/objects/*.json")))
 
 
 @pytest.mark.real_protocol
@@ -125,11 +122,11 @@ def test_sigkill_midjob_restart_reenqueues_and_resumes(tmp_path):
         _status, accepted = daemon.post("/jobs", PINGPONG)
         job_id = accepted["job"]["id"]
         daemon.wait_status(job_id, ("running",), timeout=60)
-        # Wait for the pre-hang waves to be checkpointed, then kill -9.
+        # Wait for the pre-hang obligations to be stored, then kill -9.
         deadline = time.time() + 60
-        while _checkpoint_lines(tmp_path) == 0 and time.time() < deadline:
+        while _stored_entries(tmp_path) == 0 and time.time() < deadline:
             time.sleep(0.05)
-        assert _checkpoint_lines(tmp_path) > 0, "no obligation checkpointed"
+        assert _stored_entries(tmp_path) > 0, "no obligation stored"
     finally:
         daemon.sigkill()
 
@@ -148,7 +145,8 @@ def test_sigkill_midjob_restart_reenqueues_and_resumes(tmp_path):
         )
         assert detail["status"] == "done"
         assert detail["result"]["status"] == "OK"
-        assert detail["result"]["obligations"]["resumed"] > 0
+        split = detail["result"]["obligations"]
+        assert 0 < split["cached"] and split["executed"] < split["total"]
         assert detail["attempts"] >= 2
         # And the daemon is healthy, not limping: a fresh identical
         # request is warm-served without re-execution.

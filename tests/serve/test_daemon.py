@@ -93,27 +93,26 @@ def test_job_round_trip_and_warm_second_request(tmp_path):
         assert second["result"]["status"] == first["result"]["status"]
 
 
-def test_a_code_change_starts_fresh_checkpoint_journals(tmp_path, monkeypatch):
-    """Per-job checkpoint journals nest under the package's code digest,
-    so a daemon on edited code resumes none of the old verdicts, and a
-    restart on that code deletes the old digest's tree."""
-    from repro.engine import journal
+def test_a_code_change_reexecutes_after_restart(tmp_path, monkeypatch):
+    """The result cache under ``--state`` is the daemon's only store of
+    obligation results, and its fingerprints cover the code every
+    obligation reads: a daemon restarted on changed code (modelled by a
+    changed fingerprint schema, which every fingerprint hashes)
+    re-executes every obligation instead of serving old verdicts."""
+    from repro.engine import rcache
 
-    old_tree = tmp_path / "ckpt" / journal.code_digest()[:16]
     with DaemonHarness(state_dir=str(tmp_path)) as harness:
         harness.run_job(PINGPONG)
         again = harness.run_job(PINGPONG)
-        assert again["result"]["obligations"]["resumed"] > 0
-        monkeypatch.setattr(journal, "_CODE_DIGEST", "0" * 64)
+        assert again["result"]["obligations"]["executed"] == 0
+    monkeypatch.setattr(rcache, "RCACHE_SCHEMA", rcache.RCACHE_SCHEMA + "+edit")
+    with DaemonHarness(state_dir=str(tmp_path)) as harness:
         edited = harness.run_job(PINGPONG)
+    split = edited["result"]["obligations"]
     assert edited["status"] == "done"
     assert edited["result"]["status"] == "OK"
-    assert edited["result"]["obligations"]["resumed"] == 0
-    assert old_tree.is_dir()
-    new_tree = tmp_path / "ckpt" / ("0" * 16)
-    with DaemonHarness(state_dir=str(tmp_path)):
-        assert not old_tree.exists()
-        assert new_tree.is_dir()
+    assert split["cached"] == 0 and split["executed"] == split["total"] > 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["jobs.jsonl", "rcache"]
 
 
 def test_a_jobs_field_is_refused():
@@ -305,7 +304,7 @@ def test_sigterm_midjob_journals_then_restart_resumes(tmp_path):
                 if detail["status"] == "running":
                     break
                 time.sleep(0.05)
-            time.sleep(1.0)  # journal the pre-hang obligations, hit the hang
+            time.sleep(1.0)  # store the pre-hang obligations, hit the hang
         # __exit__ drained: the hung job must be journaled as interrupted.
         events = [
             json.loads(line)["event"]
@@ -323,7 +322,8 @@ def test_sigterm_midjob_journals_then_restart_resumes(tmp_path):
         detail = harness.wait(job_id)
         assert detail["status"] == "done"
         assert detail["result"]["status"] == "OK"
-        assert detail["result"]["obligations"]["resumed"] > 0
+        split = detail["result"]["obligations"]
+        assert 0 < split["cached"] and split["executed"] < split["total"]
         assert detail["attempts"] >= 2
 
 

@@ -86,6 +86,16 @@ def test_round_trip_matches_in_process_verdict(executor):
     assert health["spawns"] == 1 and health["jobs"] == 1
 
 
+def test_the_deadline_in_the_budgets_reaches_the_worker(executor, monkeypatch):
+    """The operator's per-obligation deadline travels in the job's
+    budgets: a hung obligation in the worker ends as TIMEOUT."""
+    monkeypatch.setenv(FAULTS_ENV, "I2=hang")
+    payload = executor.execute(
+        "job-1", _request(), {**BUDGETS, "timeout_per_obligation": 0.3}
+    )
+    assert payload["status"] == "TIMEOUT"
+
+
 def test_second_job_reuses_warm_worker(tmp_path):
     sandbox = SandboxExecutor(SandboxConfig(), state_dir=tmp_path)
     try:

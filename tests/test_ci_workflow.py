@@ -225,10 +225,11 @@ def test_artifact_upload_requires_files(workflow, job):
 
 def test_fault_injection_job_interrupts_then_resumes(workflow):
     """The resilience job must be hang-bounded (``timeout-minutes``), run
-    the fault/journal regression files — the record log's crash-point
-    suite and both of its owners' disk-fault tests included — demand the
-    partial-report exit code (130) from the injected-interrupt run, and
-    resume from the salvaged journal afterwards."""
+    the fault regression files — the crash-point suite over result-cache
+    entries and the record log, and the disk-fault tests — demand the
+    partial-report exit code (130) from the injected-interrupt run with
+    its completed obligations stored, and resume by rerunning with the
+    same ``--cache``, executing fewer obligations than the total."""
     job = workflow["jobs"]["fault-injection"]
     assert 0 < job["timeout-minutes"] <= 30
     commands = [step["run"] for step in job["steps"] if "run" in step]
@@ -249,9 +250,21 @@ def test_fault_injection_job_interrupts_then_resumes(workflow):
         if "REPRO_FAULTS" in (step.get("env") or {})
     )
     assert "interrupt" in interrupted["env"]["REPRO_FAULTS"]
-    assert "--checkpoint" in interrupted["run"]
+    assert "--jobs 2" in interrupted["run"]
+    assert "--cache c" in interrupted["run"]
     assert "130" in interrupted["run"]
-    assert any("--resume" in cmd for cmd in commands)
+    assert "ls c/objects/*.json" in interrupted["run"]
+    rerun = next(
+        cmd for cmd in commands if "--cache c" in cmd and cmd is not interrupted["run"]
+    )
+    assert "--cache-stats" in rerun
+    assert "executed < total" in rerun
+    upload = next(
+        step
+        for step in job["steps"]
+        if step.get("uses", "").startswith("actions/upload-artifact")
+    )
+    assert upload["with"]["path"] == "c/"
 
 
 def test_incremental_verification_job_proves_cache_reuse(workflow):
@@ -360,8 +373,9 @@ def test_serve_smoke_job_gates_warm_reuse_and_resume(workflow):
     """The serve-smoke job must boot the daemon, prove the second
     identical request executes zero obligations, run the sustained load
     test that produces the uploaded histogram, SIGTERM the daemon
-    mid-job under an injected hang, and assert the journal-backed
-    resume completes after restart."""
+    mid-job under an injected hang, and assert the restart completes the
+    job re-executing only the obligations the result cache does not
+    already hold."""
     job = workflow["jobs"]["serve-smoke"]
     assert "fast" in job["needs"]
     assert 0 < job["timeout-minutes"] <= 30
@@ -387,8 +401,10 @@ def test_serve_smoke_job_gates_warm_reuse_and_resume(workflow):
     assert "kill -TERM" in hang_step["run"]
     assert '"event": "interrupted"' in hang_step["run"]
 
-    resume = next(cmd for cmd in commands if "resumed" in cmd)
-    assert 'split["resumed"] > 0' in resume
+    assert "servestate2/rcache/objects" in hang_step["run"]
+    resume = next(cmd for cmd in commands if 'split["cached"]' in cmd)
+    assert 'split["cached"] > 0' in resume
+    assert 'split["executed"] < split["total"]' in resume
 
     upload = next(
         step
