@@ -4,9 +4,10 @@ Two modes: a latency histogram under sustained load, and the subprocess
 sandbox's warm-path tax.
 
 ``--load SECONDS --url http://H:P`` drives an *external* daemon with a
-closed submit+poll loop for the given duration and writes a latency
-histogram JSON (``--output``, default ``serve-load.json``), the
-artifact the ``serve-smoke`` CI job uploads.
+closed submit-and-follow loop (each job's completion is read from its
+SSE stream) for the given duration and writes a latency histogram JSON
+(``--output``, default ``serve-load.json``), the artifact the
+``serve-smoke`` CI job uploads.
 
 ``--sandbox-overhead`` runs two embedded daemons at once, in-process and
 sandboxed, times warm pingpong round-trips in alternating pairs (one on
@@ -64,17 +65,25 @@ def _get(base: str, path: str) -> dict:
 
 
 def _run_to_completion(base: str, payload: dict, timeout: float = 300.0):
-    """Submit one job and poll it to a terminal state; returns
-    ``(latency_seconds, job_detail)``."""
+    """Submit one job and follow its SSE stream to the terminal ``status``
+    event; returns ``(latency_seconds, job_detail)``. Latency ends when
+    that event arrives, so no poll interval quantizes it."""
     started = time.perf_counter()
     job_id = _post_job(base, payload)["job"]["id"]
-    deadline = time.time() + timeout
-    while time.time() < deadline:
-        detail = _get(base, f"/jobs/{job_id}")
-        if detail["status"] in ("done", "failed", "interrupted"):
-            return time.perf_counter() - started, detail
-        time.sleep(0.002)
-    raise RuntimeError(f"job {job_id} did not finish within {timeout}s")
+    with urllib.request.urlopen(
+        f"{base}/jobs/{job_id}/events", timeout=timeout
+    ) as stream:
+        event = None
+        for raw in stream:
+            line = raw.decode("utf-8").rstrip("\n")
+            if line.startswith("event: "):
+                event = line[len("event: "):]
+            elif event == "status" and line.startswith("data: "):
+                status = json.loads(line[len("data: "):])["status"]
+                if status in ("done", "failed", "interrupted", "crashed"):
+                    latency = time.perf_counter() - started
+                    return latency, _get(base, f"/jobs/{job_id}")
+    raise RuntimeError(f"job {job_id}'s event stream ended before its result")
 
 
 def _percentile(samples, fraction: float) -> float:
@@ -117,9 +126,9 @@ class EmbeddedDaemon:
 def run_sandbox_overhead(requests: int = 30) -> dict:
     """Warm pingpong round-trips, in-process vs subprocess sandbox.
 
-    Both sides are the same daemon, same request, same HTTP submit+poll
-    loop; the only difference is the isolation level, so the per-pair
-    ratio *is* the sandbox tax (JSONL protocol hop, span forwarding, the
+    Both sides are the same daemon, same request, same HTTP
+    submit-and-follow loop; the only difference is the isolation level,
+    so the per-pair ratio *is* the sandbox tax (JSONL protocol hop, span forwarding, the
     supervised pipe). Both daemons run for the whole measurement and the
     requests alternate in pairs, so a drift in host load hits both
     sides of a pair alike. The acceptance gate: the median pair ratio
@@ -190,7 +199,8 @@ def run_sandbox_overhead(requests: int = 30) -> dict:
 
 
 def run_load(url: str, seconds: float, protocol: str = "pingpong") -> dict:
-    """Submit+poll in a closed loop for ``seconds``; histogram latency."""
+    """Submit-and-follow in a closed loop for ``seconds``; histogram
+    latency."""
     base = url.rstrip("/")
     payload = {"kind": "verify", "protocol": protocol}
     # One untimed warm-up so the histogram measures steady state.

@@ -357,7 +357,7 @@ def _cmd_cache(parser, args) -> int:
     if args.action == "stats":
         print(
             f"rcache: dir={cache.directory} entries={info['entries']} "
-            f"bytes={info['bytes']} mb={mb:.2f} "
+            f"bytes={info['bytes']} mb={mb:.2f} temps={info['temps']} "
             f"quota_mb={quota if quota is not None else 'none'}"
         )
         if quota is None:
@@ -375,7 +375,7 @@ def _cmd_cache(parser, args) -> int:
     after = cache.size_info()
     print(
         f"rcache: gc removed={outcome['removed']} "
-        f"freed_bytes={outcome['freed_bytes']} "
+        f"freed_bytes={outcome['freed_bytes']} temps={outcome['temps']} "
         f"entries={after['entries']} bytes={after['bytes']} "
         f"quota_mb={quota}"
     )

@@ -35,6 +35,7 @@ import os
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
+from ..engine.resilience import poll
 from .action import Action, Transition
 from .store import Store, memo_key, reset_store_interner
 
@@ -118,6 +119,7 @@ class CachedAction:
         key = memo_key(state)
         cached = memo.gates.get(key)
         if cached is None:
+            poll()
             memo.gate_stats.misses += 1
             cached = bool(self.action.gate(state))
             memo.gates[key] = cached
@@ -130,6 +132,7 @@ class CachedAction:
         key = memo_key(state)
         cached = memo.outcomes.get(key)
         if cached is None:
+            poll()
             memo.transition_stats.misses += 1
             cached = list(self.action.transitions(state))
             memo.outcomes[key] = cached

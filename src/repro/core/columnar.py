@@ -76,6 +76,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from ..diagnose.witness import CommutationWitness, GateWitness
+from ..engine.resilience import poll
 from .action import PendingAsync
 from .cache import register_reset_hook
 from .refinement import CheckResult, _fail
@@ -266,6 +267,7 @@ class ColumnarStore:
         fills = 0
         for gid in gids:
             if col[gid] is None:
+                poll()
                 col[gid] = gate(combine_ids(gid, lid))
                 fills += 1
         self.gate_fills += fills
@@ -281,6 +283,7 @@ class ColumnarStore:
 
     def fill_gate(self, col: list, view, lid: int, gid: int) -> bool:
         """Fill one gate entry on probe (any global, successors included)."""
+        poll()
         itn = store_interner()
         if gid >= len(col):
             col.extend([None] * (len(itn) - len(col)))
@@ -307,6 +310,7 @@ class ColumnarStore:
     def fill_succ(self, col: list, view, lid: int, gid: int) -> tuple:
         """Evaluate and intern the transitions of (view, local) from the
         global with id ``gid``: ``(tr, new_gid, created_cid)`` triples."""
+        poll()
         itn = store_interner()
         state = itn.combine_ids(gid, lid)
         intern = itn.intern
@@ -440,13 +444,15 @@ class _Cells:
         """``(gi, il, decision)`` for the cells of the classes that admit
         something, in the oracle's order (global-major, then locals).
         Every skipped cell is one where the oracle's loop body does
-        nothing."""
+        nothing. Polls the stop state once per 256 globals."""
         live = 0
         for ck, mask in self.masks.items():
             if by_class[ck]:
                 live |= mask
         gids, ck_col = self.gids, self.adm.ck_col
-        for gi in _positions(live):
+        for n, gi in enumerate(_positions(live)):
+            if not n & 255:
+                poll()
             for il, decision in by_class[ck_col[gids[gi]]]:
                 yield gi, il, decision
 

@@ -52,6 +52,7 @@ from contextvars import ContextVar
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
+from ..engine.resilience import poll
 from .action import PendingAsync
 from .multiset import Multiset
 from .program import Program
@@ -270,6 +271,7 @@ class _PrivateCells:
         table = self.table
         if cell in table:
             return table[cell]
+        poll()
         pending = self.ids.pas[pid]
         action = self.program[pending.action]
         itn = store_interner()

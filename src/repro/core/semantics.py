@@ -32,7 +32,6 @@ __all__ = [
     "Step",
     "Execution",
     "initial_config",
-    "enabled_pending",
     "steps_from",
     "step_successors",
 ]
@@ -101,11 +100,6 @@ class Step:
 def initial_config(global_store: Store, main_locals: Store = Store()) -> Config:
     """The initialized configuration with a single PA to ``Main``."""
     return Config(global_store, Multiset([PendingAsync(MAIN, main_locals)]))
-
-
-def enabled_pending(program: Program, config: Config) -> Iterator[PendingAsync]:
-    """Distinct pending asyncs that may be scheduled in ``config``."""
-    return config.pending.support()
 
 
 def steps_from(program: Program, config: Config) -> Iterator[Step]:

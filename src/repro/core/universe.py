@@ -302,17 +302,6 @@ class StoreUniverse:
             globals_, locals_by_action, self.context, canon.spec
         )
 
-    @classmethod
-    def of_stores(
-        cls,
-        globals_: Iterable[Store],
-        locals_by_action: Mapping[str, Iterable[Store]] = (),
-    ) -> "StoreUniverse":
-        return cls(
-            list(dict.fromkeys(globals_)),
-            {name: list(dict.fromkeys(ls)) for name, ls in dict(locals_by_action).items()},
-        )
-
     def locals_for(self, action_name: str) -> List[Store]:
         """Candidate local stores for an action (default: the empty store)."""
         return self.locals_by_action.get(action_name, [EMPTY_STORE])

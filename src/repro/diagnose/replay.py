@@ -26,7 +26,6 @@ from __future__ import annotations
 from typing import Tuple
 
 from ..core.action import Action, PendingAsync
-from ..core.explore import instance_summary
 from ..core.movers import _has_swapped
 from ..core.multiset import Multiset
 from ..core.semantics import Config
@@ -38,7 +37,6 @@ __all__ = [
     "replay_witness",
     "replay_refinement",
     "replay_mover",
-    "replay_program_refinement",
 ]
 
 
@@ -206,26 +204,3 @@ def replay_witness(app: ISApplication, condition: str, cx: Counterexample) -> bo
     if cx.check == "cooperation":
         return _replay_co(app, cx)
     raise ValueError(f"no replay rule for check {cx.check!r}")
-
-
-def replay_program_refinement(
-    concrete, abstract, cx: Counterexample, max_configs=None
-) -> bool:
-    """Replay a program-refinement witness by re-exploring *one* instance.
-
-    The witness context pins the ``(global, main-locals)`` initial pair,
-    so replay costs two explorations of a single instance rather than the
-    whole initial-store family.
-    """
-    g, l = cx.context
-    summary_c = instance_summary(concrete, g, l, max_configs)
-    summary_a = instance_summary(abstract, g, l, max_configs)
-    if cx.check == "good-inclusion":
-        return not summary_a.can_fail and summary_c.can_fail
-    if cx.check == "trans-inclusion":
-        return (
-            not summary_a.can_fail
-            and cx.final_global in summary_c.final_globals
-            and cx.final_global not in summary_a.final_globals
-        )
-    raise ValueError(f"not a program-refinement witness: {cx.check!r}")

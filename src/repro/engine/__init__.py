@@ -7,22 +7,11 @@ condition checks into a DAG of obligations discharged serially or across a
 process pool (the backend behind ``ISApplication.check`` and ``--jobs``).
 Both backends run the same obligation list; the pool forks cold and ships
 whole obligations.
+
+Names load lazily: ``repro.core`` imports ``repro.engine.resilience``.
 """
 
-from .obligations import (
-    Obligation,
-    build_obligations,
-    discharge,
-    execute_obligation,
-    merge_outcomes,
-)
-from .rewriting import RewriteError, RewriteResult, RewriteStats, rewrite_execution
-from .scheduler import (
-    ObligationOutcome,
-    ProcessPoolScheduler,
-    SerialScheduler,
-    make_scheduler,
-)
+import importlib
 
 __all__ = [
     "RewriteError",
@@ -39,3 +28,17 @@ __all__ = [
     "ProcessPoolScheduler",
     "make_scheduler",
 ]
+
+_LAZY = {
+    **dict.fromkeys(__all__[:4], "rewriting"),
+    **dict.fromkeys(__all__[4:9], "obligations"),
+    **dict.fromkeys(__all__[9:], "scheduler"),
+}
+
+
+def __getattr__(name: str):
+    try:
+        module = _LAZY[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    return getattr(importlib.import_module(f".{module}", __name__), name)

@@ -17,9 +17,9 @@ what makes recovery tests deterministic.
 Three fault modes:
 
 ``hang``
-    Sleep for ``seconds`` (default: effectively forever). With a
-    per-obligation deadline configured, the deadline guard interrupts the
-    sleep and the obligation reports ``TIMEOUT``.
+    Sleep for ``seconds`` (default: effectively forever) in 20 ms slices,
+    polling the thread's stop state between them: an armed deadline ends
+    the sleep and the obligation reports ``TIMEOUT``.
 ``raise``
     Raise :class:`FaultError` — the stand-in for a solver crash. In a
     pool worker the exception travels back through the future; the
@@ -64,6 +64,8 @@ import os
 import time
 from dataclasses import dataclass
 from typing import Dict, Iterable, Optional, Tuple
+
+from .resilience import poll
 
 __all__ = [
     "FaultError",
@@ -180,7 +182,10 @@ class FaultInjector:
         if spec is None or spec.mode in _FS_MODES or attempt >= spec.times:
             return
         if spec.mode == "hang":
-            time.sleep(spec.seconds)
+            end = time.monotonic() + spec.seconds
+            while (left := end - time.monotonic()) > 0:
+                poll()
+                time.sleep(min(0.02, left))
             return
         if spec.mode == "interrupt":
             raise KeyboardInterrupt(f"injected interrupt on {key}")

@@ -47,8 +47,8 @@ atomic (temp file + rename), so a killed run leaves no torn objects.
 **Resume.** ``discharge`` stores each outcome the moment it completes,
 so re-running a killed run with the same cache directory *is* the
 resume. A crash mid-write leaves no entry, a stray temp file (never
-read), or a whole entry; a torn final file (the ``torn`` fault) fails
-to decode and is a miss, never a verdict.
+read; :meth:`gc` sweeps it once its writer is dead), or a whole entry; a
+torn final file (the ``torn`` fault) fails to decode and is a miss.
 
 **Disk faults degrade, never abort.** Every write path — entry store,
 index flush, even creating the cache directory — tolerates ``OSError``
@@ -905,8 +905,26 @@ class ObligationCache:
     # Quota / GC
     # ------------------------------------------------------------------ #
 
+    def _temps(self, stale_only: bool = False) -> List[Path]:
+        """``.<name>.<pid>.tmp`` files of writes that never reached their
+        rename; with ``stale_only``, those whose writer is dead or that
+        are over an hour old (the pid may have been reused)."""
+        found = []
+        for path in [*self.directory.glob(".*.tmp"), *self.objects_dir.glob(".*.tmp")]:
+            try:
+                if stale_only and time.time() - path.stat().st_mtime < 3600:
+                    os.kill(int(path.name.rsplit(".", 2)[-2]), 0)  # writer alive?
+                    continue
+            except (ValueError, ProcessLookupError):
+                pass  # no such writer
+            except OSError:
+                continue  # gone already, or its writer runs as another user
+            found.append(path)
+        return found
+
     def size_info(self) -> Dict[str, object]:
-        """On-disk footprint: entry count, bytes, and the quota (if any)."""
+        """On-disk footprint: entry count, bytes, leftover temp files, and
+        the quota (if any)."""
         entries = 0
         total = 0
         try:
@@ -921,6 +939,7 @@ class ObligationCache:
         return {
             "entries": entries,
             "bytes": total,
+            "temps": len(self._temps()),
             "max_mb": self.max_mb,
             "disabled": self.disabled,
         }
@@ -931,20 +950,28 @@ class ObligationCache:
         ``max_mb`` overrides the configured quota for this pass. Eviction
         order is mtime (hits refresh it — see :meth:`lookup`), so warm
         entries survive cold ones. Deleting an entry another process is
-        mid-read is safe: its read degrades to a miss. Returns
-        ``{"removed": n, "freed_bytes": b}``.
+        mid-read is safe: its read degrades to a miss. Every pass first
+        sweeps stale temp files (:meth:`_temps`). Returns ``{"removed": n,
+        "freed_bytes": b, "temps": t}``.
         """
         self._stores_since_gc = 0
+        temps = 0
+        for path in () if self.disabled else self._temps(stale_only=True):
+            try:
+                path.unlink()
+                temps += 1
+            except OSError:
+                pass
         limit = max_mb if max_mb is not None else self.max_mb
         if limit is None or self.disabled:
-            return {"removed": 0, "freed_bytes": 0}
+            return {"removed": 0, "freed_bytes": 0, "temps": temps}
         budget = int(limit * 1024 * 1024)
         entries = []
         total = 0
         try:
             candidates = list(self.objects_dir.glob("*.json"))
         except OSError:
-            return {"removed": 0, "freed_bytes": 0}
+            return {"removed": 0, "freed_bytes": 0, "temps": temps}
         for path in candidates:
             try:
                 stat = path.stat()
@@ -970,7 +997,7 @@ class ObligationCache:
             finally:
                 self._release_lock(lock)
             self.stats.gc_removed += removed
-        return {"removed": removed, "freed_bytes": freed}
+        return {"removed": removed, "freed_bytes": freed, "temps": temps}
 
     def __len__(self) -> int:
         """Entries on disk (cheap directory scan; tests and stats only)."""

@@ -35,11 +35,11 @@ backends too.
 Resilience (see ``repro.engine.resilience``): both backends survive the
 three failure modes an SMT back end exhibits in CIVL —
 
-* **hangs**: with ``timeout_per_obligation`` set, each attempt runs under
-  an in-process ``SIGALRM`` deadline; an expired obligation becomes a
+* **hangs**: with ``timeout_per_obligation`` set, each attempt arms the
+  discharging thread's polled deadline; an expired obligation becomes a
   typed ``TIMEOUT`` outcome (``timed_out=True``) instead of a wedged run.
   The pool's parent additionally bounds each future wait by a backstop,
-  catching workers wedged beyond the alarm's reach.
+  catching workers wedged between polls.
 * **crashes**: a raising obligation is retried with exponential backoff
   up to ``max_retries`` times; past the budget it degrades to in-parent
   execution, and a still-failing attempt records a ``CRASH`` outcome
@@ -54,13 +54,11 @@ Both backends hand each outcome to an optional ``on_complete`` callback
 as they record it (the pool's parent as each future resolves), so
 ``discharge`` stores every completed result before a kill can lose it.
 
-``KeyboardInterrupt`` is salvaged, not dropped: completed outcomes are
-kept, and the structured
+``KeyboardInterrupt`` (Ctrl-C, or a polled stop request) is salvaged:
 :class:`~repro.engine.resilience.DischargeInterrupted` carries the
-partial run out to the merge layer. Every recovery action is recorded as
-a :class:`~repro.engine.resilience.ResilienceEvent` on
-``scheduler.last_events`` — unconditionally, so tracing never perturbs
-recovery decisions.
+completed outcomes out to the merge layer. Every recovery action is a
+:class:`~repro.engine.resilience.ResilienceEvent` on
+``scheduler.last_events``, recorded unconditionally.
 """
 
 from __future__ import annotations
@@ -69,7 +67,7 @@ import multiprocessing
 import os
 import time
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..core.explore import ExplorationBudgetExceeded
@@ -82,7 +80,8 @@ from .resilience import (
     ObligationTimeout,
     ResilienceConfig,
     ResilienceEvent,
-    deadline_guard,
+    backoff_for,
+    obligation_deadline,
 )
 
 __all__ = [
@@ -180,9 +179,9 @@ class SerialScheduler:
     """Discharge every obligation in this process, in build order.
 
     With a :class:`~repro.engine.resilience.ResilienceConfig` attached,
-    each obligation runs under the per-obligation deadline (``SIGALRM``,
-    where the platform has it) and crashes are retried with backoff up to
-    the retry budget before recording a ``CRASH`` outcome.
+    each obligation runs under the per-obligation deadline (polled, so on
+    any thread) and crashes are retried with backoff up to the retry
+    budget before recording a ``CRASH`` outcome.
     """
 
     parallelism = 1
@@ -235,78 +234,55 @@ class SerialScheduler:
         from .obligations import execute_obligation
 
         cfg = self.resilience
-        pid = os.getpid()
         attempt = first_attempt
         while True:
             started = time.perf_counter()
             before = counts_snapshot()
+
+            def outcome(result=None, **flags) -> ObligationOutcome:
+                return ObligationOutcome(
+                    ob.key,
+                    result,
+                    time.perf_counter() - started,
+                    os.getpid(),
+                    started=started,
+                    cache_delta=snapshot_delta(before, counts_snapshot()),
+                    **flags,
+                )
+
             try:
-                with deadline_guard(cfg.timeout_per_obligation):
+                with obligation_deadline(cfg.timeout_per_obligation):
                     injector = active_injector()
                     if injector is not None:
                         injector.fire(ob.key, attempt, in_worker=False)
                     result = execute_obligation(app, universe, ob, lm_universes)
             except ObligationTimeout:
-                elapsed = time.perf_counter() - started
                 self.last_events.append(
                     ResilienceEvent(
                         "timeout", key=ob.key, attempt=attempt, at=started
                     )
                 )
-                return ObligationOutcome(
-                    ob.key,
-                    None,
-                    elapsed,
-                    pid,
-                    started=started,
-                    cache_delta=snapshot_delta(before, counts_snapshot()),
-                    attempts=attempt + 1,
-                    timed_out=True,
-                )
+                return outcome(attempts=attempt + 1, timed_out=True)
             except (KeyboardInterrupt, ExplorationBudgetExceeded):
                 raise
             except Exception as exc:
                 attempt += 1
+                error = f"{type(exc).__name__}: {exc}"
                 self.last_events.append(
                     ResilienceEvent(
-                        "crash",
-                        key=ob.key,
-                        attempt=attempt,
-                        at=started,
-                        detail=f"{type(exc).__name__}: {exc}",
+                        "crash", key=ob.key, attempt=attempt, at=started, detail=error
                     )
                 )
                 if attempt > cfg.max_retries:
-                    return ObligationOutcome(
-                        ob.key,
-                        None,
-                        time.perf_counter() - started,
-                        pid,
-                        started=started,
-                        cache_delta=snapshot_delta(before, counts_snapshot()),
-                        attempts=attempt,
-                        error=f"{type(exc).__name__}: {exc}",
-                    )
+                    return outcome(attempts=attempt, error=error)
                 self.last_events.append(
                     ResilienceEvent(
-                        "retry",
-                        key=ob.key,
-                        attempt=attempt,
-                        at=time.perf_counter(),
+                        "retry", key=ob.key, attempt=attempt, at=time.perf_counter()
                     )
                 )
-                self._sleep(cfg.backoff_for(attempt))
+                self._sleep(backoff_for(attempt))
                 continue
-            elapsed = time.perf_counter() - started
-            return ObligationOutcome(
-                ob.key,
-                result,
-                elapsed,
-                pid,
-                started=started,
-                cache_delta=snapshot_delta(before, counts_snapshot()),
-                attempts=attempt + 1,
-            )
+            return outcome(result, attempts=attempt + 1)
 
     def __repr__(self) -> str:
         return "SerialScheduler()"
@@ -328,9 +304,8 @@ _WORKER_LM_UNIVERSES: Dict[str, StoreUniverse] = {}
 def _worker_run(key: str, attempt: int = 0, deadline: Optional[float] = None):
     """One obligation inside a forked worker.
 
-    Runs under the per-obligation deadline (the worker's main thread, so
-    ``SIGALRM`` is always available here) and consults the fork-inherited
-    fault injector. Returns a 7-tuple; the final element flags a
+    Runs under the per-obligation deadline and consults the
+    fork-inherited fault injector. Returns a 7-tuple; the final element flags a
     deadline expiry — the worker converts its own timeout into data
     instead of hanging the parent.
     """
@@ -344,7 +319,7 @@ def _worker_run(key: str, attempt: int = 0, deadline: Optional[float] = None):
     result = None
     timed_out = False
     try:
-        with deadline_guard(deadline):
+        with obligation_deadline(deadline):
             injector = active_injector()
             if injector is not None:
                 injector.fire(key, attempt, in_worker=True)
@@ -586,8 +561,8 @@ class ProcessPoolScheduler:
             except ExplorationBudgetExceeded:
                 raise
             except FuturesTimeout:
-                # The in-worker alarm never fired (wedged beyond SIGALRM's
-                # reach): declare the obligation timed out and rebuild the
+                # The worker's deadline never fired (wedged between
+                # polls): declare the obligation timed out and rebuild the
                 # pool — the stuck worker is unusable.
                 self.last_events.append(
                     ResilienceEvent(
@@ -692,7 +667,7 @@ class ProcessPoolScheduler:
                     at=time.perf_counter(),
                 )
             )
-            self._sleep(cfg.backoff_for(rebuilds))
+            self._sleep(backoff_for(rebuilds))
             return self._new_pool(), rebuilds
         if pending:
             retry_round = max(attempts[k] for k in pending)
@@ -705,7 +680,7 @@ class ProcessPoolScheduler:
                         at=time.perf_counter(),
                     )
                 )
-            self._sleep(cfg.backoff_for(retry_round))
+            self._sleep(backoff_for(retry_round))
         return pool, rebuilds
 
     def _parent_execute(
@@ -713,13 +688,7 @@ class ProcessPoolScheduler:
     ) -> ObligationOutcome:
         """Run one obligation in the parent (degradation path): a single
         attempt under the deadline; a crash here is final."""
-        serial = SerialScheduler(
-            resilience=ResilienceConfig(
-                timeout_per_obligation=self.resilience.timeout_per_obligation,
-                max_retries=0,
-                backoff=0.0,
-            )
-        )
+        serial = SerialScheduler(resilience=replace(self.resilience, max_retries=0))
         outcome = serial._execute_with_recovery(
             app, universe, ob, lm_universes, first_attempt=attempt
         )

@@ -149,12 +149,6 @@ def _rounds(env) -> range:
     return range(1, len(env["decision"]) + 1)
 
 
-def _acceptors(env) -> range:
-    # joinedNodes maps rounds to sets over a fixed node universe; recover
-    # the universe from the protocol parameter stashed in the formula.
-    raise NotImplementedError  # replaced per-instance below
-
-
 def paxos_invariants(num_nodes: int) -> Tuple[List[Formula], List[Formula]]:
     """(easy, hard) conjunct lists of the baseline Paxos invariant.
 

@@ -29,24 +29,25 @@ recycle.
 
 Progress streams out live: the worker attaches a
 :class:`~repro.obs.stream.StreamingTracer` whose publish callback hops
-spans back onto the loop (``call_soon_threadsafe``) into a per-job
-:class:`EventChannel` — buffered for late subscribers, fanned out as
-SSE to current ones.
+each stage's burst of spans back onto the loop in one
+``call_soon_threadsafe`` into a per-job :class:`EventChannel` — buffered
+for late subscribers, fanned out as SSE to current ones.
 
 Shutdown is a protocol, not an ``exit()``: SIGTERM (or SIGINT) stops
-admission (``503``), raises ``KeyboardInterrupt`` *inside* the worker
-thread via ``PyThreadState_SetAsyncExc`` so the engine's salvage path
-keeps what it finished, waits at most ``drain_grace`` seconds, and
-records ``interrupted`` for whatever remains. On the next start the job
-journal's unfinished backlog is re-enqueued, and the result cache under
-``--state`` (which stores each obligation as it completes) turns the
-re-run into a resume: only the unfinished obligations execute.
+admission (``503``) and requests a stop on the job thread's
+:class:`~repro.engine.resilience.StopState`, polled between cell
+evaluations (by the sandbox supervisor, after each frame) like the
+per-obligation deadline it also carries: the salvage path keeps what it
+finished and no warm table is left half-updated. The drain waits at
+most ``drain_grace`` seconds and records ``interrupted`` for whatever
+remains. On the next start the job journal's unfinished backlog is
+re-enqueued, and the result cache under ``--state`` (which stores each
+obligation as it completes) turns the re-run into a resume.
 """
 
 from __future__ import annotations
 
 import asyncio
-import ctypes
 import math
 import signal
 import sys
@@ -57,6 +58,7 @@ from pathlib import Path
 from typing import Dict, List, Optional
 
 from ..engine.recordlog import StaleLogError
+from ..engine.resilience import StopState, stop_state
 from ..engine.warm import WarmState
 from ..obs.stream import StreamingTracer, sse_event
 from .config import ServeConfig
@@ -105,11 +107,15 @@ class EventChannel:
         self.closed = False
         self._subscribers: List[asyncio.Queue] = []
 
-    def publish(self, event: str, payload: dict) -> None:
-        frame = sse_event(event, payload, event_id=len(self.frames))
-        self.frames.append(frame)
+    def publish(self, event: str, *payloads) -> None:
+        """Append one event per payload; subscribers get them as one
+        chunk, so a stage's burst of spans is one socket write."""
+        start = len(self.frames)
+        for payload in payloads:
+            self.frames.append(sse_event(event, payload, event_id=len(self.frames)))
+        chunk = b"".join(self.frames[start:])
         for queue in self._subscribers:
-            queue.put_nowait(frame)
+            queue.put_nowait(chunk)
 
     def close(self) -> None:
         self.closed = True
@@ -123,8 +129,8 @@ class EventChannel:
         if not self.closed:
             queue = asyncio.Queue()
             self._subscribers.append(queue)
-        for frame in list(self.frames):
-            yield frame
+        if self.frames:
+            yield b"".join(self.frames)
         if queue is None:
             return
         try:
@@ -140,12 +146,13 @@ class EventChannel:
 
 @dataclass
 class _ActiveJob:
-    """The in-flight job: what the drain path needs to interrupt it."""
+    """The in-flight job: what the drain path needs to stop it."""
 
     job: Job
     thread: threading.Thread
     done: asyncio.Future
     outcome: dict = field(default_factory=dict)
+    stop: StopState = field(default_factory=StopState)
 
 
 class ServeDaemon:
@@ -268,17 +275,19 @@ class ServeDaemon:
 
     async def _drain(self, worker: asyncio.Future) -> None:
         active = self._active
-        if active is not None and active.thread.is_alive():
-            self._interrupt_active()
+        if active is not None:
+            active.stop.request()
             try:
                 await asyncio.wait_for(
                     asyncio.shield(active.done), self.config.drain_grace
                 )
             except asyncio.TimeoutError:
-                # The job ignored the interrupt (e.g. stuck in a C-level
-                # sleep); it dies with the daemon thread. Journal the
-                # fact so restart re-enqueues it.
+                # No poll came within the grace (one predicate call that
+                # never returns); the job dies with the daemon thread.
+                # Journal the fact so restart re-enqueues it.
                 self._mark_interrupted(active.job)
+            else:
+                self._finish_job(active.job, active.outcome)
         worker.cancel()
         try:
             await worker
@@ -290,17 +299,6 @@ class ServeDaemon:
         for channel in self.channels.values():
             if not channel.closed:
                 channel.close()
-
-    def _interrupt_active(self) -> None:
-        active = self._active
-        if active is None or not active.thread.is_alive():
-            return
-        tid = active.thread.ident
-        if tid is None:
-            return
-        ctypes.pythonapi.PyThreadState_SetAsyncExc(
-            ctypes.c_ulong(tid), ctypes.py_object(KeyboardInterrupt)
-        )
 
     def _mark_interrupted(self, job: Job) -> None:
         job.status = "interrupted"
@@ -521,13 +519,14 @@ class ServeDaemon:
         done = loop.create_future()
         active = _ActiveJob(job=job, thread=None, done=done)
 
-        def publish_span(record: dict) -> None:
-            loop.call_soon_threadsafe(channel.publish, "span", record)
+        def publish_spans(records: list) -> None:
+            loop.call_soon_threadsafe(channel.publish, "span", *records)
 
         def work() -> None:
+            stop_state(active.stop)
             outcome = active.outcome
             try:
-                outcome["result"] = self._execute(job, publish_span)
+                outcome["result"] = self._execute(job, publish_spans)
             except KeyboardInterrupt:
                 outcome["interrupted"] = True
             except Exception as exc:
@@ -560,11 +559,12 @@ class ServeDaemon:
         finally:
             if self._active is active:
                 self._active = None
-        self._finish_job(job, active.outcome, channel)
+        self._finish_job(job, active.outcome)
 
-    def _finish_job(
-        self, job: Job, outcome: dict, channel: EventChannel
-    ) -> None:
+    def _finish_job(self, job: Job, outcome: dict) -> None:
+        if job.status != "running":
+            return  # the drain already finished it
+        channel = self.channels[job.id]
         job.finished_at = time.time()
         result = outcome.get("result")
         if outcome.get("interrupted") or (
@@ -626,7 +626,7 @@ class ServeDaemon:
             "timeout_per_obligation": self.config.timeout_per_obligation,
         }
 
-    def _execute(self, job: Job, publish_span) -> dict:
+    def _execute(self, job: Job, publish_spans) -> dict:
         """One job, either isolation level (runs on the worker thread).
 
         Sandbox mode delegates to the supervisor and converts an
@@ -640,25 +640,28 @@ class ServeDaemon:
         budgets = self._budgets(request)
         if self.executor is not None:
             try:
-                return self.executor.execute(job.id, request, budgets, publish_span)
+                return self.executor.execute(job.id, request, budgets, publish_spans)
             except SandboxCrashed as crash:
                 if not self.config.sandbox_fallback:
                     return crashed_payload(request, crash)
-                payload = self._run_inprocess(job, request, budgets, publish_span)
+                payload = self._run_inprocess(job, request, budgets, publish_spans)
                 payload["sandbox"] = {
                     "mode": "inprocess-fallback",
                     "crashes": crash.crashes,
                     "detail": crash.detail,
                 }
                 return payload
-        return self._run_inprocess(job, request, budgets, publish_span)
+        return self._run_inprocess(job, request, budgets, publish_spans)
 
     def _run_inprocess(
-        self, job: Job, request: JobRequest, budgets, publish_span
+        self, job: Job, request: JobRequest, budgets, publish_spans
     ) -> dict:
-        tracer = StreamingTracer(publish_span)
+        tracer = StreamingTracer(publish_spans)
         tracer.meta["job"] = job.id
-        return run_request(request, self.warm, budgets, tracer=tracer)
+        try:
+            return run_request(request, self.warm, budgets, tracer=tracer)
+        finally:
+            tracer.flush()
 
 
 def run_daemon(config: ServeConfig) -> int:

@@ -1,9 +1,8 @@
 """Crash-isolated job execution: the ``repro serve`` sandbox.
 
-PR 8's daemon ran every job on an in-process worker *thread* — perfect
-for warm-state reuse, fatal for fault isolation: one segfaulting C
-extension, one OOM kill, one stray ``os._exit`` inside engine code takes
-the whole service down. This module splits execution from supervision:
+An in-process job thread keeps warm state but isolates nothing: one
+segfault, OOM kill or stray ``os._exit`` takes the whole service down.
+This module splits execution from supervision:
 
 * :func:`run_request` is the request-to-payload execution path itself,
   shared verbatim by the in-process daemon thread and the sandbox
@@ -52,10 +51,11 @@ Protocol (one JSON object per line):
 * parent → worker: ``{"op": "job", "job_id", "request", "budgets",
   "attempt"}`` and ``{"op": "exit"}``;
 * worker → parent: ``{"type": "ready", "pid", "limits"}``,
-  ``{"type": "heartbeat"}``, ``{"type": "span", "job_id", "record"}``
-  (live tracer forwarding), ``{"type": "result", "job_id", "payload"}``,
-  ``{"type": "error", "job_id", "error"}`` (the job raised; the worker
-  itself is fine).
+  ``{"type": "heartbeat"}``, ``{"type": "spans", "job_id", "records"}``
+  (live tracer forwarding: one frame per pipeline stage, each span as
+  its JSON text, written with the next heartbeat or result),
+  ``{"type": "result", "job_id", "payload"}``, ``{"type": "error",
+  "job_id", "error"}`` (the job raised; the worker itself is fine).
 
 The worker's real stdout is reserved for the protocol: ``worker_main``
 dups it away and repoints ``sys.stdout`` (and fd 1) at stderr, so a
@@ -75,6 +75,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Dict, Optional, Set
 
+from ..engine.resilience import poll
 from .jobs import JobRequest
 
 __all__ = [
@@ -345,13 +346,15 @@ class SandboxExecutor:
         job_id: str,
         request: JobRequest,
         budgets: dict,
-        publish_span=None,
+        publish_spans=None,
     ) -> dict:
         """Run one job in the sandbox, climbing the degradation ladder.
 
         Returns the result payload; raises :class:`SandboxJobError` when
         the job itself raised (worker healthy), :class:`SandboxCrashed`
-        when respawns are exhausted or the breaker is open.
+        when respawns are exhausted or the breaker is open, and
+        ``KeyboardInterrupt`` once the calling thread's stop is requested
+        (checked after each frame; heartbeats arrive every second).
         """
         fingerprint = request.fingerprint
         if fingerprint in self._breaker_open:
@@ -367,7 +370,7 @@ class SandboxExecutor:
             try:
                 self._ensure_worker()
                 payload = self._run_once(
-                    job_id, request, budgets, publish_span, attempt=crashes,
+                    job_id, request, budgets, publish_spans, attempt=crashes,
                 )
             except SandboxJobError:
                 self._note_completed(fingerprint)
@@ -505,7 +508,7 @@ class SandboxExecutor:
                 return
 
     def _run_once(
-        self, job_id, request, budgets, publish_span, attempt
+        self, job_id, request, budgets, publish_spans, attempt
     ) -> dict:
         self._send(
             {
@@ -517,6 +520,7 @@ class SandboxExecutor:
             }
         )
         grace = self.config.heartbeat_grace
+        spans: list = []
         while True:
             msg = self._read_message(grace)
             if msg is None:
@@ -528,25 +532,28 @@ class SandboxExecutor:
             if msg is _EOF:
                 code = self._proc.poll() if self._proc else None
                 raise _WorkerCrash(f"worker exited mid-job (rc={code})")
-            kind = msg.get("type")
-            if kind == "heartbeat" or kind == "ready":
+            kind, ours = msg.get("type"), msg.get("job_id") == job_id
+            if kind == "spans" and ours:
+                # Span frames wait in the worker for its next flushed frame;
+                # all of them go out with it, in one hop to the daemon.
+                spans.extend(msg.get("records") or [])
                 continue
-            if kind == "span":
-                if publish_span is not None and msg.get("job_id") == job_id:
-                    try:
-                        publish_span(msg.get("record") or {})
-                    except Exception:
-                        publish_span = None
-                continue
-            if kind == "result" and msg.get("job_id") == job_id:
+            if spans and publish_spans:
+                try:
+                    publish_spans(spans)
+                except Exception:
+                    publish_spans = None
+            spans = []
+            if kind == "result" and ours:
                 payload = msg.get("payload")
                 if not isinstance(payload, dict):
                     raise _WorkerCrash("worker returned a non-dict payload")
                 return payload
-            if kind == "error" and msg.get("job_id") == job_id:
+            if kind == "error" and ours:
                 raise SandboxJobError(str(msg.get("error")))
-            # Anything else (stale result from a pre-crash job, unknown
-            # frame) is skipped; the watchdog still bounds the wait.
+            # Anything else (heartbeat, stale result from a pre-crash job,
+            # unknown frame) is skipped; the watchdog bounds the wait.
+            poll()
 
     def _send(self, message: dict) -> None:
         proc = self._proc
@@ -673,10 +680,13 @@ def worker_main(argv: Optional[list] = None) -> int:
 
     emit_lock = threading.Lock()
 
-    def emit(message: dict) -> None:
+    def emit(message: dict, flush: bool = True) -> None:
+        # Span bursts wait in the buffer for the next flushed frame (the
+        # result, or the heartbeat tick): one write, one parent wakeup.
         with emit_lock:
             proto.write(json.dumps(message) + "\n")
-            proto.flush()
+            if flush:
+                proto.flush()
 
     applied = _apply_limits(
         config.get("max_rss_mb"), config.get("cpu_seconds")
@@ -694,9 +704,12 @@ def worker_main(argv: Optional[list] = None) -> int:
 
     stop = threading.Event()
     interval = float(config.get("heartbeat_interval", 1.0))
+    tracers: list = [None]  # the running job's tracer, flushed on each tick
 
     def beat() -> None:
         while not stop.wait(interval):
+            if tracers[0] is not None:
+                tracers[0].flush()
             emit({"type": "heartbeat", "at": time.time()})
 
     threading.Thread(target=beat, name="heartbeat", daemon=True).start()
@@ -732,14 +745,17 @@ def worker_main(argv: Optional[list] = None) -> int:
                 )
             request = JobRequest.from_payload(message.get("request"))
 
-            def publish(record: dict, _job_id=job_id) -> None:
-                emit({"type": "span", "job_id": _job_id, "record": record})
+            def publish(records: list, _job_id=job_id) -> None:
+                # Encoded once, here: the daemon streams each as SSE data.
+                records = [json.dumps(record) for record in records]
+                emit({"type": "spans", "job_id": _job_id, "records": records}, False)
 
-            tracer = StreamingTracer(publish)
+            tracer = tracers[0] = StreamingTracer(publish)
             tracer.meta["job"] = job_id
             payload = run_request(
                 request, warm, message.get("budgets") or {}, tracer=tracer
             )
+            tracer.flush()
             emit({"type": "result", "job_id": job_id, "payload": payload})
         except KeyboardInterrupt:
             emit(

@@ -408,6 +408,39 @@ def test_cache_cli_reads_the_directory_from_the_environment(
     assert f"dir={tmp_path}" in out and f"entries={entries}" in out
 
 
+def _dead_pid() -> int:
+    import subprocess
+    import sys
+
+    child = subprocess.Popen([sys.executable, "-c", "pass"])
+    child.wait()
+    return child.pid
+
+
+def test_gc_sweeps_temp_files_a_crashed_write_left(tmp_path, capsys):
+    """A crash between an entry's temp write and its rename leaves
+    ``.<fp>.json.<pid>.tmp`` behind; ``gc`` and ``repro cache gc`` sweep
+    it once its writer is dead, and ``size_info`` counts it meanwhile."""
+    from repro.__main__ import main
+
+    app, universe = build("pingpong")
+    cache = ObligationCache(tmp_path)
+    app.check(universe, jobs=1, cache=cache)
+    stale = cache.objects_dir / f".{'ab' * 32}.json.{_dead_pid()}.tmp"
+    stale.write_text("{partial")
+    live = cache.objects_dir / f".{'cd' * 32}.json.{os.getpid()}.tmp"
+    live.write_text("{in flight")
+    assert cache.size_info()["temps"] == 2
+    assert cache.gc(max_mb=1e-6)["temps"] == 1
+    assert not stale.exists() and live.exists()  # a live writer's is kept
+    assert len(cache) == 0
+    old = 2 * 3600
+    os.utime(live, (live.stat().st_atime - old, live.stat().st_mtime - old))
+    assert main(["cache", "gc", "--dir", str(tmp_path), "--max-mb", "1"]) == 0
+    assert "temps=1" in capsys.readouterr().out  # too old, whoever wrote it
+    assert not live.exists() and cache.size_info()["temps"] == 0
+
+
 def test_cache_cli_without_a_directory_is_a_usage_error(monkeypatch, capsys):
     from repro.__main__ import main
 

@@ -16,7 +16,9 @@ budget covers the fault.
 
 from __future__ import annotations
 
+import dataclasses
 import os
+import threading
 import time
 
 import pytest
@@ -30,11 +32,19 @@ from repro.core.universe import StoreUniverse
 from repro.engine.faults import FaultInjector, FaultSpec, clear, install
 from repro.engine.obligations import Obligation
 from repro.engine.resilience import (
+    BACKOFF,
+    BACKOFF_FACTOR,
+    BACKSTOP_FACTOR,
+    BACKSTOP_SLACK,
     DischargeInterrupted,
     ObligationTimeout,
     ResilienceConfig,
-    deadline_guard,
+    StopState,
+    backoff_for,
     events_summary,
+    obligation_deadline,
+    poll,
+    stop_state,
 )
 from repro.engine.scheduler import (
     ProcessPoolScheduler,
@@ -85,10 +95,11 @@ def _stub(monkeypatch, request):
     yield
 
 
-def _fast_cfg(**overrides):
-    base = dict(backoff=0.01, backoff_factor=1.0)
-    base.update(overrides)
-    return ResilienceConfig(**base)
+def _fast(scheduler):
+    """The scheduler with its backoff sleeps recorded, not slept."""
+    scheduler.slept = []
+    scheduler._sleep = scheduler.slept.append
+    return scheduler
 
 
 def _verdicts(outcomes):
@@ -98,40 +109,87 @@ def _verdicts(outcomes):
 
 
 # --------------------------------------------------------------------- #
-# Policy math and the deadline guard
+# Policy math and the polled stop
 # --------------------------------------------------------------------- #
 
 
-def test_backoff_is_exponential_and_zero_disables_it():
-    cfg = ResilienceConfig(backoff=0.05, backoff_factor=2.0)
-    assert cfg.backoff_for(1) == pytest.approx(0.05)
-    assert cfg.backoff_for(2) == pytest.approx(0.10)
-    assert cfg.backoff_for(3) == pytest.approx(0.20)
-    assert ResilienceConfig(backoff=0.0).backoff_for(5) == 0.0
+def test_config_holds_only_the_cli_knobs():
+    names = [f.name for f in dataclasses.fields(ResilienceConfig)]
+    assert names == ["timeout_per_obligation", "max_retries", "max_pool_rebuilds"]
+
+
+def test_backoff_is_exponential():
+    assert backoff_for(1) == pytest.approx(BACKOFF)
+    assert backoff_for(2) == pytest.approx(BACKOFF * BACKOFF_FACTOR)
+    assert backoff_for(3) == pytest.approx(BACKOFF * BACKOFF_FACTOR**2)
 
 
 def test_parent_backstop_tracks_the_deadline():
     assert ResilienceConfig().parent_backstop() is None
-    cfg = ResilienceConfig(
-        timeout_per_obligation=2.0,
-        parent_backstop_factor=2.0,
-        parent_backstop_slack=5.0,
+    cfg = ResilienceConfig(timeout_per_obligation=2.0)
+    assert cfg.parent_backstop() == pytest.approx(
+        2.0 * BACKSTOP_FACTOR + BACKSTOP_SLACK
     )
-    assert cfg.parent_backstop() == pytest.approx(9.0)
 
 
-def test_deadline_guard_interrupts_a_hung_frame():
+def _on(where, target):
+    """Run ``target`` on the main thread or on a fresh worker thread."""
+    if where == "main":
+        target()
+        return
+    thread = threading.Thread(target=target)
+    thread.start()
+    thread.join(timeout=30)
+    assert not thread.is_alive()
+
+
+@pytest.mark.parametrize("where", ["main", "worker"])
+def test_polled_deadline_interrupts_a_hung_frame(where):
+    """The hang fault polls between sleep slices, so an armed deadline
+    ends it on any thread, and leaving the block disarms it."""
+    seen = {}
+
+    def hang():
+        started = time.perf_counter()
+        try:
+            with obligation_deadline(0.1):
+                FaultInjector([FaultSpec("X", "hang", seconds=10)]).fire("X", 0)
+        except ObligationTimeout:
+            seen["after"] = time.perf_counter() - started
+        seen["disarmed"] = stop_state().deadline is None
+
+    _on(where, hang)
+    assert seen["after"] < 1.0 and seen["disarmed"]
+
+
+@pytest.mark.parametrize("where", ["main", "worker"])
+def test_polled_deadline_without_deadline_is_a_noop(where):
+    def unarmed():
+        with obligation_deadline(None):
+            assert stop_state().deadline is None
+            poll()
+
+    _on(where, unarmed)
+
+
+def test_a_stop_requested_from_another_thread_ends_the_next_poll():
+    state = StopState()
+    seen = {}
+
+    def hang():
+        stop_state(state)
+        try:
+            FaultInjector([FaultSpec("X", "hang", seconds=10)]).fire("X", 0)
+        except KeyboardInterrupt:
+            seen["after"] = time.perf_counter() - started
+
     started = time.perf_counter()
-    with pytest.raises(ObligationTimeout):
-        with deadline_guard(0.1) as armed:
-            assert armed
-            time.sleep(10)
-    assert time.perf_counter() - started < 5
-
-
-def test_deadline_guard_without_deadline_is_a_noop():
-    with deadline_guard(None) as armed:
-        assert not armed
+    thread = threading.Thread(target=hang)
+    thread.start()
+    state.request()
+    thread.join(timeout=5)
+    assert not thread.is_alive() and seen["after"] < 1.0
+    assert not stop_state().requested  # the caller's own state is untouched
 
 
 def test_events_summary_counts_by_kind():
@@ -153,7 +211,7 @@ def test_events_summary_counts_by_kind():
 def test_serial_deadline_kills_seeded_hang():
     install(FaultInjector([FaultSpec("B", "hang", times=5, seconds=5.0)]))
     scheduler = SerialScheduler(
-        resilience=_fast_cfg(timeout_per_obligation=0.2)
+        resilience=ResilienceConfig(timeout_per_obligation=0.2)
     )
     outcomes = scheduler.run(None, None, CHAIN)
     assert outcomes["B"].timed_out and outcomes["B"].result is None
@@ -162,19 +220,34 @@ def test_serial_deadline_kills_seeded_hang():
     assert events_summary(scheduler.last_events)["timeout"] == 1
 
 
+def test_serial_deadline_fires_off_the_main_thread():
+    """The daemon discharges on a worker thread; the deadline must fire
+    there too (a ``SIGALRM`` deadline never did)."""
+    install(FaultInjector([FaultSpec("B", "hang", times=5, seconds=30.0)]))
+    scheduler = SerialScheduler(
+        resilience=ResilienceConfig(timeout_per_obligation=0.2)
+    )
+    box = {}
+    _on("worker", lambda: box.update(outcomes=scheduler.run(None, None, CHAIN)))
+    outcomes = box["outcomes"]
+    assert outcomes["B"].timed_out and outcomes["B"].elapsed < 1.0
+    assert _verdicts(outcomes) == {"A": True, "C": True, "D": True}
+
+
 def test_serial_transient_crash_is_retried_to_success():
     install(FaultInjector([FaultSpec("B", "raise", times=1)]))
-    scheduler = SerialScheduler(resilience=_fast_cfg(max_retries=2))
+    scheduler = _fast(SerialScheduler(resilience=ResilienceConfig(max_retries=2)))
     outcomes = scheduler.run(None, None, CHAIN)
     assert _verdicts(outcomes) == {"A": True, "B": True, "C": True, "D": True}
     assert outcomes["B"].attempts == 2
     counts = events_summary(scheduler.last_events)
     assert counts == {"crash": 1, "retry": 1}
+    assert scheduler.slept == [backoff_for(1)]
 
 
 def test_serial_persistent_crash_exhausts_budget_and_records_error():
     install(FaultInjector([FaultSpec("B", "raise", times=10)]))
-    scheduler = SerialScheduler(resilience=_fast_cfg(max_retries=1))
+    scheduler = _fast(SerialScheduler(resilience=ResilienceConfig(max_retries=1)))
     outcomes = scheduler.run(None, None, CHAIN)
     assert outcomes["B"].result is None and outcomes["B"].error is not None
     assert "FaultError" in outcomes["B"].error
@@ -185,7 +258,7 @@ def test_serial_persistent_crash_exhausts_budget_and_records_error():
 
 def test_serial_crashed_dependency_skips_dependents_under_fail_fast():
     install(FaultInjector([FaultSpec("B", "raise", times=10)]))
-    scheduler = SerialScheduler(resilience=_fast_cfg(max_retries=0))
+    scheduler = SerialScheduler(resilience=ResilienceConfig(max_retries=0))
     outcomes = scheduler.run(None, None, CHAIN, fail_fast=True)
     assert outcomes["B"].error is not None
     assert outcomes["C"].skipped  # downstream of the crash
@@ -195,7 +268,7 @@ def test_serial_crashed_dependency_skips_dependents_under_fail_fast():
 def test_serial_interrupt_salvages_completed_outcomes():
     install(FaultInjector([FaultSpec("C", "interrupt")]))
     with pytest.raises(DischargeInterrupted) as exc_info:
-        SerialScheduler(resilience=_fast_cfg()).run(None, None, CHAIN)
+        SerialScheduler().run(None, None, CHAIN)
     salvaged = exc_info.value.outcomes
     assert set(salvaged) == {"A", "B"}
     assert all(o.result.holds for o in salvaged.values())
@@ -207,9 +280,7 @@ def test_serial_interrupt_flushes_journal_before_raising():
     install(FaultInjector([FaultSpec("C", "interrupt")]))
     completed = []
     with pytest.raises(DischargeInterrupted):
-        SerialScheduler(resilience=_fast_cfg()).run(
-            None, None, CHAIN, on_complete=completed.append
-        )
+        SerialScheduler().run(None, None, CHAIN, on_complete=completed.append)
     assert [o.key for o in completed] == ["A", "B"]
 
 
@@ -223,22 +294,19 @@ def test_pool_recovers_worker_exit_by_rebuilding():
     """The OOM-kill stand-in: ``os._exit`` in a worker breaks the pool;
     the scheduler re-forks it and the retry succeeds."""
     install(FaultInjector([FaultSpec("B", "exit", times=1)]))
-    scheduler = ProcessPoolScheduler(
-        2, resilience=_fast_cfg()
-    )
+    scheduler = _fast(ProcessPoolScheduler(2))
     outcomes = scheduler.run(None, None, CHAIN)
     assert _verdicts(outcomes) == {"A": True, "B": True, "C": True, "D": True}
     assert outcomes["B"].attempts >= 2
     counts = events_summary(scheduler.last_events)
     assert counts.get("pool-rebuild") == 1 and counts.get("crash", 0) >= 1
+    assert scheduler.slept == [backoff_for(1)]
 
 
 @needs_fork
 def test_pool_retries_transient_raise_in_worker():
     install(FaultInjector([FaultSpec("B", "raise", times=1)]))
-    scheduler = ProcessPoolScheduler(
-        2, resilience=_fast_cfg()
-    )
+    scheduler = _fast(ProcessPoolScheduler(2))
     outcomes = scheduler.run(None, None, CHAIN)
     assert _verdicts(outcomes) == {"A": True, "B": True, "C": True, "D": True}
     assert outcomes["B"].attempts == 2
@@ -251,7 +319,7 @@ def test_pool_deadline_kills_hang_inside_worker():
     install(FaultInjector([FaultSpec("B", "hang", times=5, seconds=5.0)]))
     scheduler = ProcessPoolScheduler(
         2,
-        resilience=_fast_cfg(timeout_per_obligation=0.3),
+        resilience=ResilienceConfig(timeout_per_obligation=0.3),
     )
     outcomes = scheduler.run(None, None, CHAIN)
     assert outcomes["B"].timed_out and outcomes["B"].result is None
@@ -264,8 +332,8 @@ def test_pool_degrades_persistent_crasher_to_parent():
     """Past the retry budget an obligation must stop killing workers and
     run (once) in the parent, where its final crash is recorded."""
     install(FaultInjector([FaultSpec("B", "raise", times=10)]))
-    scheduler = ProcessPoolScheduler(
-        2, resilience=_fast_cfg(max_retries=1)
+    scheduler = _fast(
+        ProcessPoolScheduler(2, resilience=ResilienceConfig(max_retries=1))
     )
     outcomes = scheduler.run(None, None, CHAIN)
     assert outcomes["B"].result is None and outcomes["B"].error is not None
@@ -278,9 +346,10 @@ def test_pool_degrades_persistent_crasher_to_parent():
 @needs_fork
 def test_pool_degrades_whole_run_past_rebuild_budget():
     install(FaultInjector([FaultSpec("B", "exit", times=10)]))
-    scheduler = ProcessPoolScheduler(
-        2,
-        resilience=_fast_cfg(max_pool_rebuilds=0, max_retries=5),
+    scheduler = _fast(
+        ProcessPoolScheduler(
+            2, resilience=ResilienceConfig(max_pool_rebuilds=0, max_retries=5)
+        )
     )
     with pytest.warns(RuntimeWarning, match="degrading"):
         outcomes = scheduler.run(None, None, CHAIN)
@@ -295,9 +364,7 @@ def test_pool_degrades_whole_run_past_rebuild_budget():
 @needs_fork
 def test_pool_interrupt_in_worker_salvages_and_raises():
     install(FaultInjector([FaultSpec("B", "interrupt")]))
-    scheduler = ProcessPoolScheduler(
-        2, resilience=_fast_cfg()
-    )
+    scheduler = _fast(ProcessPoolScheduler(2))
     with pytest.raises(DischargeInterrupted) as exc_info:
         scheduler.run(None, None, CHAIN)
     assert "B" not in exc_info.value.outcomes
@@ -312,7 +379,7 @@ def test_pool_parent_hands_each_resolved_outcome_to_on_complete():
     install(FaultInjector([FaultSpec("B", "interrupt")]))
     completed = []
     with pytest.raises(DischargeInterrupted) as exc_info:
-        ProcessPoolScheduler(2, resilience=_fast_cfg()).run(
+        ProcessPoolScheduler(2).run(
             None, None, CHAIN, on_complete=completed.append
         )
     assert {o.key for o in completed} == set(exc_info.value.outcomes)
@@ -325,9 +392,7 @@ def test_pool_and_serial_agree_under_injection():
     map equals a clean serial run's."""
     clean = SerialScheduler().run(None, None, CHAIN)
     install(FaultInjector([FaultSpec("B", "raise", times=1)]))
-    faulted = ProcessPoolScheduler(
-        2, resilience=_fast_cfg()
-    ).run(None, None, CHAIN)
+    faulted = _fast(ProcessPoolScheduler(2)).run(None, None, CHAIN)
     assert _verdicts(faulted) == _verdicts(clean)
 
 
@@ -440,9 +505,7 @@ def test_protocol_verdicts_identical_serial_vs_faulted_pool(protocol):
 
     clean = app.check(universe)
     install(FaultInjector([FaultSpec("I1", "raise", times=1)]))
-    scheduler = ProcessPoolScheduler(
-        2, resilience=_fast_cfg()
-    )
+    scheduler = _fast(ProcessPoolScheduler(2))
     faulted = app.check(universe, scheduler=scheduler)
 
     assert faulted.holds == clean.holds
@@ -470,7 +533,7 @@ def test_resume_reexecutes_only_unjournaled_obligations(tmp_path, monkeypatch):
     # run's call list is exactly the set of completed (stored) keys.
     install(FaultInjector([FaultSpec("I2", "interrupt")]))
     partial = obligations_mod.discharge(
-        app, universe, resilience=_fast_cfg(), cache=tmp_path
+        app, universe, cache=tmp_path
     )
     assert partial.interrupted
     stored = set(calls)
@@ -479,7 +542,7 @@ def test_resume_reexecutes_only_unjournaled_obligations(tmp_path, monkeypatch):
     clear()
     calls.clear()
     resumed = obligations_mod.discharge(
-        app, universe, resilience=_fast_cfg(), cache=tmp_path
+        app, universe, cache=tmp_path
     )
     assert resumed.holds and not resumed.interrupted
     assert set(resumed.cached_keys) == stored

@@ -18,6 +18,7 @@ import urllib.request
 
 import pytest
 
+from repro.core.cache import reset_process_cache
 from repro.engine import faults
 from repro.protocols import pingpong
 from repro.serve import ServeConfig
@@ -305,7 +306,13 @@ def test_sigterm_midjob_journals_then_restart_resumes(tmp_path):
                     break
                 time.sleep(0.05)
             time.sleep(1.0)  # store the pre-hang obligations, hit the hang
-        # __exit__ drained: the hung job must be journaled as interrupted.
+            job_thread = harness.daemon._active.thread
+        # __exit__ drained: the hang polls its stop flag, so the job thread
+        # ended inside the 0.3 s grace and the job itself journaled the
+        # interruption (the grace-expiry path counts nothing).
+        job_thread.join(timeout=1.0)
+        assert not job_thread.is_alive()
+        assert harness.daemon.counters["interrupted"] == 1
         events = [
             json.loads(line)["event"]
             for line in (tmp_path / "jobs.jsonl")
@@ -315,9 +322,6 @@ def test_sigterm_midjob_journals_then_restart_resumes(tmp_path):
         assert events[-1] == "interrupted", events
     finally:
         faults.clear()
-    # Give the hung worker thread time to wake and die quietly before
-    # the restarted daemon re-runs the same instance.
-    time.sleep(2.5)
     with DaemonHarness(state_dir=state) as harness:
         detail = harness.wait(job_id)
         assert detail["status"] == "done"
@@ -325,6 +329,33 @@ def test_sigterm_midjob_journals_then_restart_resumes(tmp_path):
         split = detail["result"]["obligations"]
         assert 0 < split["cached"] and split["executed"] < split["total"]
         assert detail["attempts"] >= 2
+
+
+def test_inprocess_deadline_fires_and_leaves_warm_tables_intact():
+    """Jobs run on a worker thread, where the polled deadline fires: an
+    I2 hang ends the job TIMEOUT within 2 s. The same request on the same
+    daemon with the fault cleared then matches a fresh daemon's status
+    and check counts, so the timeout left no warm table half-updated."""
+    reset_process_cache()
+    with DaemonHarness() as harness:
+        fresh = harness.run_job(PINGPONG)["result"]
+    reset_process_cache()
+    faults.install(
+        faults.FaultInjector([faults.FaultSpec(key="I2", mode="hang")])
+    )
+    try:
+        with DaemonHarness(timeout_per_obligation=0.3) as harness:
+            started = time.perf_counter()
+            hung = harness.run_job(PINGPONG)
+            elapsed = time.perf_counter() - started
+            faults.clear()
+            warm = harness.run_job(PINGPONG)["result"]
+    finally:
+        faults.clear()
+    assert hung["status"] == "done" and hung["result"]["status"] == "TIMEOUT"
+    assert elapsed < 2.0
+    assert warm["status"] == fresh["status"] == "OK"
+    assert warm["is_checks"] == fresh["is_checks"]
 
 
 def test_job_journal_header_fault_at_boot_is_not_fatal(tmp_path):

@@ -11,6 +11,8 @@ typed ``CRASHED`` verdict and the flagged in-process fallback.
 
 from __future__ import annotations
 
+import json
+
 import os
 import signal
 import time
@@ -68,7 +70,7 @@ def executor(request):
 def test_round_trip_matches_in_process_verdict(executor):
     spans = []
     payload = executor.execute(
-        "job-1", _request(), BUDGETS, publish_span=spans.append
+        "job-1", _request(), BUDGETS, publish_spans=spans.extend
     )
     reference = pingpong.verify(rounds=2)
     assert payload["status"] == reference.status
@@ -76,10 +78,12 @@ def test_round_trip_matches_in_process_verdict(executor):
     assert payload["obligations"]["total"] == sum(
         r.num_obligations for _l, r in reference.is_results
     )
-    # Spans stream across the process boundary, one dict per obligation
-    # (plus rcache/meta spans), each already seq-stamped by the worker.
-    assert len(spans) >= payload["obligations"]["total"]
-    assert all("seq" in record for record in spans)
+    # Spans stream across the process boundary as the JSON text the SSE
+    # stream carries: one per obligation (plus phase spans), each
+    # seq-stamped by the worker.
+    records = [json.loads(text) for text in spans]
+    assert len(records) >= payload["obligations"]["total"]
+    assert [record["seq"] for record in records] == list(range(len(records)))
     health = executor.describe()
     assert health["alive"] is True
     assert health["worker_pid"] == executor.worker_pid

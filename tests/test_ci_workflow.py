@@ -244,6 +244,10 @@ def test_fault_injection_job_interrupts_then_resumes(workflow):
     ):
         assert path in suite
         assert (ROOT / path).exists()
+    # The daemon's job threads time out through the polled deadline.
+    node = "test_inprocess_deadline_fires_and_leaves_warm_tables_intact"
+    assert f"tests/serve/test_daemon.py::{node}" in suite
+    assert f"def {node}(" in (ROOT / "tests/serve/test_daemon.py").read_text()
     interrupted = next(
         step
         for step in job["steps"]
@@ -373,9 +377,10 @@ def test_serve_smoke_job_gates_warm_reuse_and_resume(workflow):
     """The serve-smoke job must boot the daemon, prove the second
     identical request executes zero obligations, run the sustained load
     test that produces the uploaded histogram, SIGTERM the daemon
-    mid-job under an injected hang, and assert the restart completes the
+    mid-job under an injected hang, assert the restart completes the
     job re-executing only the obligations the result cache does not
-    already hold."""
+    already hold, and drill the in-process deadline: an injected hang
+    ends TIMEOUT within 10 s."""
     job = workflow["jobs"]["serve-smoke"]
     assert "fast" in job["needs"]
     assert 0 < job["timeout-minutes"] <= 30
@@ -402,6 +407,14 @@ def test_serve_smoke_job_gates_warm_reuse_and_resume(workflow):
     assert '"event": "interrupted"' in hang_step["run"]
 
     assert "servestate2/rcache/objects" in hang_step["run"]
+    drill = next(
+        step
+        for step in job["steps"]
+        if "--timeout-per-obligation" in step.get("run", "")
+    )
+    assert "hang" in drill["env"]["REPRO_FAULTS"]
+    assert 'detail["result"]["status"] == "TIMEOUT"' in drill["run"]
+    assert "started < 10" in drill["run"]
     resume = next(cmd for cmd in commands if 'split["cached"]' in cmd)
     assert 'split["cached"] > 0' in resume
     assert 'split["executed"] < split["total"]' in resume
