@@ -28,12 +28,14 @@ Commands
 Cache flags (``verify`` and ``table1``)
     ``--cache DIR`` arms the persistent content-addressed obligation
     result cache (``repro.engine.rcache``): a re-verify of an unchanged
-    protocol seeds every obligation from DIR and executes none, and an
-    edit re-executes exactly the obligations whose dependency
-    fingerprints changed. ``$REPRO_CACHE`` supplies a default directory;
-    ``--no-cache`` disables both; ``--cache-stats`` prints greppable
-    ``rcache:`` counter lines (hits/misses/invalidations and the
-    executed-vs-cached split) after the report. Every obligation is
+    protocol loads its store universes and spec/ground-truth results
+    from DIR, seeds every obligation from it and so explores and executes
+    nothing, and an edit re-executes exactly the obligations whose
+    dependency fingerprints changed. ``$REPRO_CACHE`` supplies a default
+    directory; ``--no-cache`` disables both; ``--cache-stats`` prints
+    greppable ``rcache:`` counter lines (hits/misses/invalidations,
+    universe and stage hits/misses, and the executed-vs-cached split)
+    after the report. Every obligation is
     stored as it completes, so re-running an interrupted command with the
     same ``--cache`` is the resume: it executes only what never finished.
 
@@ -153,13 +155,21 @@ def _make_cache(parser, args):
 
 def _print_cache_stats(cache, reports) -> None:
     """The greppable cache summary behind ``--cache-stats``: the cache's
-    counter totals for this invocation, then the obligation split —
-    ``executed=0`` is the incremental-verification CI gate."""
+    counter totals for this invocation, the universe and stage entries
+    read, then the obligation split — ``executed=0`` and
+    ``universe_misses=0`` are the incremental-verification CI gates."""
     stats = cache.stats
     print(
         f"rcache: hits={stats.hits} misses={stats.misses} "
         f"invalidations={stats.invalidations} stores={stats.stores} "
         f"uncacheable={stats.uncacheable} write_errors={stats.write_errors}"
+    )
+    print(
+        f"rcache: universes={stats.universe_hits + stats.universe_misses} "
+        f"universe_hits={stats.universe_hits} "
+        f"universe_misses={stats.universe_misses} "
+        f"stages={stats.stage_hits + stats.stage_misses} "
+        f"stage_hits={stats.stage_hits} stage_misses={stats.stage_misses}"
     )
     total = cached = 0
     for report in reports:
@@ -357,6 +367,7 @@ def _cmd_cache(parser, args) -> int:
     if args.action == "stats":
         print(
             f"rcache: dir={cache.directory} entries={info['entries']} "
+            f"inputs={info['inputs']} "
             f"bytes={info['bytes']} mb={mb:.2f} temps={info['temps']} "
             f"quota_mb={quota if quota is not None else 'none'}"
         )
@@ -376,8 +387,8 @@ def _cmd_cache(parser, args) -> int:
     print(
         f"rcache: gc removed={outcome['removed']} "
         f"freed_bytes={outcome['freed_bytes']} temps={outcome['temps']} "
-        f"entries={after['entries']} bytes={after['bytes']} "
-        f"quota_mb={quota}"
+        f"entries={after['entries']} inputs={after['inputs']} "
+        f"bytes={after['bytes']} quota_mb={quota}"
     )
     return 0
 

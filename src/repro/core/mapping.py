@@ -79,6 +79,15 @@ class FrozenDict:
             self._hash = unordered_items_hash(self._data.items())
         return self._hash
 
+    def __getstate__(self):
+        # Like ``Store``: the cached hash derives from per-process string
+        # hashing (``PYTHONHASHSEED``), so it must not travel in a pickle.
+        return self._data
+
+    def __setstate__(self, state):
+        self._data = state
+        self._hash = None
+
     def __repr__(self) -> str:
         inner = ", ".join(f"{k!r}: {v!r}" for k, v in sorted(self._data.items(), key=lambda kv: repr(kv[0])))
         return "{" + inner + "}"

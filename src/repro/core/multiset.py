@@ -160,6 +160,16 @@ class Multiset:
             self._hash = unordered_items_hash(self._counts.items())
         return self._hash
 
+    def __getstate__(self):
+        # Like ``Store``: the cached hash derives from per-process string
+        # hashing (``PYTHONHASHSEED``), so it must not travel in a pickle.
+        return self._counts
+
+    def __setstate__(self, state):
+        self._counts = state
+        self._size = sum(state.values())
+        self._hash = None
+
     def __repr__(self) -> str:
         if not self._counts:
             return "Multiset()"

@@ -593,6 +593,7 @@ class ISApplication:
         cache=None,
         symmetry=None,
         warm=None,
+        hasher=None,
     ) -> ISResult:
         """Check all IS conditions over a store universe.
 
@@ -624,7 +625,9 @@ class ISApplication:
         executed — and stores every obligation back as it completes, so
         re-running with the same cache resumes a killed run. ``warm`` (a
         :class:`~repro.engine.warm.WarmState`) memoizes this pair's
-        fingerprints and cache entries across daemon requests.
+        fingerprints and cache entries across daemon requests, and
+        ``hasher`` is the structural-hashing session the fingerprints
+        share with the run's input keys (``verify_protocol``).
 
         ``symmetry`` (a :class:`~repro.core.symmetry.SymmetrySpec`) folds
         the universe onto orbit representatives before discharging — a
@@ -649,6 +652,7 @@ class ISApplication:
             resilience=resilience,
             cache=cache,
             warm=warm,
+            hasher=hasher,
         )
 
     def check_inline(

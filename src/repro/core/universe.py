@@ -65,19 +65,22 @@ class StoreUniverse:
     #: globals and configuration count — never the reachable set. The
     #: pipeline hands it to the ground-truth stage
     #: (:func:`~repro.core.refinement.check_program_refinement`) instead of
-    #: exploring the same program again. Derived universes drop it.
+    #: exploring the same program again. A universe loaded from the result
+    #: cache carries the summary its entry recorded. Derived universes drop
+    #: it.
     exploration: Optional[InstanceSummary] = field(
         default=None, repr=False, compare=False
     )
     _memo_epoch: object = field(default=None, repr=False, compare=False)
     _gids_cache: object = field(default=None, repr=False, compare=False)
-    #: The ``hashlib`` state of ``universe_fingerprint``
-    #: (``repro.engine.rcache``) after the globals and locals pools,
-    #: filled on first use. The pools are immutable stores, so their
-    #: digest is a property of this object; the context and symmetry
-    #: parts hold closures and are digested on every call. Derived
-    #: universes are new objects and digest their own pools.
-    _pools_digest: object = field(default=None, repr=False, compare=False)
+    #: The hex digest of the globals and locals pools
+    #: (``repro.engine.rcache.pools_digest``), filled on first use or
+    #: recorded by the cache entry this universe was loaded from. The
+    #: pools are immutable stores, so their digest is a property of this
+    #: object; the context and symmetry parts hold closures and are
+    #: digested on every call. Other derived universes than
+    #: :meth:`with_context`'s digest their own pools.
+    _pools_digest: Optional[str] = field(default=None, repr=False, compare=False)
 
     def _fresh_memo_keys(self) -> None:
         """The columnar layer caches the universe's interned gids list
@@ -307,9 +310,14 @@ class StoreUniverse:
         return self.locals_by_action.get(action_name, [EMPTY_STORE])
 
     def with_context(self, context: PAContext) -> "StoreUniverse":
-        """A copy of this universe under a different PA context."""
+        """A copy of this universe under a different PA context (the same
+        pools, so the same pools digest)."""
         return StoreUniverse(
-            self.globals_, self.locals_by_action, context, self.symmetry
+            self.globals_,
+            self.locals_by_action,
+            context,
+            self.symmetry,
+            _pools_digest=self._pools_digest,
         )
 
     def extended(

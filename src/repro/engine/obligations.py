@@ -314,6 +314,7 @@ def discharge(
     resilience: Optional[ResilienceConfig] = None,
     cache=None,
     warm=None,
+    hasher=None,
 ) -> ISResult:
     """Build, schedule, and merge the obligation DAG for one application.
 
@@ -346,7 +347,9 @@ def discharge(
     cache is the resume. The identity index is flushed once, after
     scheduling (an interrupted run included). ``warm`` (a daemon's
     :class:`~repro.engine.warm.WarmState`) memoizes the fingerprints and
-    entries of a resident ``(app, universe)`` pair.
+    entries of a resident ``(app, universe)`` pair. ``hasher`` (an
+    ``rcache`` hashing session) lets the fingerprints reuse the action
+    digests the run's input keys already took.
     """
     import os as _os
     import time as _time
@@ -378,7 +381,7 @@ def discharge(
             pair = fingerprints.get(ob.key)
             if pair is None:
                 if fingerprinter is None:
-                    fingerprinter = DependencyFingerprinter(app, universe)
+                    fingerprinter = DependencyFingerprinter(app, universe, hasher)
                 pair = fingerprints[ob.key] = (
                     fingerprinter.fingerprint(ob),
                     fingerprinter.identity(ob),

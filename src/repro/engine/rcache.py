@@ -36,7 +36,18 @@ never means "reuse".
 The cache directory layout is write-once, content-addressed::
 
     DIR/objects/<fingerprint>.json   one completed obligation each
+    DIR/inputs/<fingerprint>.json    one store universe or stage result each
     DIR/index.json                   obligation identity -> last fingerprint
+
+**Input-keyed entries.** A store universe is a pure function of its
+program, initial configurations, budget and symmetry group; the
+sequential-spec and ground-truth stages are pure functions of their
+programs, initial store, predicate and budget. :func:`input_key` digests
+those inputs *before* any exploration, and ``verify_protocol`` keeps each
+result under that key in ``inputs/`` (:meth:`ObligationCache.load_universe`,
+:meth:`ObligationCache.load_stage`), so a warm re-verify with the same
+cache explores nothing. A universe entry records its pools digest, so
+fingerprinting a loaded universe hashes no store.
 
 The identity index is bookkeeping only (it attributes a miss to
 *invalidation* — same obligation, changed content — rather than a cold
@@ -96,11 +107,13 @@ from typing import Dict, List, Optional, Tuple
 from ..core.action import Action, PendingAsync, Transition
 from ..core.cache import EvaluationCache
 from ..core.columnar import ColumnarStore
+from ..core.explore import InstanceSummary
 from ..core.mapping import FrozenDict
 from ..core.multiset import Multiset
 from ..core.program import Program
 from ..core.refinement import CheckResult
 from ..core.store import Store, StoreInterner
+from ..core.universe import StoreUniverse
 from . import faults
 
 try:  # advisory inter-process locking; absent on non-POSIX platforms
@@ -113,7 +126,9 @@ __all__ = [
     "CACHE_MAX_MB_ENV",
     "Unfingerprintable",
     "stable_digest",
+    "pools_digest",
     "universe_fingerprint",
+    "input_key",
     "DependencyFingerprinter",
     "RcacheStats",
     "CacheEntry",
@@ -122,7 +137,7 @@ __all__ = [
 
 #: Bump on any change to the fingerprint recipe or the entry layout —
 #: it is hashed into every fingerprint, so old entries become misses.
-RCACHE_SCHEMA = "repro.engine/rcache/v1"
+RCACHE_SCHEMA = "repro.engine/rcache/v2"
 
 #: Environment variable holding the cache size quota in megabytes.
 CACHE_MAX_MB_ENV = "REPRO_CACHE_MAX_MB"
@@ -157,14 +172,7 @@ class Unfingerprintable(Exception):
     Obligations reading such a value are uncacheable — a safe default."""
 
 
-def _feed(digest, parts) -> None:
-    for part in parts:
-        digest.update(part.encode("utf-8", "surrogatepass"))
-        digest.update(b"\x1f")
-
-
 def _hex(*parts: str) -> str:
-    # ``_feed`` inlined: this runs once per digested node.
     digest = hashlib.sha256()
     for part in parts:
         digest.update(part.encode("utf-8", "surrogatepass"))
@@ -388,40 +396,37 @@ def stable_digest(obj) -> str:
     return _Hasher().digest(obj)
 
 
+def pools_digest(universe, hasher: Optional[_Hasher] = None) -> str:
+    """Order-insensitive hex digest of a universe's globals and per-action
+    locals pools: the *set* of global stores, then each action's pool (by
+    action name) as a set. Iteration order does not matter
+    (``from_reachable`` sorts stores anyway, but samplers need not)."""
+    hasher = hasher or _Hasher()
+    parts = ["universe", "globals"]
+    parts.extend(sorted(hasher.digest(store) for store in universe.globals_))
+    for name in sorted(universe.locals_by_action):
+        parts.append("locals:" + name)
+        parts.extend(
+            sorted(hasher.digest(store) for store in universe.locals_by_action[name])
+        )
+    return _hex(*parts)
+
+
 def universe_fingerprint(universe, hasher: Optional[_Hasher] = None) -> str:
     """Order-insensitive fingerprint of a store universe.
 
-    Hashes the *set* of global stores, the per-action locals pools (by
-    action name, each pool as a set), and the PA context — the same
-    inputs every obligation enumerates. Iteration order of the pools does
-    not matter (``from_reachable`` sorts stores anyway, but samplers need
-    not).
-
-    The pools are immutable stores, so their digest is taken once per
-    universe object and kept on it (``StoreUniverse._pools_digest``).
-    The context and symmetry parts hold closures whose cells may change
-    between runs: they are digested on every call.
+    Hashes the pools (:func:`pools_digest`) and the PA context — the same
+    inputs every obligation enumerates. The pools are immutable stores,
+    so their digest is taken once per universe object and kept on it
+    (``StoreUniverse._pools_digest``); a universe loaded from the store
+    carries the digest its entry recorded. The context and symmetry parts
+    hold closures whose cells may change between runs: they are digested
+    on every call.
     """
     hasher = hasher or _Hasher()
-    pools = universe._pools_digest
-    if pools is None:
-        parts = ["universe", "globals"]
-        parts.extend(
-            sorted(hasher.digest(store) for store in universe.globals_)
-        )
-        for name in sorted(universe.locals_by_action):
-            parts.append("locals:" + name)
-            parts.extend(
-                sorted(
-                    hasher.digest(store)
-                    for store in universe.locals_by_action[name]
-                )
-            )
-        pools = hashlib.sha256()
-        _feed(pools, parts)
-        universe._pools_digest = pools
-    digest = pools.copy()
-    parts = ["context", hasher.digest(universe.context)]
+    if universe._pools_digest is None:
+        universe._pools_digest = pools_digest(universe, hasher)
+    parts = [universe._pools_digest, "context", hasher.digest(universe.context)]
     symmetry = getattr(universe, "symmetry", None)
     if symmetry is not None:
         # A quotiented universe must never alias its unquotiented twin
@@ -429,8 +434,24 @@ def universe_fingerprint(universe, hasher: Optional[_Hasher] = None) -> str:
         # domains *and* rename-rule closures, not just its name.
         parts.append("symmetry")
         parts.append(hasher.digest(symmetry.fingerprint_parts()))
-    _feed(digest, parts)
-    return digest.hexdigest()
+    return _hex(*parts)
+
+
+def input_key(kind: str, parts, hasher: Optional[_Hasher] = None) -> Optional[str]:
+    """The **input fingerprint** of a pipeline stage: the schema, ``kind``
+    and a structural digest of every input the stage computes from, or
+    ``None`` when one resists hashing (the stage then always runs).
+
+    A store universe is a pure function of its program, initial
+    configurations, budget and symmetry group, and the spec and ground
+    truth stages of their programs, initial store, predicate and budget,
+    so the key is taken before any exploration and an exact match means
+    the stored result is what the stage would compute again."""
+    hasher = hasher or _Hasher()
+    try:
+        return _hex(kind, RCACHE_SCHEMA, *[hasher.digest(part) for part in parts])
+    except Unfingerprintable:
+        return None
 
 
 class DependencyFingerprinter:
@@ -458,9 +479,11 @@ class DependencyFingerprinter:
     obligation uncacheable (``fingerprint`` returns ``None``).
     """
 
-    def __init__(self, app, universe):
+    def __init__(self, app, universe, hasher: Optional[_Hasher] = None):
         self.app = app
-        self._hasher = _Hasher()
+        #: A caller's hasher shares its action digests with the input
+        #: keys of the same run (``verify_protocol``).
+        self._hasher = hasher or _Hasher()
         self._memo: Dict[str, Optional[str]] = {}
         try:
             self._universe_fp: Optional[str] = universe_fingerprint(
@@ -632,7 +655,10 @@ class CacheEntry:
 @dataclass
 class RcacheStats:
     """Counters for one :class:`ObligationCache` (cumulative across
-    every discharge that shared the cache object)."""
+    every discharge that shared the cache object). ``hits`` to
+    ``uncacheable`` count obligation entries; the ``universe_*`` and
+    ``stage_*`` counters count input-keyed entries (store universes, and
+    the sequential-spec and ground-truth stage results)."""
 
     hits: int = 0
     misses: int = 0
@@ -645,9 +671,15 @@ class RcacheStats:
     #: Entries evicted by :meth:`ObligationCache.gc` (LRU quota).
     gc_removed: int = 0
     gc_runs: int = 0
+    universe_hits: int = 0
+    universe_misses: int = 0
+    stage_hits: int = 0
+    stage_misses: int = 0
 
     def snapshot(self) -> Dict[str, int]:
-        return dataclasses.asdict(self)
+        # A flat copy: ``dataclasses.asdict`` deep-copies every field, and
+        # the warm path snapshots several times per request.
+        return dict(vars(self))
 
     def delta(self, before: Optional[Dict[str, int]]) -> Dict[str, int]:
         now = self.snapshot()
@@ -670,6 +702,7 @@ class ObligationCache:
     def __init__(self, directory, max_mb: Optional[float] = None):
         self.directory = Path(directory)
         self.objects_dir = self.directory / "objects"
+        self.inputs_dir = self.directory / "inputs"
         self.index_path = self.directory / "index.json"
         self.lock_path = self.directory / ".lock"
         self.stats = RcacheStats()
@@ -689,6 +722,7 @@ class ObligationCache:
         self._stores_since_gc = 0
         try:
             self.objects_dir.mkdir(parents=True, exist_ok=True)
+            self.inputs_dir.mkdir(exist_ok=True)
         except OSError:
             self.disabled = True
             self.stats.write_errors += 1
@@ -895,10 +929,135 @@ class ObligationCache:
         self._index[identity] = fingerprint
         self._index_dirty = True
         self.stats.stores += 1
+        self._tick_gc()
+        return True
+
+    def _tick_gc(self) -> None:
+        """Count one store towards the next automatic GC under a quota."""
         if self.max_mb is not None:
             self._stores_since_gc += 1
             if self._stores_since_gc >= _GC_EVERY:
                 self.gc()
+
+    # ------------------------------------------------------------------ #
+    # Input-keyed entries: store universes and pipeline stages
+    # ------------------------------------------------------------------ #
+
+    def load_universe(
+        self, key: str, program, initials, max_configs, symmetry=None
+    ) -> Optional[StoreUniverse]:
+        """The universe stored under input fingerprint ``key``
+        (:func:`input_key`), or ``None``. It has the explored universe's
+        globals order, locals pools and pools digest, and — like
+        :meth:`StoreUniverse.from_reachable` — an exploration summary of
+        ``program`` when one was recorded, so ground truth need not
+        explore it again. Anything malformed is a miss."""
+
+        def decode(record, value):
+            globals_, locals_by_action, summary = value
+            universe = StoreUniverse(
+                [Store(data) for data in globals_],
+                {
+                    name: [Store(data) for data in pool]
+                    for name, pool in locals_by_action.items()
+                },
+                symmetry=symmetry,
+                _pools_digest=str(record["pools"]),
+            )
+            if summary is not None:
+                can_fail, final_globals, num_configs = summary
+                universe.exploration = InstanceSummary(
+                    initials[0],
+                    bool(can_fail),
+                    set(final_globals),
+                    int(num_configs),
+                    program=program,
+                    max_configs=max_configs,
+                )
+            return universe
+
+        universe = self._read_input("universe", key, decode)
+        if universe is None:
+            self.stats.universe_misses += 1
+        else:
+            self.stats.universe_hits += 1
+        return universe
+
+    def store_universe(self, key: str, universe: StoreUniverse) -> bool:
+        """Persist a freshly explored universe under ``key``; its pools
+        digest is taken here (and kept on the object) if not yet."""
+        if universe._pools_digest is None:
+            universe._pools_digest = pools_digest(universe)
+        summary = universe.exploration
+        if summary is not None:
+            summary = (summary.can_fail, summary.final_globals, summary.num_configs)
+        # Stores travel as their plain mappings: half the pickling time
+        # of ``Store`` objects, each way.
+        value = (
+            [store.as_dict() for store in universe.globals_],
+            {
+                name: [store.as_dict() for store in pool]
+                for name, pool in universe.locals_by_action.items()
+            },
+            summary,
+        )
+        return self._write_input("universe", key, value, pools=universe._pools_digest)
+
+    def load_stage(self, key: str):
+        """The pipeline-stage result stored under ``key``, or ``None``."""
+        value = self._read_input("stage", key, lambda _record, value: value)
+        if value is None:
+            self.stats.stage_misses += 1
+        else:
+            self.stats.stage_hits += 1
+        return value
+
+    def store_stage(self, key: str, value) -> bool:
+        """Persist one pipeline-stage result (any picklable value)."""
+        return self._write_input("stage", key, value)
+
+    def _read_input(self, kind: str, key: str, decode):
+        path = self.inputs_dir / f"{key}.json"
+        try:
+            record = json.loads(path.read_text())
+            if (
+                record.get("schema") != RCACHE_SCHEMA
+                or record.get("kind") != kind
+                or record.get("fingerprint") != key
+            ):
+                return None
+            value = decode(record, pickle.loads(base64.b64decode(record["value"])))
+        except Exception:
+            # Missing, torn, zero-length or foreign: a miss, never a value.
+            return None
+        try:
+            os.utime(path)  # least-recently-*used* eviction, as for hits
+        except OSError:
+            pass
+        return value
+
+    def _write_input(self, kind: str, key: str, value, **fields) -> bool:
+        if self.disabled:
+            return False
+        record = {
+            "schema": RCACHE_SCHEMA,
+            "fingerprint": key,
+            "kind": kind,
+            **fields,
+            "value": base64.b64encode(
+                pickle.dumps(value, pickle.HIGHEST_PROTOCOL)
+            ).decode(),
+        }
+        try:
+            self._atomic_write(
+                self.inputs_dir / f"{key}.json",
+                json.dumps(record),
+                fault_key="rcache.input",
+            )
+        except OSError:
+            self.stats.write_errors += 1
+            return False
+        self._tick_gc()
         return True
 
     # ------------------------------------------------------------------ #
@@ -910,7 +1069,11 @@ class ObligationCache:
         rename; with ``stale_only``, those whose writer is dead or that
         are over an hour old (the pid may have been reused)."""
         found = []
-        for path in [*self.directory.glob(".*.tmp"), *self.objects_dir.glob(".*.tmp")]:
+        for path in [
+            *self.directory.glob(".*.tmp"),
+            *self.objects_dir.glob(".*.tmp"),
+            *self.inputs_dir.glob(".*.tmp"),
+        ]:
             try:
                 if stale_only and time.time() - path.stat().st_mtime < 3600:
                     os.kill(int(path.name.rsplit(".", 2)[-2]), 0)  # writer alive?
@@ -922,23 +1085,31 @@ class ObligationCache:
             found.append(path)
         return found
 
-    def size_info(self) -> Dict[str, object]:
-        """On-disk footprint: entry count, bytes, leftover temp files, and
-        the quota (if any)."""
-        entries = 0
-        total = 0
+    def _entries(self, directory: Path) -> List[Tuple[float, int, Path]]:
+        """``(mtime, size, path)`` of every entry file in ``directory``."""
+        found = []
         try:
-            for path in self.objects_dir.glob("*.json"):
-                try:
-                    total += path.stat().st_size
-                    entries += 1
-                except OSError:
-                    continue
+            paths = list(directory.glob("*.json"))
         except OSError:
-            pass
+            return found
+        for path in paths:
+            try:
+                stat = path.stat()
+            except OSError:
+                continue
+            found.append((stat.st_mtime, stat.st_size, path))
+        return found
+
+    def size_info(self) -> Dict[str, object]:
+        """On-disk footprint: obligation entries, input-keyed entries
+        (universes and stages), bytes of both, leftover temp files, and the
+        quota (if any)."""
+        objects = self._entries(self.objects_dir)
+        inputs = self._entries(self.inputs_dir)
         return {
-            "entries": entries,
-            "bytes": total,
+            "entries": len(objects),
+            "inputs": len(inputs),
+            "bytes": sum(size for _, size, _ in objects + inputs),
             "temps": len(self._temps()),
             "max_mb": self.max_mb,
             "disabled": self.disabled,
@@ -966,19 +1137,8 @@ class ObligationCache:
         if limit is None or self.disabled:
             return {"removed": 0, "freed_bytes": 0, "temps": temps}
         budget = int(limit * 1024 * 1024)
-        entries = []
-        total = 0
-        try:
-            candidates = list(self.objects_dir.glob("*.json"))
-        except OSError:
-            return {"removed": 0, "freed_bytes": 0, "temps": temps}
-        for path in candidates:
-            try:
-                stat = path.stat()
-            except OSError:
-                continue
-            entries.append((stat.st_mtime, stat.st_size, path))
-            total += stat.st_size
+        entries = self._entries(self.objects_dir) + self._entries(self.inputs_dir)
+        total = sum(size for _, size, _ in entries)
         removed = 0
         freed = 0
         if total > budget:
@@ -1000,7 +1160,8 @@ class ObligationCache:
         return {"removed": removed, "freed_bytes": freed, "temps": temps}
 
     def __len__(self) -> int:
-        """Entries on disk (cheap directory scan; tests and stats only)."""
+        """Obligation entries on disk (cheap directory scan; tests and
+        stats only). :meth:`size_info` also counts the input-keyed ones."""
         try:
             return sum(1 for _ in self.objects_dir.glob("*.json"))
         except OSError:

@@ -12,7 +12,10 @@ requests:
   loaded;
 * the pre-built store universes, keyed per protocol instance — the
   enumeration is deterministic, so the universe (with its interned
-  gids list already built by earlier requests) is reused verbatim;
+  gids list already built by earlier requests) is reused verbatim. The
+  maps are the in-memory front of the result cache's universe and stage
+  entries: only a miss here reads (or writes) the disk, so a recycled
+  sandbox worker loads its universes instead of exploring them;
 * the chained IS applications themselves, so gate/transition *objects*
   are stable across requests and the universe memos keyed by them keep
   hitting instead of growing;

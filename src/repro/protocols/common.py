@@ -302,8 +302,11 @@ class RunOptions:
     #: path: obligations whose dependency fingerprints are unchanged are
     #: seeded from the store (``ISResult.cached_keys``) instead of
     #: executed, and each fresh result is stored as it completes, so
-    #: re-running with the same cache resumes an interrupted run. One
-    #: instance serves all of a run's IS applications.
+    #: re-running with the same cache resumes an interrupted run. Store
+    #: universes and the spec and ground-truth results are kept there
+    #: too, under the input fingerprint of what they compute from, so a
+    #: warm re-verify explores nothing. One instance serves all of a
+    #: run's IS applications.
     cache: object = None
     #: A :class:`~repro.engine.warm.WarmState`: this run is one request
     #: against a resident daemon. The per-run process-cache reset is
@@ -383,13 +386,13 @@ def verify_protocol(
     """
     from ..core.cache import reset_process_cache
     from ..core.context import GhostContext
-    from ..core.explore import instance_summary
+    from ..core.explore import InstanceSummary, instance_summary
     from ..core.refinement import check_program_refinement
     from ..core.semantics import initial_config
     from ..core.store import EMPTY_STORE
     from ..core.symmetry import Canonicalizer
     from ..core.universe import StoreUniverse
-    from ..engine.rcache import ObligationCache
+    from ..engine.rcache import ObligationCache, _Hasher, input_key
     from ..engine.warm import WarmState
 
     warm = options.warm
@@ -440,11 +443,35 @@ def verify_protocol(
     # hold no reachable set and die with the run.
     summaries = []
 
+    # With a cache, every universe and stage result is kept under the
+    # input key of what it computes from (``repro.engine.rcache``), taken
+    # in one hashing session that the obligation fingerprints share.
+    # Without one, no key is computed.
+    hasher = _Hasher() if cache is not None else None
+
+    def keyed(kind, *parts):
+        return None if cache is None else input_key(kind, parts, hasher)
+
     def build_universe(program):
         if instance.walks is None:
-            universe = StoreUniverse.from_reachable(
-                program, initials, max_configs=max_configs, symmetry=canon
+            key = keyed(
+                "universe",
+                program,
+                initials,
+                max_configs,
+                symmetry.fingerprint_parts() if symmetry is not None else None,
             )
+            universe = None
+            if key is not None:
+                universe = cache.load_universe(
+                    key, program, initials, max_configs, symmetry
+                )
+            if universe is None:
+                universe = StoreUniverse.from_reachable(
+                    program, initials, max_configs=max_configs, symmetry=canon
+                )
+                if key is not None:
+                    cache.store_universe(key, universe)
             if program is original and universe.exploration is not None:
                 summaries.append(universe.exploration)
         else:
@@ -457,25 +484,61 @@ def verify_protocol(
             )
         return universe.with_context(GhostContext(GHOST))
 
+    def stored(key, compute):
+        """``compute()``, or the stage result stored under ``key``."""
+        value = None if key is None else cache.load_stage(key)
+        if value is None:
+            value = compute()
+            if key is not None:
+                cache.store_stage(key, value)
+        return value
+
     def spec_holds():
-        summary = instance_summary(
-            final_program, instance.initial_global, max_configs=max_configs
+        def explore_final():
+            summary = instance_summary(
+                final_program, instance.initial_global, max_configs=max_configs
+            )
+            holds = (
+                not summary.can_fail
+                and bool(summary.final_globals)
+                and all(instance.spec(final) for final in summary.final_globals)
+            )
+            return holds, summary.can_fail, summary.final_globals, summary.num_configs
+
+        holds, *explored = stored(
+            keyed(
+                "spec",
+                final_program,
+                instance.initial_global,
+                instance.spec,
+                max_configs,
+            ),
+            explore_final,
         )
-        summaries.append(summary)
-        return (
-            not summary.can_fail
-            and bool(summary.final_globals)
-            and all(instance.spec(final) for final in summary.final_globals)
+        summaries.append(
+            InstanceSummary(
+                initials[0], *explored, program=final_program, max_configs=max_configs
+            )
         )
+        return holds
 
     def refines():
-        return check_program_refinement(
-            original,
-            final_program,
-            [(instance.initial_global, EMPTY_STORE)],
-            max_configs=max_configs,
-            name="P ≼ P' (exhaustive)",
-            summaries=summaries,
+        return stored(
+            keyed(
+                "ground-truth",
+                original,
+                final_program,
+                instance.initial_global,
+                max_configs,
+            ),
+            lambda: check_program_refinement(
+                original,
+                final_program,
+                [(instance.initial_global, EMPTY_STORE)],
+                max_configs=max_configs,
+                name="P ≼ P' (exhaustive)",
+                summaries=summaries,
+            ),
         )
 
     with tracer.scope(instance.name) if tracer is not None else nullcontext():
@@ -501,6 +564,7 @@ def verify_protocol(
                         # A daemon request only: a cold run fingerprints
                         # and reads each pair once anyway.
                         warm=options.warm,
+                        hasher=hasher,
                     )
                 report.is_results.append((label, result))
                 report.explain_targets.append((label, application, universe))

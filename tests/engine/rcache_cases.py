@@ -175,3 +175,18 @@ def condition_digest(result):
         )
     )
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+
+
+def report_verdicts(report):
+    """Everything a protocol report decides, timings stripped: its status,
+    each IS application's condition map, the spec verdict and the
+    ground-truth result (witnesses included)."""
+    truth = report.ground_truth
+    return (
+        report.status,
+        [(label, condition_map(result)) for label, result in report.is_results],
+        report.spec_ok,
+        None
+        if truth is None
+        else (truth.name, truth.holds, truth.checked, tuple(truth.counterexamples)),
+    )

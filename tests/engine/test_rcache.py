@@ -499,3 +499,23 @@ def test_warm_verify_executes_zero_obligations(tmp_path, protocol, params):
     total = sum(result.num_obligations for _, result in warm.is_results)
     cached = sum(len(result.cached_keys) for _, result in warm.is_results)
     assert total > 0 and cached == total
+
+
+def test_gc_evicts_universe_and_stage_entries_under_the_quota(tmp_path, capsys):
+    """Universe and stage entries count towards the quota like obligation
+    entries; once evicted, the next run explores again and stores them."""
+    from repro.__main__ import main
+    from repro.protocols import pingpong
+
+    pingpong.verify(rounds=2, cache=tmp_path)
+    cache = ObligationCache(tmp_path)
+    info = cache.size_info()
+    assert info["inputs"] == 3 and info["entries"] > 0
+    assert main(["cache", "stats", "--dir", str(tmp_path)]) == 0
+    assert f"inputs={info['inputs']} bytes={info['bytes']}" in capsys.readouterr().out
+    assert cache.gc(max_mb=1e-6)["removed"] == info["entries"] + info["inputs"]
+    assert cache.size_info()["inputs"] == 0
+    report = pingpong.verify(rounds=2, cache=cache)
+    assert report.ok
+    assert (cache.stats.universe_misses, cache.stats.stage_misses) == (1, 2)
+    assert cache.size_info()["inputs"] == 3

@@ -14,6 +14,14 @@ warm cache may never mask a bug. Verdicts must be identical cold vs warm
 vs cross-process-warm (different ``PYTHONHASHSEED``) on all seven
 protocols. An edit made in place between two runs on one resident
 universe (a closure cell, a symmetry rename rule) is seen as well.
+
+A store universe is keyed by its input fingerprint: a rewrap of any
+program action's gate or transitions (an in-place closure-cell edit
+included), another initial store, another budget, or switching symmetry
+on or off re-explores it, while an invariant-only edit loads it and
+re-executes exactly I1, I2 and I3. On every Table 1 row, plain and
+quotiented, a loaded universe equals the explored one, in this process
+and under another hash seed.
 """
 
 from __future__ import annotations
@@ -26,9 +34,14 @@ from pathlib import Path
 
 import pytest
 
+import dataclasses
+
+from repro.analysis.table1 import build_table1
 from repro.core.action import Action
 from repro.diagnose.fixtures import FIXTURES
-from repro.protocols import broadcast
+from repro.engine.rcache import ObligationCache, universe_fingerprint
+from repro.protocols import broadcast, pingpong, twophase
+from repro.protocols.common import Instance, RunOptions, verify_protocol
 
 from .rcache_cases import (
     PROTOCOL_NAMES,
@@ -38,6 +51,7 @@ from .rcache_cases import (
     condition_map,
     count_executions,
     rebuild,
+    report_verdicts,
     wrap_action,
     wrap_measure,
     wrap_predicate,
@@ -395,3 +409,219 @@ def test_rename_rule_edit_moves_a_memoized_quotient_fingerprint():
     rule = quotient.symmetry.local_rules["HandleRequest"]["i"]
     _cell(rule, "sort").cell_contents = "other"
     assert universe_fingerprint(quotient) != before
+
+
+# --------------------------------------------------------------------- #
+# Universe keys: what moves them, and what keeps them
+# --------------------------------------------------------------------- #
+
+
+def _pingpong_run(cache, app=None, initial=None, **options):
+    """``verify_protocol`` of Ping-Pong at two rounds, with the application
+    or the initial store swapped: ``(report, executed obligation keys)``."""
+    instance = Instance(
+        "ping-pong",
+        {"rounds": 2},
+        [("Ping+Pong+Await", app or pingpong.make_sequentialization(2))],
+        initial if initial is not None else pingpong.initial_global(2),
+        lambda final: pingpong.spec_holds(final, 2),
+    )
+    with count_executions() as executed:
+        report = verify_protocol(instance, RunOptions(cache=cache, **options))
+    return report, set(executed)
+
+
+def _counted(cache, run):
+    """``run()``'s result and the ``(universe hits, universe misses)`` it
+    added to ``cache``."""
+    before = cache.stats.snapshot()
+    result = run()
+    delta = cache.stats.delta(before)
+    return result, (delta["universe_hits"], delta["universe_misses"])
+
+
+def _rewrap(action, part):
+    gate, transitions = action.gate, action.transitions
+    if part == "gate":
+        gate = lambda state: action.gate(state)  # noqa: E731
+    else:
+        transitions = lambda state: action.transitions(state)  # noqa: E731
+    return Action(action.name, gate, transitions, action.params)
+
+
+@pytest.mark.parametrize("part", ["gate", "transitions"])
+@pytest.mark.parametrize("name", ["Main", "Ping", "Pong", "PingAwait"])
+def test_program_action_rewrap_reexplores_the_universe(name, part, tmp_path):
+    cache = ObligationCache(tmp_path)
+    app = pingpong.make_sequentialization(2)
+    assert _counted(cache, lambda: _pingpong_run(cache, app))[1] == (0, 1)
+    assert _counted(cache, lambda: _pingpong_run(cache, app))[1] == (1, 0)
+    action = _rewrap(app.program[name], part)
+    edited = rebuild(app, program=app.program.with_action(name, action))
+    (report, _), counts = _counted(cache, lambda: _pingpong_run(cache, edited))
+    assert counts == (0, 1)
+    uncached, _ = _pingpong_run(None, edited)
+    assert report_verdicts(report) == report_verdicts(uncached)
+
+
+def test_closure_cell_edit_in_a_program_action_reexplores_the_universe(tmp_path):
+    """The same objects verified twice hit; editing a cell a program
+    action's gate reads, in place, moves the universe key."""
+    cache = ObligationCache(tmp_path)
+    app = pingpong.make_sequentialization(2)
+    floor = 0
+    pong = app.program["Pong"]
+
+    def guarded_gate(state):
+        return len(state) >= floor and pong.gate(state)
+
+    guarded = Action(pong.name, guarded_gate, pong.transitions, pong.params)
+    app = rebuild(app, program=app.program.with_action("Pong", guarded))
+    assert _counted(cache, lambda: _pingpong_run(cache, app))[1] == (0, 1)
+    assert _counted(cache, lambda: _pingpong_run(cache, app))[1] == (1, 0)
+    cells = guarded_gate.__code__.co_freevars
+    guarded_gate.__closure__[cells.index("floor")].cell_contents = -1  # same verdicts
+    assert _counted(cache, lambda: _pingpong_run(cache, app))[1] == (0, 1)
+
+
+def test_initial_store_and_budget_move_the_universe_key(tmp_path):
+    cache = ObligationCache(tmp_path)
+    other = pingpong.initial_global(2).set("unused", 0)
+    runs = [
+        lambda: _pingpong_run(cache),
+        lambda: _pingpong_run(cache, initial=other),
+        lambda: _pingpong_run(cache, max_configs=10_000),
+    ]
+    for index, run in enumerate(runs):
+        assert _counted(cache, run)[1] == (0, 1), index
+    assert _counted(cache, runs[0])[1] == (1, 0)
+
+
+def test_switching_symmetry_moves_the_universe_keys(tmp_path):
+    cache = ObligationCache(tmp_path)
+    count = twophase.verify(n=2, cache=cache).num_is_applications
+    assert cache.stats.universe_misses == count
+    switches = ((True, (0, count)), (False, (count, 0)), (True, (count, 0)))
+    for symmetry, counts in switches:
+        report, added = _counted(
+            cache, lambda: twophase.verify(n=2, cache=cache, symmetry=symmetry)
+        )
+        assert report.ok and added == counts, symmetry
+
+
+def test_invariant_edit_keeps_the_universe_and_reexecutes_its_readers(tmp_path):
+    """The ledger's re-verify edit, through the whole pipeline: the
+    universe is loaded, and only I1, I2 and I3 execute."""
+    cache = ObligationCache(tmp_path)
+    app = pingpong.make_sequentialization(2)
+    _pingpong_run(cache, app)
+    edited = rebuild(app, invariant=wrap_action(app.invariant))
+    (report, executed), counts = _counted(
+        cache, lambda: _pingpong_run(cache, edited)
+    )
+    assert counts == (1, 0)
+    assert executed == {
+        key
+        for key in report.is_results[0][1].conditions
+        if key in ("I1", "I2") or key.startswith("I3")
+    }
+    uncached, _ = _pingpong_run(None, edited)
+    assert report_verdicts(report) == report_verdicts(uncached)
+
+
+@pytest.mark.parametrize("symmetry", [False, True], ids=["plain", "symmetry"])
+def test_loaded_universes_equal_explored_ones_on_table1(
+    symmetry, tmp_path, monkeypatch
+):
+    """Every Table 1 row verified cold, then warm from the same cache: the
+    warm run explores nothing, and each loaded universe has the explored
+    one's globals order, locals pools, fingerprint and exploration
+    summary."""
+    explored, loaded = [], []
+    store, load = ObligationCache.store_universe, ObligationCache.load_universe
+
+    def storing(self, key, universe):
+        explored.append(universe)
+        return store(self, key, universe)
+
+    def loading(self, *args):
+        universe = load(self, *args)
+        loaded.append(universe)
+        return universe
+
+    monkeypatch.setattr(ObligationCache, "store_universe", storing)
+    monkeypatch.setattr(ObligationCache, "load_universe", loading)
+    cold = build_table1(cache=tmp_path, symmetry=symmetry)
+    del loaded[:]  # the cold run's misses
+    cache = ObligationCache(tmp_path)
+    warm = build_table1(cache=cache, symmetry=symmetry)
+    assert all(row.ok for row in cold + warm)
+    assert cache.stats.universe_misses == cache.stats.stage_misses == 0
+    assert len(loaded) == len(explored) == sum(row.num_is for row in cold)
+    for index, (old, new) in enumerate(zip(explored, loaded)):
+        assert new.globals_ == old.globals_, index
+        assert new.locals_by_action == old.locals_by_action, index
+        assert list(new.locals_by_action) == list(old.locals_by_action), index
+        assert universe_fingerprint(new) == universe_fingerprint(
+            dataclasses.replace(old, _pools_digest=None)
+        ), index
+        assert new.exploration == old.exploration, index
+        assert (new.symmetry is None) == (old.symmetry is None), index
+        # Only a quotient has no summary to carry.
+        assert (new.exploration is None) == (new.symmetry is not None), index
+    assert any(u.symmetry is not None for u in loaded) == symmetry
+
+
+_LOAD_SCRIPT = """
+import json, sys
+sys.path.insert(0, {src!r})
+from repro.core import initial_config
+from repro.core.universe import StoreUniverse
+from repro.engine.rcache import ObligationCache
+from repro.protocols import twophase
+
+cache = ObligationCache(sys.argv[1])
+report = twophase.verify(n=2, cache=cache)
+same = []
+for _label, app, loaded in report.explain_targets:
+    explored = StoreUniverse.from_reachable(
+        app.program, [initial_config(twophase.initial_global(2))]
+    )
+    # Set equality hashes the loaded values: a hash that travelled in the
+    # pickle from another hash seed would break it.
+    same.append(
+        loaded.globals_ == explored.globals_
+        and set(loaded.globals_) == set(explored.globals_)
+        and {{k: set(v) for k, v in loaded.locals_by_action.items()}}
+        == {{k: set(v) for k, v in explored.locals_by_action.items()}}
+    )
+print(json.dumps({{
+    "ok": report.ok,
+    "hits": cache.stats.universe_hits,
+    "misses": cache.stats.universe_misses,
+    "same": same,
+}}))
+"""
+
+
+def test_universes_load_under_another_hash_seed(tmp_path):
+    cold = twophase.verify(n=2, cache=tmp_path)
+    env = dict(os.environ)
+    # Any seed but this process's own.
+    own = os.environ.get("PYTHONHASHSEED")
+    env["PYTHONHASHSEED"] = "7" if own == "4242" else "4242"
+    script = _LOAD_SCRIPT.format(src=str(REPO_ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(tmp_path)],
+        capture_output=True,
+        text=True,
+        env=env,
+        check=True,
+    )
+    remote = json.loads(proc.stdout)
+    assert remote == {
+        "ok": True,
+        "hits": cold.num_is_applications,
+        "misses": 0,
+        "same": [True] * cold.num_is_applications,
+    }

@@ -22,11 +22,21 @@ correct state from each one.
   after the rename but before the index flush, and a torn final file
   (every byte in the slow lane) — reruns with the same cache to the
   uncached verdicts, re-executing only what never completed.
+* **Universe and stage entries.** A pingpong verify killed at every
+  stage of one universe or stage entry's write — mid temp-file, before
+  the rename, a torn or a zero-length final file — reruns to the
+  uncached report, loading each whole entry and re-exploring the crashed
+  one; ``gc`` then leaves no temp file behind.
 """
 
 from __future__ import annotations
 
+import base64
 import json
+import pickle
+import shutil
+import subprocess
+import sys
 
 import pytest
 
@@ -34,10 +44,11 @@ from repro.engine.faults import FAULTS_ENV, FaultInjector, clear, install
 from repro.engine.obligations import build_obligations, discharge
 from repro.engine.rcache import DependencyFingerprinter, ObligationCache
 from repro.engine.recordlog import StaleLogError
+from repro.protocols import pingpong as pingpong_protocol
 from repro.serve.daemon import FINISHED_STATES
 from repro.serve.jobs import Job, JobRequest, JobStore
 
-from .rcache_cases import build, count_executions
+from .rcache_cases import build, count_executions, report_verdicts
 
 FS_MODES = ("enospc", "eio", "eperm", "torn")
 
@@ -333,3 +344,77 @@ def test_resume_from_every_crash_point_matches_uncheckpointed(
             assert set(executed) == set(keys) - served, (stage, done, cut)
             assert _verdict(final.read_bytes()) == _verdict(data), (stage, done)
             assert len(ObligationCache(cache.directory)) == len(keys)
+
+
+# --------------------------------------------------------------------- #
+# Universe and stage entries: rerun from every crash point of a write
+# --------------------------------------------------------------------- #
+
+
+def _dead_pid() -> int:
+    child = subprocess.Popen([sys.executable, "-c", "pass"])
+    child.wait()
+    return child.pid
+
+
+@pytest.fixture(scope="module")
+def input_entries(tmp_path_factory):
+    """``(uncached report, warm cache directory, [(kind, fingerprint,
+    entry bytes)])`` of a cold cached pingpong verify: one universe entry
+    and the spec and ground-truth stage entries."""
+    directory = tmp_path_factory.mktemp("inputs")
+    pingpong_protocol.verify(rounds=2, cache=directory)
+    stored = [
+        (json.loads(path.read_bytes())["kind"], path.stem, path.read_bytes())
+        for path in sorted((directory / "inputs").glob("*.json"))
+    ]
+    assert sorted(kind for kind, _, _ in stored) == ["stage", "stage", "universe"]
+    return pingpong_protocol.verify(rounds=2), directory, stored
+
+
+def _input_crash_states(data: bytes):
+    """``(stage, cut, landed)`` for each crash point of one input entry
+    write: the temp file cut or whole (the rename never happened), the
+    final file torn or zero-length, and the whole entry renamed."""
+    yield from (("temp", cut, False) for cut in (len(data) // 2, len(data)))
+    yield from (("torn", cut, False) for cut in (len(data) // 2, 0))
+    yield ("renamed", len(data), True)
+
+
+def _decoded(data: bytes):
+    """An input entry's record with its pickled value decoded."""
+    record = json.loads(data)
+    return record, pickle.loads(base64.b64decode(record.pop("value")))
+
+
+def test_rerun_from_every_crash_point_of_an_input_entry(tmp_path, input_entries):
+    reference, warm, stored = input_entries
+    dead = _dead_pid()
+    for index, (kind, fingerprint, data) in enumerate(stored):
+        for stage, cut, landed in _input_crash_states(data):
+            directory = tmp_path / f"{index}-{stage}-{cut}"
+            shutil.copytree(warm, directory)
+            final = directory / "inputs" / f"{fingerprint}.json"
+            if stage == "temp":
+                final.unlink()
+                final.with_name(f".{final.name}.{dead}.tmp").write_bytes(data[:cut])
+            else:
+                final.write_bytes(data[:cut])
+            cache = ObligationCache(directory)
+            with count_executions() as executed:
+                rerun = pingpong_protocol.verify(rounds=2, cache=cache)
+            point = (kind, stage, cut)
+            assert report_verdicts(rerun) == report_verdicts(reference), point
+            assert executed == [], point
+            stats = cache.stats
+            assert (stats.universe_hits, stats.universe_misses) == (
+                (1, 0) if landed or kind != "universe" else (0, 1)
+            ), point
+            assert (stats.stage_hits, stats.stage_misses) == (
+                (2, 0) if landed or kind != "stage" else (1, 1)
+            ), point
+            # The crashed entry is whole again; gc sweeps the dead temp.
+            assert _decoded(final.read_bytes()) == _decoded(data), point
+            assert cache.gc()["temps"] == (stage == "temp"), point
+            info = cache.size_info()
+            assert (info["inputs"], info["temps"]) == (3, 0), point

@@ -115,6 +115,28 @@ def test_second_job_reuses_warm_worker(tmp_path):
     assert second["warm"]["universe_hits"] >= 1
 
 
+def test_a_recycled_worker_loads_universes_from_the_cache(tmp_path):
+    """A fresh worker starts with empty warm memos, but the result cache
+    the first worker wrote serves its universe and stage results: it
+    explores nothing and executes nothing."""
+    sandbox = SandboxExecutor(SandboxConfig(recycle_after=1), state_dir=tmp_path)
+    try:
+        first = sandbox.execute("job-1", _request(), BUDGETS)
+        second = sandbox.execute("job-2", _request(), BUDGETS)
+    finally:
+        sandbox.shutdown()
+    assert sandbox.stats["spawns"] == 2
+    assert second["status"] == first["status"] == "OK"
+
+    def counts(job, kind):
+        return job["rcache"][f"{kind}_hits"], job["rcache"][f"{kind}_misses"]
+
+    assert counts(first, "universe") == (0, 1)
+    assert counts(second, "universe") == (1, 0)
+    assert counts(second, "stage") == (2, 0)
+    assert second["obligations"]["executed"] == 0
+
+
 @pytest.mark.sandbox_config(recycle_after=2)
 def test_worker_recycles_after_configured_jobs(executor):
     for n in range(3):

@@ -55,8 +55,8 @@ def test_healthz_shape_in_process_mode(tmp_path):
 
 def test_healthz_counts_work_after_jobs(tmp_path):
     with DaemonHarness(state_dir=str(tmp_path)) as harness:
-        harness.run_job(PINGPONG)
-        harness.run_job(PINGPONG)
+        first = harness.run_job(PINGPONG)
+        second = harness.run_job(PINGPONG)
         _status, health = harness.get("/healthz")
         assert health["counters"]["executed"] == 2
         assert health["counters"]["failed"] == 0
@@ -65,6 +65,13 @@ def test_healthz_counts_work_after_jobs(tmp_path):
         # the in-memory warm memo, one level above the rcache).
         assert health["rcache"]["stores"] > 0
         assert health["rcache"]["write_errors"] == 0
+        # Its universe was explored once and stored; the repeat's came
+        # from the warm memo, so neither job's delta nor the total reads
+        # a universe from disk.
+        assert first["result"]["rcache"]["universe_misses"] == 1
+        assert second["result"]["rcache"]["universe_misses"] == 0
+        assert health["rcache"]["universe_misses"] == 1
+        assert health["rcache"]["universe_hits"] == 0
 
 
 def test_healthz_sandbox_section_when_sandboxed():

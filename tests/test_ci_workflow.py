@@ -306,6 +306,24 @@ def test_incremental_verification_job_proves_cache_reuse(workflow):
     assert "0 < executed < total" in partial
 
 
+def test_incremental_verification_job_proves_universe_reuse(workflow):
+    """The warm run must also rebuild no universe (a ``universe_misses=0``
+    grep on the ``rcache: universes=`` line), and the run after Pong's
+    gate edit must rebuild every pingpong universe."""
+    job = workflow["jobs"]["incremental-verification"]
+    verify_cmds = [
+        step["run"]
+        for step in job["steps"]
+        if "run" in step and "repro verify pingpong" in step["run"]
+    ]
+    warm, partial = verify_cmds[1], verify_cmds[2]
+    grep = next(line for line in warm.splitlines() if "universe_misses=0" in line)
+    assert "rcache: universes=" in grep and grep.strip().endswith("warm.log")
+    assert 'startswith("rcache: universes=")' in partial
+    assert 'int(fields["universe_misses"])' in partial
+    assert '== int(fields["universes"]) > 0' in partial
+
+
 def test_incremental_verification_job_rechecks_a_quotiented_instance(workflow):
     """A quotiented universe's fingerprint must not move between two
     processes either: the job verifies twophase ``--symmetry`` twice
