@@ -32,13 +32,16 @@ out by the context, so the loops start from the context, not from the
 stores:
 
 1. the globals of the enumerated gids list are grouped by class, one
-   Python-int position bitmask per class;
-2. per (local, class), the context decides a whole row at once — for
-   the single-PA conditions (abs, I1, I2, I3, CO and non-blocking)
-   ``single`` decides the local alone, for the three pair conditions of
-   LM ``PAContext.pair_row`` gives the admissible x-local indices;
-3. the OR of the masks of the classes that admit anything is scanned in
-   ascending bit order (global-major, as the oracle enumerates), and each
+   ascending position list per class;
+2. per (pool, class), the context decides a whole pool at once, asked
+   at one representative global of the class and memoized: for the
+   single-PA conditions (abs, I1, I2, I3, CO and non-blocking)
+   ``PAContext.admitted`` gives the admitted local indices, for the three
+   pair conditions of LM ``PAContext.admitted_pairs`` gives each l-local's
+   admissible x-local indices. ``GhostContext`` answers both from the
+   ghost's distinct members, so most classes cost a few lookups;
+3. the position lists of the classes that admit anything are merged in
+   ascending order (global-major, as the oracle enumerates), and each
    position visits only its class's admitted locals, in index order;
 4. only then does the condition's body run: :func:`admitted_cells` hands
    abs, I1, I2 and CO their (global, local) cells, I3 reads its invariant
@@ -59,7 +62,7 @@ context rules out, so a gate that raises there raises only under the
 oracle. The fast path has no off switch. It steps aside (falling back to
 the oracle) for exactly one input: a PA context that declares its
 decisions uncachable (``cache_key`` returns ``None``), because the class
-masks key by the context's equivalence classes. Wrapping a context in
+index keys by the context's equivalence classes. Wrapping a context in
 :class:`repro.core.context.UncachableContext` is therefore how tests and
 benchmarks reach the oracle.
 
@@ -73,12 +76,14 @@ representation change.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Dict, List, Optional, Tuple
 
 from ..diagnose.witness import CommutationWitness, GateWitness
 from ..engine.resilience import poll
 from .action import PendingAsync
 from .cache import register_reset_hook
+from .context import Pool
 from .refinement import CheckResult, _fail
 from .store import Store, store_interner
 
@@ -113,12 +118,15 @@ class _Admissibility:
     ``cache_key`` equivalence class; ``reps[ck]`` keeps one representative
     global per class. Decisions depend only on the class, so they are
     asked once per class — for the ghost context the ~2800 globals of a
-    Paxos universe collapse onto a few hundred ghost multisets.
+    Paxos universe collapse onto a few hundred ghost multisets — and once
+    per pool: one ``context.admitted`` (or ``admitted_pairs``) call
+    decides every local of the pool, memoized per (pool, class).
 
-    ``masks`` groups the positions of the last prefilled gids list by
-    class: ``masks[ck]`` has bit ``i`` set when ``gids[i]`` is in class
-    ``ck``. Every scan ORs together the masks of the classes that admit
-    anything and visits only those positions.
+    ``positions`` groups the positions of the last prefilled gids list by
+    class: ``positions[ck]`` lists, ascending, the ``i`` with ``gids[i]``
+    in class ``ck``, and ``cks[i]`` is that class. Every scan merges the
+    lists of the classes that admit anything and visits only those
+    positions.
     """
 
     __slots__ = (
@@ -126,9 +134,9 @@ class _Admissibility:
         "ck_col",
         "ck_ids",
         "reps",
-        "masks",
-        "single_cells",
-        "row_memos",
+        "positions",
+        "cks",
+        "decisions",
         "_prefilled",
     )
 
@@ -137,94 +145,90 @@ class _Admissibility:
         self.ck_col: List[Optional[int]] = []
         self.ck_ids: Dict[object, int] = {}
         self.reps: List[Store] = []
-        self.masks: Dict[int, int] = {}
-        self.single_cells: Dict[Tuple, Dict[int, bool]] = {}
-        self.row_memos: Dict[Tuple, Dict[int, tuple]] = {}
+        self.positions: Dict[int, List[int]] = {}
+        self.cks: List[int] = []
+        # Pool key -> {class: ((il, decision), ...)}; a pool key is the
+        # action name(s) and interned local ids, so equal pools of two
+        # universes share their decisions.
+        self.decisions: Dict[Tuple, Dict[int, tuple]] = {}
         self._prefilled: object = None
 
     def prefill(self, globals_pool, gids, table_size: int) -> None:
-        """Classify every global of ``gids`` and build its class masks,
-        once per gids list (compared by identity)."""
+        """Classify every global of ``gids`` and group its positions by
+        class, once per gids list (compared by identity)."""
         if self._prefilled is gids:
             return
         col = self.ck_col
         if len(col) < table_size:
             col.extend([None] * (table_size - len(col)))
-        cache_key = self.context.cache_key
-        ck_ids = self.ck_ids
-        masks: Dict[int, int] = {}
-        for i, gid in enumerate(gids):
-            ck = col[gid]
-            if ck is None:
-                key = cache_key(globals_pool[i])
-                if key is None:
-                    raise _Uncachable
-                ck = ck_ids.get(key)
+        cks = [col[gid] for gid in gids]
+        if None in cks:
+            cache_key = self.context.cache_key
+            ck_ids = self.ck_ids
+            for i, ck in enumerate(cks):
+                if ck is not None:
+                    continue
+                ck = col[gids[i]]
                 if ck is None:
-                    ck = len(self.reps)
-                    ck_ids[key] = ck
-                    self.reps.append(globals_pool[i])
-                col[gid] = ck
-            masks[ck] = masks.get(ck, 0) | (1 << i)
-        self.masks = masks
+                    key = cache_key(globals_pool[i])
+                    if key is None:
+                        raise _Uncachable
+                    ck = ck_ids.get(key)
+                    if ck is None:
+                        ck = len(self.reps)
+                        ck_ids[key] = ck
+                        self.reps.append(globals_pool[i])
+                    col[gids[i]] = ck
+                cks[i] = ck
+        positions: Dict[int, List[int]] = {}
+        for i, ck in enumerate(cks):
+            at = positions.get(ck)
+            if at is None:
+                positions[ck] = [i]
+            else:
+                at.append(i)
+        self.positions = positions
+        self.cks = cks
         self._prefilled = gids
 
-    def single_classes(self, classes, name: str, locals_, lids, stats) -> list:
-        """Per class index in ``classes``, ``(il, True)`` for every local
-        ``il`` whose PA the class admits (``context.single``), memoized
-        per (PA name, local id). Each ``single`` call counts as a miss in
+    def single_classes(self, classes, name: str, locals_, lids, stats) -> dict:
+        """Per class index in ``classes``, ``(il, True)`` for every
+        local ``il`` whose PA the class admits (``context.admitted``). Each
+        (pool, class) decision the context is asked counts as a miss in
         ``stats``."""
-        single = self.context.single
+        admitted = self.context.admitted
+        pool = Pool(locals_)
 
-        def decide(rep, il):
+        def decide(rep):
             stats.misses += 1
-            return single(rep, PendingAsync(name, locals_[il]))
+            return tuple((il, True) for il in admitted(rep, name, pool))
 
-        return self._by_class(
-            classes,
-            [self.single_cells.setdefault((name, lid), {}) for lid in lids],
-            decide,
-        )
+        return self._per_class(classes, (name, lids), decide)
 
     def pair_classes(
         self, classes, name_l, locals_l, lids_l, name_x, locals_x, lids_x
-    ) -> list:
+    ) -> dict:
         """Per class index in ``classes``, ``(il, row)`` for every left
         local ``il`` whose row — the right-local indices the class admits
-        alongside it (``context.pair_row``) — is non-empty. Rows are
-        memoized per (left local, right locals pool, class), so the three
-        pair conditions of one (l, x) share them."""
-        key_x = tuple(lids_x)
-        pair_row = self.context.pair_row
-        firsts = [PendingAsync(name_l, ll) for ll in locals_l]
-        seconds = [PendingAsync(name_x, lx) for lx in locals_x]
-        return self._by_class(
+        alongside it (``context.admitted_pairs``) — is non-empty. The three
+        pair conditions of one (l, x) share the decisions."""
+        admitted_pairs = self.context.admitted_pairs
+        pool_l, pool_x = Pool(locals_l), Pool(locals_x)
+        return self._per_class(
             classes,
-            [
-                self.row_memos.setdefault((name_l, lid, name_x, key_x), {})
-                for lid in lids_l
-            ],
-            lambda rep, il: pair_row(rep, firsts[il], seconds),
+            (name_l, lids_l, name_x, lids_x),
+            lambda rep: admitted_pairs(rep, name_l, pool_l, name_x, pool_x),
         )
 
-    def _by_class(self, classes, memos, decide) -> list:
-        """``out[ck]`` lists ``(il, decision)``, in index order, for every
-        local ``il`` whose decision under class ``ck`` is truthy; it is
-        ``()`` for class indices outside ``classes``. ``memos[il]`` caches
-        ``decide(representative, il)`` per class."""
-        out = [()] * len(self.reps)
+    def _per_class(self, classes, pool_key, decide) -> dict:
+        """The pool's memo ``{ck: decide(reps[ck])}``, filled for every
+        class index in ``classes``."""
+        memo = self.decisions.setdefault(pool_key, {})
+        reps = self.reps
         for ck in classes:
-            rep = self.reps[ck]
-            live = []
-            for il, memo in enumerate(memos):
-                decision = memo.get(ck)
-                if decision is None:
-                    decision = decide(rep, il)
-                    memo[ck] = decision
-                if decision:
-                    live.append((il, decision))
-            out[ck] = tuple(live)
-        return out
+            if ck not in memo:
+                memo[ck] = decide(reps[ck])
+        return memo
 
 
 class ColumnarStore:
@@ -405,17 +409,12 @@ def _universe_ids(universe):
 def _locals_ids(itn, universe, name):
     locals_ = universe.locals_for(name)
     intern = itn.intern
-    return locals_, [intern(l) for l in locals_]
-
-
-def _positions(mask: int) -> List[int]:
-    """The set bits of ``mask``, ascending."""
-    return [i for i, bit in enumerate(bin(mask)[:1:-1]) if bit == "1"]
+    return locals_, tuple(intern(l) for l in locals_)
 
 
 class _Cells:
     """One action's cells: the universe's interned globals, the action's
-    interned locals, and the PA context's class masks over those
+    interned locals, and the PA context's class index over those
     globals."""
 
     def __init__(self, universe, name):
@@ -423,19 +422,20 @@ class _Cells:
         self.pool = universe.globals_
         self.itn = itn
         self.locals_, self.lids = _locals_ids(itn, universe, name)
-        self.adm = _STORE.admissibility(universe, self.pool, self.gids)
-        self.masks = self.adm.masks
+        self.adm = adm = _STORE.admissibility(universe, self.pool, self.gids)
+        self.positions, self.cks = adm.positions, adm.cks
         self.stats = universe.context_cache_stats
 
     def singles(self, pa_name: str):
         """``(gi, il, True)`` per cell whose PA ``(pa_name, locals_[il])``
         the context admits, in the oracle's order. Every cell counts in
-        the universe's ``context_cache_stats``: a miss per ``single``
-        call, a hit per cell served from a memoized class decision."""
+        the universe's ``context_cache_stats``: a miss per (pool, class)
+        decision the context is asked, a hit per other cell, each served
+        from a memoized class decision."""
         stats = self.stats
         asked = stats.misses
         by_class = self.adm.single_classes(
-            self.masks, pa_name, self.locals_, self.lids, stats
+            self.positions, pa_name, self.locals_, self.lids, stats
         )
         stats.hits += len(self.gids) * len(self.lids) - (stats.misses - asked)
         return self.scan(by_class)
@@ -445,15 +445,17 @@ class _Cells:
         something, in the oracle's order (global-major, then locals).
         Every skipped cell is one where the oracle's loop body does
         nothing. Polls the stop state once per 256 globals."""
-        live = 0
-        for ck, mask in self.masks.items():
-            if by_class[ck]:
-                live |= mask
-        gids, ck_col = self.gids, self.adm.ck_col
-        for n, gi in enumerate(_positions(live)):
+        live = [at for ck, at in self.positions.items() if by_class[ck]]
+        if len(live) == 1:
+            order = live[0]
+        else:
+            # Each list is ascending, so the sort merges sorted runs.
+            order = sorted(chain.from_iterable(live))
+        cks = self.cks
+        for n, gi in enumerate(order):
             if not n & 255:
                 poll()
-            for il, decision in by_class[ck_col[gids[gi]]]:
+            for il, decision in by_class[cks[gi]]:
                 yield gi, il, decision
 
 
@@ -509,7 +511,7 @@ class _Frame(_Cells):
         return self._gated(
             self.scan(
                 self.adm.pair_classes(
-                    self.masks,
+                    self.positions,
                     self.l.name,
                     self.locals_,
                     self.lids,

@@ -15,20 +15,28 @@ to a :class:`~repro.core.universe.StoreUniverse`:
 
 * :meth:`PAContext.single` — may PA ``(ℓ, A)`` execute from global ``g``?
 * :meth:`PAContext.pair` — may the two PAs coexist in one configuration?
-* :meth:`PAContext.pair_row` — the ``pair`` decisions of one PA against a
-  row of others, as the indices that pass (what the columnar LM loops ask).
+* :meth:`PAContext.admitted` — the ``single`` decisions of a whole pool of
+  one action's locals, as the indices that pass;
+* :meth:`PAContext.admitted_pairs` — the ``pair`` decisions of two pools,
+  as one row of passing right indices per left index.
+
+The last two are what the columnar conditions ask, once per (pool, context
+class), passing each pool as a :class:`Pool`. The base class implements
+them as loops over ``single`` and ``pair``; an override must keep exactly
+that meaning.
 
 :class:`NoContext` imposes nothing (the fully general check);
 :class:`GhostContext` reads a ghost multiset variable and requires joint
 multiset membership, exactly matching a program that keeps ``pendingAsyncs``
-in sync with :math:`\\Omega`.
+in sync with :math:`\\Omega`; it decides a pool from the ghost's distinct
+members, so its work follows the ghost's size, not the pool's.
 
 :class:`UncachableContext` wraps any context and declares its decisions
 uncachable. That one input property selects the checker's reference
 oracle: the dict-shaped loops of ``repro.core.movers`` and
 ``ISApplication.check_i3`` and the per-cell loop of
 ``repro.core.columnar.admitted_cells``, which ask the context per store,
-with the columnar tables and class masks (``repro.core.columnar``)
+with the columnar tables and class index (``repro.core.columnar``)
 stepping aside. The differential tests and the obligation benchmark reach
 the oracle through it.
 """
@@ -36,7 +44,9 @@ the oracle through it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
+from functools import cached_property
+from operator import itemgetter
+from typing import Dict, List, Sequence, Tuple
 
 from .action import PendingAsync
 from .multiset import Multiset
@@ -44,6 +54,7 @@ from .store import Store
 
 __all__ = [
     "PAContext",
+    "Pool",
     "NoContext",
     "GhostContext",
     "InstanceContext",
@@ -84,16 +95,43 @@ class PAContext:
         requires multiplicity two)."""
         raise NotImplementedError
 
-    def pair_row(
-        self, global_store: Store, first: PendingAsync, seconds
+    def admitted(
+        self, global_store: Store, name: str, pool: Sequence[Store]
     ) -> Tuple[int, ...]:
-        """The indices ``i``, ascending, for which ``pair(global_store,
-        first, seconds[i])`` holds. Overrides must keep exactly that
-        meaning; they exist only to decide a whole row at once."""
-        pair = self.pair
+        """The indices ``i``, ascending, for which ``single(global_store,
+        PendingAsync(name, pool[i]))`` holds."""
+        single = self.single
         return tuple(
-            i for i, second in enumerate(seconds) if pair(global_store, first, second)
+            i
+            for i, locals_ in enumerate(pool)
+            if single(global_store, PendingAsync(name, locals_))
         )
+
+    def admitted_pairs(
+        self,
+        global_store: Store,
+        name_l: str,
+        pool_l: Sequence[Store],
+        name_x: str,
+        pool_x: Sequence[Store],
+    ) -> Tuple[Tuple[int, Tuple[int, ...]], ...]:
+        """``(il, row)`` per left index ``il``, ascending, whose ``row`` is
+        non-empty: the right indices ``ix``, ascending, for which
+        ``pair(global_store, PendingAsync(name_l, pool_l[il]),
+        PendingAsync(name_x, pool_x[ix]))`` holds."""
+        pair = self.pair
+        seconds = [PendingAsync(name_x, locals_) for locals_ in pool_x]
+        rows = []
+        for il, locals_ in enumerate(pool_l):
+            first = PendingAsync(name_l, locals_)
+            row = tuple(
+                ix
+                for ix, second in enumerate(seconds)
+                if pair(global_store, first, second)
+            )
+            if row:
+                rows.append((il, row))
+        return tuple(rows)
 
 
 class NoContext(PAContext):
@@ -188,18 +226,77 @@ class GhostContext(PAContext):
             return ghost.count(first) >= 2
         return first in ghost and second in ghost
 
-    def pair_row(
-        self, global_store: Store, first: PendingAsync, seconds
+    def admitted(
+        self, global_store: Store, name: str, pool: Sequence[Store]
     ) -> Tuple[int, ...]:
-        ghost = self._ghost(global_store)
-        count = ghost.count(first)
-        if not count:
+        # Only exact-type PAs are looked up, as ``in ghost`` matches them.
+        index = _positions(pool)
+        hits = []
+        for member in self._ghost(global_store).support():
+            if type(member) is PendingAsync and member.action == name:
+                positions = index.get(member.locals)
+                if positions:
+                    hits.extend(positions)
+        hits.sort()
+        return tuple(hits)
+
+    def admitted_pairs(
+        self,
+        global_store: Store,
+        name_l: str,
+        pool_l: Sequence[Store],
+        name_x: str,
+        pool_x: Sequence[Store],
+    ) -> Tuple[Tuple[int, Tuple[int, ...]], ...]:
+        index_l, index_x = _positions(pool_l), _positions(pool_x)
+        lefts, row = [], []
+        for member, count in self._ghost(global_store).counts():
+            if type(member) is not PendingAsync:
+                continue
+            action = member.action
+            if action == name_x:
+                positions = index_x.get(member.locals)
+                if positions:
+                    row.extend(positions)
+            if action == name_l:
+                positions = index_l.get(member.locals)
+                if positions:
+                    lefts.append((member.locals, count, positions))
+        if not row or not lefts:
             return ()
-        return tuple(
-            i
-            for i, second in enumerate(seconds)
-            if second in ghost and (count >= 2 or second != first)
-        )
+        row.sort()
+        row = tuple(row)
+        same = name_l == name_x
+        rows = []
+        for locals_, count, positions in lefts:
+            own = row
+            if same and count < 2:
+                # An identical pair needs the ghost to hold the PA twice.
+                twins = index_x.get(locals_, ())
+                own = tuple(ix for ix in row if ix not in twins)
+            if own:
+                rows.extend((il, own) for il in positions)
+        rows.sort(key=itemgetter(0))
+        return tuple(rows)
+
+
+class Pool(tuple):
+    """One action's pool of local stores, as ``admitted`` and
+    ``admitted_pairs`` read it: a tuple that builds its ``store ->
+    positions`` index on first use, so a context asked about one pool at
+    many globals indexes it once."""
+
+    @cached_property
+    def positions(self) -> Dict[Store, List[int]]:
+        """``store -> positions`` (ascending) in this pool."""
+        index: Dict[Store, List[int]] = {}
+        for i, locals_ in enumerate(self):
+            index.setdefault(locals_, []).append(i)
+        return index
+
+
+def _positions(pool: Sequence[Store]) -> Dict[Store, List[int]]:
+    return (pool if isinstance(pool, Pool) else Pool(pool)).positions
 
 
 @dataclass(frozen=True)

@@ -526,7 +526,7 @@ class ISApplication:
 
         ``universe_for_abs`` lets callers reuse one :meth:`lm_universe`
         across all pairs of the same ``name`` (its interned gids list, and
-        with it the admissibility class masks, is per-instance).
+        with it the admissibility class index, is per-instance).
         """
         abstraction = self.abstraction_of(name)
         if universe_for_abs is None:

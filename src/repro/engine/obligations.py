@@ -152,7 +152,7 @@ def execute_obligation(
     ``lm_universes`` is an optional per-run memo of
     :meth:`ISApplication.lm_universe` extensions, so the LM cells of one
     abstraction share a single extended universe (and hence its interned
-    gids list and admissibility class masks) instead of rebuilding it per
+    gids list and admissibility class index) instead of rebuilding it per
     cell. Workers
     keep one such memo per process.
     """

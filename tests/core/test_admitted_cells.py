@@ -5,9 +5,10 @@ equal the reference loop it replaces — every (global, local) of the
 universe, global-major then locals in pool order, kept when
 ``context.single`` admits the PA — for M and every eliminated action of
 two real universes, on a shard of the globals, and under ``NoContext``.
-The scan asks ``single`` once per (context class, local), and a check
-over it combines only admitted cells, so the intern table grows by at
-most the number of checks.
+The scan asks the context one ``admitted`` decision per (pool, context
+class), which the base class serves with one ``single`` per (class,
+local), and a check over it combines only admitted cells, so the intern
+table grows by at most the number of checks.
 """
 
 from __future__ import annotations
@@ -124,14 +125,15 @@ def test_single_asked_once_per_class_and_local(case):
     assert len(context.asked) == len(classes) * sum(
         len(counted.locals_for(name)) for name in _names(app)
     )
+    # A miss per (pool, class) decision, a hit per other cell.
     stats = counted.context_cache_stats
-    assert stats.misses == len(context.asked)
+    assert stats.misses == len(classes) * len(_names(app))
     assert stats.total == cells
 
 
 def test_state_independent_context_is_one_class():
-    """A context that ignores the global store decides each PA once for
-    the whole universe."""
+    """A context that ignores the global store decides each pool once
+    for the whole universe, asking ``single`` once per PA."""
     context = _Counting(NoContext())
     universe = StoreUniverse(
         [Store({"x": 0}), Store({"x": 1})],
@@ -142,8 +144,8 @@ def test_state_independent_context_is_one_class():
         (g, l) for g in universe.globals_ for l in universe.locals_for("A")
     ]
     assert len(context.asked) == 2
-    assert universe.context_cache_stats.misses == 2
-    assert universe.context_cache_stats.hits == 2
+    assert universe.context_cache_stats.misses == 1
+    assert universe.context_cache_stats.hits == 3
 
 
 def test_abstraction_checks_combine_only_admitted_cells():
