@@ -43,12 +43,60 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class PendingAsync:
+class _HashOnce:
+    """Base of the slotted value dataclasses below: their hash lives in
+    one slot, computed on first use from the fields, so a PA that sits in
+    thousands of multisets is hashed once, not once per dict insertion or
+    lookup. ``dataclasses.fields`` does not see the slot, so structural
+    digests (``repro.engine.rcache``) are unchanged."""
+
+    __slots__ = ("_hash",)
+
+
+def _getstate(self) -> dict:
+    # The plain-dataclass pickle state: the field dict, never the hash
+    # slot (it derives from the process's ``PYTHONHASHSEED``).
+    return {name: getattr(self, name) for name in self.__dataclass_fields__}
+
+
+def _setstate(self, state: dict) -> None:
+    for name, value in state.items():
+        object.__setattr__(self, name, value)
+
+
+def _value_class(cls):
+    """``cls`` as a frozen, slotted dataclass whose pickles are the field
+    dict, as a plain dataclass's are: a pickle written before the slots
+    existed loads unchanged, and one written now loads there too. (The
+    generated slotted ``__setstate__`` takes a field list, and would read
+    a field dict's keys as the field values.)"""
+    cls = dataclass(frozen=True, slots=True)(cls)
+    cls.__getstate__ = _getstate
+    cls.__setstate__ = _setstate
+    return cls
+
+
+@_value_class
+class PendingAsync(_HashOnce):
     """A pending async :math:`(\\ell, A)`: an action name plus its parameters."""
 
     action: str
     locals: Store = EMPTY_STORE
+
+    def __hash__(self) -> int:
+        try:
+            return self._hash
+        except AttributeError:
+            value = hash((self.action, self.locals))
+            object.__setattr__(self, "_hash", value)
+            return value
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.action == other.action and self.locals == other.locals
 
     def __repr__(self) -> str:
         if len(self.locals) == 0:
@@ -57,8 +105,8 @@ class PendingAsync:
         return f"{self.action}({args})"
 
 
-@dataclass(frozen=True)
-class Transition:
+@_value_class
+class Transition(_HashOnce):
     """One outcome of executing an action: new global store + created PAs.
 
     The initial store :math:`\\sigma` is implicit (it is the store the
@@ -68,6 +116,23 @@ class Transition:
 
     new_global: Store
     created: Multiset = EMPTY
+
+    def __hash__(self) -> int:
+        try:
+            return self._hash
+        except AttributeError:
+            value = hash((self.new_global, self.created))
+            object.__setattr__(self, "_hash", value)
+            return value
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (
+            self.new_global == other.new_global and self.created == other.created
+        )
 
     def __repr__(self) -> str:
         if self.created:

@@ -126,7 +126,10 @@ class _Admissibility:
     class: ``positions[ck]`` lists, ascending, the ``i`` with ``gids[i]``
     in class ``ck``, and ``cks[i]`` is that class. Every scan merges the
     lists of the classes that admit anything and visits only those
-    positions.
+    positions. The grouping is redone only for a gids list of other
+    contents: derived universes (``StoreUniverse.extended``) rebuild
+    equal lists, so most prefills of a Table 1 run repeat the last
+    grouping under a new list object (EXPERIMENTS.md, "Value kernel").
     """
 
     __slots__ = (
@@ -155,8 +158,8 @@ class _Admissibility:
 
     def prefill(self, globals_pool, gids, table_size: int) -> None:
         """Classify every global of ``gids`` and group its positions by
-        class, once per gids list (compared by identity)."""
-        if self._prefilled is gids:
+        class, unless the last prefilled list has the same contents."""
+        if self._prefilled is gids or self._prefilled == gids:
             return
         col = self.ck_col
         if len(col) < table_size:

@@ -32,15 +32,18 @@ class FrozenDict:
         self._data: Dict[Hashable, Hashable] = dict(data)
         self._hash = None
 
+    # Both updates build their result dict once and hand it to ``_of``;
+    # ``FrozenDict(...)`` would copy it a second time.
+
     def set(self, key: Hashable, value: Hashable) -> "FrozenDict":
         data = dict(self._data)
         data[key] = value
-        return FrozenDict(data)
+        return _of(data)
 
     def update(self, changes: Mapping[Hashable, Hashable]) -> "FrozenDict":
         data = dict(self._data)
         data.update(changes)
-        return FrozenDict(data)
+        return _of(data)
 
     def get(self, key: Hashable, default: Hashable = None) -> Hashable:
         return self._data.get(key, default)
@@ -91,3 +94,11 @@ class FrozenDict:
     def __repr__(self) -> str:
         inner = ", ".join(f"{k!r}: {v!r}" for k, v in sorted(self._data.items(), key=lambda kv: repr(kv[0])))
         return "{" + inner + "}"
+
+
+def _of(data: Dict[Hashable, Hashable]) -> FrozenDict:
+    """A frozen dict owning ``data`` (not copied: the caller built it)."""
+    result = object.__new__(FrozenDict)
+    result._data = data
+    result._hash = None
+    return result

@@ -75,20 +75,37 @@ class Multiset:
         """Multiplicity of ``element`` (0 if absent)."""
         return self._counts.get(element, 0)
 
+    # The updates below copy the counts dict once (``dict(d)`` reuses the
+    # stored hashes, so no element is rehashed), adjust the copy in
+    # place, and keep ``_size`` by arithmetic. An element whose count
+    # reaches zero is deleted, so ``counts()`` keeps insertion order
+    # minus zeroed elements, exactly as a rebuild would. A deletion
+    # leaves a dead slot that every later copy would inherit or inflate
+    # (``dict(d)`` of a dict with dead slots reallocates, oversized), so
+    # a copy that lost an element is rebuilt once, compactly, from its
+    # items: the one place an element is rehashed.
+
     def union(self, other: "Multiset") -> "Multiset":
         """Multiset union :math:`\\uplus` (multiplicities add up)."""
+        if not other._size:
+            return self
+        if not self._size:
+            return other
         counts = dict(self._counts)
+        get = counts.get
         for element, count in other._counts.items():
-            counts[element] = counts.get(element, 0) + count
-        return Multiset.from_counts(counts)
+            counts[element] = get(element, 0) + count
+        return _of(counts, self._size + other._size)
 
     def add(self, element: Hashable, count: int = 1) -> "Multiset":
         """Return a new multiset with ``count`` extra copies of ``element``."""
         if count < 0:
             raise ValueError("count must be non-negative")
+        if not count:
+            return self
         counts = dict(self._counts)
         counts[element] = counts.get(element, 0) + count
-        return Multiset.from_counts(counts)
+        return _of(counts, self._size + count)
 
     def remove(self, element: Hashable, count: int = 1) -> "Multiset":
         """Return a new multiset with ``count`` copies of ``element`` removed.
@@ -96,20 +113,42 @@ class Multiset:
         Raises :class:`KeyError` if fewer than ``count`` copies are present,
         mirroring the side condition of the paper's step rule, which only
         fires for a pending async actually present in the configuration.
+        A non-positive ``count`` removes nothing and adds ``-count`` copies.
         """
         present = self._counts.get(element, 0)
         if present < count:
             raise KeyError(element)
+        if count <= 0:
+            return self.add(element, -count)
         counts = dict(self._counts)
-        counts[element] = present - count
-        return Multiset.from_counts(counts)
+        if present == count:
+            del counts[element]
+            counts = dict(counts.items())
+        else:
+            counts[element] = present - count
+        return _of(counts, self._size - count)
 
     def difference(self, other: "Multiset") -> "Multiset":
         """Multiset difference (truncated at zero)."""
+        if not other._size or not self._size:
+            return self
         counts = dict(self._counts)
+        size = self._size
         for element, count in other._counts.items():
-            counts[element] = counts.get(element, 0) - count
-        return Multiset.from_counts(counts)
+            present = counts.get(element)
+            if present is None:
+                continue
+            if present > count:
+                counts[element] = present - count
+                size -= count
+            else:
+                del counts[element]
+                size -= present
+        if size == self._size:
+            return self
+        if len(counts) < len(self._counts):
+            counts = dict(counts.items())
+        return _of(counts, size)
 
     def includes(self, other: "Multiset") -> bool:
         """True if ``other`` is a sub-multiset of ``self``."""
@@ -180,6 +219,15 @@ class Multiset:
             else:
                 parts.append(f"{element!r}*{count}")
         return "Multiset({" + ", ".join(parts) + "})"
+
+
+def _of(counts: Dict[Hashable, int], size: int) -> Multiset:
+    """A multiset owning ``counts`` (all positive, summing to ``size``)."""
+    result = object.__new__(Multiset)
+    result._counts = counts
+    result._size = size
+    result._hash = None
+    return result
 
 
 #: The empty multiset, shared since :class:`Multiset` is immutable.

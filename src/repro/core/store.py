@@ -79,27 +79,30 @@ class Store:
     def get(self, name: str, default: Value = None) -> Value:
         return self._data.get(name, default)
 
+    # Every update below builds its result dict once and hands it to
+    # ``_store_of``; ``Store(...)`` would copy it a second time.
+
     def set(self, name: str, value: Value) -> "Store":
         """Return a new store with ``name`` bound to ``value``."""
         data = dict(self._data)
         data[name] = value
-        return Store(data)
+        return _store_of(data)
 
     def update(self, changes: Mapping[str, Value]) -> "Store":
         """Return a new store applying all bindings in ``changes``."""
         data = dict(self._data)
         data.update(changes)
-        return Store(data)
+        return _store_of(data)
 
     def without(self, names: Iterable[str]) -> "Store":
         """Return a new store with the given variables removed."""
         drop = set(names)
-        return Store({k: v for k, v in self._data.items() if k not in drop})
+        return _store_of({k: v for k, v in self._data.items() if k not in drop})
 
     def restrict(self, names: Iterable[str]) -> "Store":
         """Return a new store keeping only the given variables."""
         keep = set(names)
-        return Store({k: v for k, v in self._data.items() if k in keep})
+        return _store_of({k: v for k, v in self._data.items() if k in keep})
 
     def globals_of(self, global_vars: Iterable[str]) -> "Store":
         """Project out the global part of a combined store."""
@@ -109,7 +112,7 @@ class Store:
         """Combine two stores; ``other`` wins on overlapping variables."""
         data = dict(self._data)
         data.update(other._data)
-        return Store(data)
+        return _store_of(data)
 
     def variables(self) -> Iterator[str]:
         return iter(self._data)
@@ -154,6 +157,15 @@ class Store:
     def __repr__(self) -> str:
         inner = ", ".join(f"{k}={v!r}" for k, v in sorted(self._data.items()))
         return f"Store({inner})"
+
+
+def _store_of(data: Dict[str, Value]) -> Store:
+    """A store owning ``data`` (not copied: the caller built it)."""
+    store = object.__new__(Store)
+    store._data = data
+    store._hash = None
+    store._iid = None
+    return store
 
 
 #: The empty store (e.g. the local store of a parameterless action).

@@ -1,7 +1,10 @@
 """Unit and property tests for multisets."""
 
+import sys
+from collections import Counter
+
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import EMPTY, Multiset
@@ -143,3 +146,133 @@ class TestProperties:
     @given(elements, elements)
     def test_len_additive_under_union(self, a, b):
         assert len(Multiset(a) + Multiset(b)) == len(a) + len(b)
+
+
+# ---------------------------------------------------------------------- #
+# Model-based checks of the update fast paths
+# ---------------------------------------------------------------------- #
+
+# Few distinct elements, so updates hit present and absent ones alike.
+ELEMENT = st.integers(min_value=0, max_value=4)
+COUNT = st.integers(min_value=-2, max_value=3)
+OTHER = st.lists(ELEMENT, max_size=6)
+OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("add"), ELEMENT, COUNT),
+        st.tuples(st.just("remove"), ELEMENT, COUNT),
+        st.tuples(st.just("union"), OTHER),
+        st.tuples(st.just("difference"), OTHER),
+    ),
+    max_size=25,
+)
+
+
+def _apply(m: Multiset, model: Counter, op):
+    """One operation on the multiset and on its ``Counter`` model. The
+    model keeps only positive counts, deletes an element whose count
+    reaches zero and appends a new one, so its item order is the
+    multiset's: insertion order, minus zeroed elements."""
+    kind = op[0]
+    if kind == "add":
+        _, x, k = op
+        if k < 0:
+            with pytest.raises(ValueError):
+                m.add(x, k)
+            return m
+        result = m.add(x, k)
+        if k == 0:
+            assert result is m
+        else:
+            model[x] += k
+        return result
+    if kind == "remove":
+        _, x, k = op
+        if model[x] < k:
+            with pytest.raises(KeyError):
+                m.remove(x, k)
+            if not model[x]:
+                del model[x]  # the model's lookup must not add the key
+            return m
+        if not model[x]:
+            del model[x]
+        result = m.remove(x, k)
+        if k == 0:
+            assert result is m
+        elif k < 0:
+            model[x] += -k  # a non-positive count removes nothing
+        else:
+            model[x] -= k
+            if not model[x]:
+                del model[x]
+        return result
+    other = Multiset(op[1])
+    if kind == "union":
+        result = m.union(other)
+        if not other:
+            assert result is m
+        elif not m:
+            assert result is other
+        for x, c in other.counts():
+            model[x] += c
+        return result
+    result = m.difference(other)
+    if not other or not m:
+        assert result is m
+    for x, c in other.counts():
+        if x in model:
+            model[x] -= c
+            if model[x] <= 0:
+                del model[x]
+    return result
+
+
+def _agrees(m: Multiset, model: Counter) -> None:
+    assert list(m.counts()) == list(model.items())
+    assert list(m.support()) == list(model)
+    assert len(m) == sum(model.values())
+    assert bool(m) == bool(model)
+    assert all(m.count(x) == model[x] for x in range(5))
+    fresh = Multiset.from_counts(dict(model))
+    assert m == fresh and hash(m) == hash(fresh)
+    # Compact: no dead slots or spare capacity beyond a fresh build's.
+    assert sys.getsizeof(m._counts) <= sys.getsizeof(fresh._counts)
+
+
+class TestAgainstCounterModel:
+    @settings(max_examples=300, deadline=None)
+    @given(OTHER, OPS)
+    def test_operation_sequences(self, start, ops):
+        m, model = Multiset(start), Counter(start)
+        _agrees(m, model)
+        for op in ops:
+            before = list(m.counts())
+            m_before = m
+            m = _apply(m, model, op)
+            _agrees(m, model)
+            # Values are immutable: the operand never changes.
+            assert list(m_before.counts()) == before
+
+    def test_non_positive_counts(self):
+        m = Multiset([1, 2])
+        assert m.add(3, 0) is m and 3 not in m.add(3, 0)
+        assert m.remove(3, 0) is m and 3 not in m.remove(3, 0)
+        assert list(m.remove(3, -2).counts()) == [(1, 1), (2, 1), (3, 2)]
+        with pytest.raises(ValueError):
+            m.add(1, -1)
+        assert Multiset.from_counts({1: 0, 2: -1, 3: 1}) == Multiset([3])
+
+    def test_remove_to_zero_keeps_the_remaining_order(self):
+        m = Multiset("abcab")
+        assert list(m.remove("a", 2).support()) == ["b", "c"]
+        assert list(m.remove("b").counts()) == [("a", 2), ("b", 1), ("c", 1)]
+        # A zeroed element that comes back is appended, as in a rebuild.
+        assert list(m.remove("a", 2).add("a").support()) == ["b", "c", "a"]
+
+    def test_empty_sides_return_an_operand_unchanged(self):
+        m = Multiset([1, 1, 2])
+        assert m + EMPTY is m
+        assert EMPTY + m is m
+        assert m - EMPTY is m
+        assert EMPTY - m is EMPTY
+        # A difference that removes nothing is the operand as well.
+        assert m - Multiset([3]) is m

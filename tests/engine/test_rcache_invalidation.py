@@ -625,3 +625,73 @@ def test_universes_load_under_another_hash_seed(tmp_path):
         "misses": 0,
         "same": [True] * cold.num_is_applications,
     }
+
+
+_WITNESS_SCRIPT = """
+import dataclasses, json, sys
+sys.path.insert(0, {src!r})
+from repro.core.action import PendingAsync, Transition
+from repro.core.multiset import Multiset
+from repro.diagnose.fixtures import FIXTURES
+from repro.engine.rcache import ObligationCache
+
+def values(obj, found):
+    # Every PendingAsync and Transition inside a witness, at any depth.
+    if isinstance(obj, (PendingAsync, Transition)):
+        found.append(obj)
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        for f in dataclasses.fields(obj):
+            values(getattr(obj, f.name), found)
+    elif isinstance(obj, (tuple, list)):
+        for item in obj:
+            values(item, found)
+    elif isinstance(obj, Multiset):
+        for element in obj.support():
+            values(element, found)
+    return found
+
+app, universe = FIXTURES["broken-broadcast"].build()
+cache = ObligationCache(sys.argv[1])
+warm = app.check(universe, jobs=1, cache=cache)
+cold = app.check(universe, jobs=1)
+loaded = values([r.counterexamples for _, r in sorted(warm.conditions.items())], [])
+fresh = values([r.counterexamples for _, r in sorted(cold.conditions.items())], [])
+print(json.dumps({{
+    "hits": cache.stats.hits,
+    "misses": cache.stats.misses,
+    "values": len(loaded),
+    "equal": loaded == fresh,
+    "hashes": [hash(a) for a in loaded] == [hash(b) for b in fresh],
+    "members": all(a in {{b}} for a, b in zip(loaded, fresh)),
+}}))
+"""
+
+
+def test_cached_witnesses_load_under_another_hash_seed(tmp_path):
+    """A failing run's witnesses hold pending asyncs and transitions whose
+    hashes were computed (and stored in their hash slot) while they were
+    built. Cached under this process's hash seed and loaded under
+    another, they equal and hash like the witnesses a cold run computes
+    there: the slot never travels in the cached pickle."""
+    app, universe = FIXTURES["broken-broadcast"].build()
+    cold = app.check(universe, jobs=1, cache=tmp_path)
+    assert not cold.holds
+    env = dict(os.environ)
+    own = os.environ.get("PYTHONHASHSEED")
+    env["PYTHONHASHSEED"] = "7" if own == "4242" else "4242"
+    proc = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            _WITNESS_SCRIPT.format(src=str(REPO_ROOT / "src")),
+            str(tmp_path),
+        ],
+        capture_output=True,
+        text=True,
+        env=env,
+        check=True,
+    )
+    remote = json.loads(proc.stdout)
+    assert remote["misses"] == 0 and remote["hits"] > 0
+    assert remote["values"] > 0
+    assert remote == {**remote, "equal": True, "hashes": True, "members": True}

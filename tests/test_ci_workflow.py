@@ -118,6 +118,25 @@ def test_full_job_runs_the_explorer_differential_under_two_hash_seeds(workflow):
     )
 
 
+def test_full_job_runs_the_value_type_suites_under_two_hash_seeds(workflow):
+    """Store, Multiset, FrozenDict, PendingAsync and Transition cache
+    hashes that derive from the seed, and a pickled one must never be
+    trusted under another: their suites, the cross-seed pickle guards
+    included, run under two seeds."""
+    step = next(
+        s
+        for s in _steps(workflow, "full")
+        if s.get("name") == "Value types agree under two hash seeds"
+    )
+    run = step["run"]
+    assert "for seed in 0 1" in run
+    assert 'PYTHONHASHSEED=$seed pytest -m "" -q' in run
+    for suite in ("hashing", "multiset", "store", "mapping", "action"):
+        path = f"tests/core/test_{suite}.py"
+        assert path in run, path
+        assert (ROOT / path).is_file(), path
+
+
 def test_full_job_runs_the_symmetry_suite_under_two_hash_seeds(workflow):
     """Value ids and the orbit search's member order follow discovery
     order, which hash-seeded set iteration can change: the orbit
