@@ -592,7 +592,7 @@ class ISApplication:
         resilience=None,
         cache=None,
         symmetry=None,
-        warm=None,
+        memo=None,
         hasher=None,
     ) -> ISResult:
         """Check all IS conditions over a store universe.
@@ -623,11 +623,11 @@ class ISApplication:
         directory path) reuses persisted results for obligations whose
         dependency fingerprints are unchanged — they are seeded, not
         executed — and stores every obligation back as it completes, so
-        re-running with the same cache resumes a killed run. ``warm`` (a
-        :class:`~repro.engine.warm.WarmState`) memoizes this pair's
-        fingerprints and cache entries across daemon requests, and
-        ``hasher`` is the structural-hashing session the fingerprints
-        share with the run's input keys (``verify_protocol``).
+        re-running with the same cache resumes a killed run. ``memo`` (a
+        dict kept with this pair, by a warm record in ``verify_protocol``)
+        remembers each obligation's fingerprint and cache entry across
+        calls, and ``hasher`` is the structural-hashing session the
+        fingerprints share with the run's input keys.
 
         ``symmetry`` (a :class:`~repro.core.symmetry.SymmetrySpec`) folds
         the universe onto orbit representatives before discharging — a
@@ -651,7 +651,7 @@ class ISApplication:
             tracer=tracer,
             resilience=resilience,
             cache=cache,
-            warm=warm,
+            memo=memo,
             hasher=hasher,
         )
 

@@ -313,7 +313,7 @@ def discharge(
     tracer=None,
     resilience: Optional[ResilienceConfig] = None,
     cache=None,
-    warm=None,
+    memo=None,
     hasher=None,
 ) -> ISResult:
     """Build, schedule, and merge the obligation DAG for one application.
@@ -345,16 +345,18 @@ def discharge(
     marked ``cached``). Every completed obligation is stored the moment
     the scheduler records it, so re-running a killed run with the same
     cache is the resume. The identity index is flushed once, after
-    scheduling (an interrupted run included). ``warm`` (a daemon's
-    :class:`~repro.engine.warm.WarmState`) memoizes the fingerprints and
-    entries of a resident ``(app, universe)`` pair. ``hasher`` (an
-    ``rcache`` hashing session) lets the fingerprints reuse the action
-    digests the run's input keys already took.
+    scheduling (an interrupted run included). ``memo`` (a dict owned by
+    the caller for this ``(app, universe)`` pair, the warm record's in
+    ``verify_protocol``) keeps each obligation's ``(fingerprint,
+    identity, entry)`` across calls: a remembered entry counts as a hit
+    and reads nothing from disk, and only a successful store remembers
+    one. ``hasher`` (an ``rcache`` hashing session) lets the fingerprints
+    reuse the action digests the run's input keys already took.
     """
     import os as _os
     import time as _time
 
-    from .rcache import DependencyFingerprinter, ObligationCache
+    from .rcache import CacheEntry, DependencyFingerprinter, ObligationCache
     from .scheduler import ObligationOutcome, make_scheduler
 
     if scheduler is None:
@@ -372,35 +374,41 @@ def discharge(
     on_complete = None
     if cache is not None:
         cache_stats_before = cache.stats.snapshot()
-        fingerprints = {} if warm is None else warm.fingerprints(app, universe)
-        # WarmState.lookup/store take the cache first, like the unbound
-        # ObligationCache methods.
-        front = ObligationCache if warm is None else warm
+        memo = {} if memo is None else memo
         fingerprinter = None
         for ob in obligations:
-            pair = fingerprints.get(ob.key)
-            if pair is None:
+            known = memo.get(ob.key)
+            if known is None:
                 if fingerprinter is None:
                     fingerprinter = DependencyFingerprinter(app, universe, hasher)
-                pair = fingerprints[ob.key] = (
+                known = memo[ob.key] = (
                     fingerprinter.fingerprint(ob),
                     fingerprinter.identity(ob),
+                    None,
                 )
-            if pair[0] is None:
+            fingerprint, identity, entry = known
+            if fingerprint is None:
                 cache.stats.uncacheable += 1
                 decisions[ob.key] = "uncacheable"
                 continue
-            entry = front.lookup(cache, pair[0], pair[1], ob.key)
+            if entry is not None:
+                cache.stats.hits += 1
+            else:
+                entry = cache.lookup(fingerprint, identity, ob.key)
+                memo[ob.key] = (fingerprint, identity, entry)
             if entry is not None:
                 cache_hits[ob.key] = entry
                 decisions[ob.key] = "hit"
             else:
-                decisions[ob.key] = cache.miss_kind(*pair)
+                decisions[ob.key] = cache.miss_kind(fingerprint, identity)
 
         def on_complete(outcome) -> None:
-            fingerprint, identity = fingerprints[outcome.key]
-            if fingerprint is not None:
-                front.store(cache, fingerprint, identity, outcome.key, outcome)
+            fingerprint, identity, _ = memo[outcome.key]
+            if fingerprint is not None and cache.store(
+                fingerprint, identity, outcome.key, outcome
+            ):
+                entry = CacheEntry.from_record(CacheEntry.record_of(outcome))
+                memo[outcome.key] = (fingerprint, identity, entry)
 
     todo = [ob for ob in obligations if ob.key not in cache_hits]
     interrupted = False

@@ -310,12 +310,11 @@ class RunOptions:
     cache: object = None
     #: A :class:`~repro.engine.warm.WarmState`: this run is one request
     #: against a resident daemon. The per-run process-cache reset is
-    #: skipped (interner, evaluation and columnar memos stay hot),
-    #: universes, IS applications and the spec/ground-truth stages are
-    #: reused from the warm maps keyed by the full instance identity,
-    #: each resident universe's obligation fingerprints and cache entries
-    #: are memoized, and ``warm.rcache`` is the result cache unless
-    #: ``cache`` is given.
+    #: skipped (interner, evaluation and columnar memos stay hot), the
+    #: IS applications, universes, spec/ground-truth stages and each
+    #: obligation's fingerprint and cache entry are reused from the
+    #: instance's resident record, keyed by the full instance identity,
+    #: and ``warm.rcache`` is the result cache unless ``cache`` is given.
     #: Verdicts are warm/cold-identical (``repro.engine.warm``).
     warm: object = None
     #: Quotient every IS universe by the instance's declared permutation
@@ -432,9 +431,8 @@ def verify_protocol(
         max_configs,
         symmetry.token() if symmetry is not None else None,
     )
-    applications = warm.pipeline(
-        ("apps",) + key, lambda: list(instance.applications)
-    )
+    record = warm.resident(key, lambda: list(instance.applications))
+    applications = record.applications
     original = final_program = applications[0][1].program
     initials = [initial_config(instance.initial_global)]
     # What this run already explored exhaustively and unquotiented: the
@@ -545,9 +543,8 @@ def verify_protocol(
         for position, (label, application) in enumerate(applications, 1):
             stage = f"IS[{label}]"
             with _stage(report, stage, tracer):
-                universe = warm.universe(
-                    ("universe", label) + key,
-                    lambda: build_universe(application.program),
+                universe = record.universe(
+                    label, lambda: build_universe(application.program)
                 )
                 if position == len(applications):
                     # No later build reads the orbit tables: free them
@@ -561,9 +558,7 @@ def verify_protocol(
                         tracer=tracer,
                         resilience=options.resilience,
                         cache=cache,
-                        # A daemon request only: a cold run fingerprints
-                        # and reads each pair once anyway.
-                        warm=options.warm,
+                        memo=record.obligations.setdefault(label, {}),
                         hasher=hasher,
                     )
                 report.is_results.append((label, result))
@@ -574,7 +569,7 @@ def verify_protocol(
             final_program = application.apply_and_drop()
 
         with _stage(report, "sequential spec", tracer):
-            report.spec_ok = warm.stage(("spec",) + key, spec_holds)
+            report.spec_ok = record.stage("spec", spec_holds)
         if report.budget is not None or report.interrupted:
             return report
 
@@ -583,7 +578,7 @@ def verify_protocol(
             ground_truth = instance.ground_truth
         if ground_truth:
             with _stage(report, "ground truth", tracer):
-                report.ground_truth = warm.stage(("ground-truth",) + key, refines)
+                report.ground_truth = record.stage("ground-truth", refines)
     return report
 
 

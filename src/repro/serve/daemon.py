@@ -7,7 +7,7 @@ job executes on a single dedicated worker *thread* (``daemon=True``, so
 a wedged job can never hold the process hostage past the drain grace).
 Serializing jobs is not a limitation but the design: the engine's
 process-level caches (interner, evaluation memos, columnar tables) and
-the :class:`~repro.engine.warm.WarmState` memo maps are
+the :class:`~repro.engine.warm.WarmState` resident records are
 single-threaded structures, and one-at-a-time execution is exactly what
 keeps them coherent *and* hot.
 
@@ -22,7 +22,8 @@ sandbox's serialization overhead against in-process memo reuse. That
 trade is a tracked miss: on a mixed request stream the benchmark
 ledger's ``serve-sandbox`` workload runs at 2.4–2.6× lower throughput
 than ``serve``, mostly because each recycled worker (one per 64 jobs)
-starts with empty warm maps and rebuilds every instance's universes.
+starts with no resident records and loads every instance's universes
+and obligation entries from the result cache again.
 The CI gate (``benchmarks/bench_serve.py --sandbox-overhead``, ≤15%)
 covers warm single-instance pingpong only and never reaches a
 recycle.
@@ -31,7 +32,10 @@ Progress streams out live: the worker attaches a
 :class:`~repro.obs.stream.StreamingTracer` whose publish callback hops
 each stage's burst of spans back onto the loop in one
 ``call_soon_threadsafe`` into a per-job :class:`EventChannel` — buffered
-for late subscribers, fanned out as SSE to current ones.
+for late subscribers, fanned out as SSE to current ones. Only the
+newest :data:`MAX_FINISHED_JOBS` finished jobs keep their record and
+frames; an older id answers 404 *expired*, and the lifetime
+``counters`` in ``/healthz`` stay cumulative.
 
 Shutdown is a protocol, not an ``exit()``: SIGTERM (or SIGINT) stops
 admission (``503``) and requests a stop on the job thread's
@@ -49,13 +53,15 @@ from __future__ import annotations
 
 import asyncio
 import math
+import re
 import signal
 import sys
 import threading
 import time
+from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Deque, Dict, List, Optional
 
 from ..engine.recordlog import StaleLogError
 from ..engine.resilience import StopState, stop_state
@@ -91,6 +97,13 @@ EWMA_ALPHA = 0.3
 #: is terminal by design: the circuit breaker already decided retrying
 #: is a loop, so a restart must not resurrect the loop.
 FINISHED_STATES = ("done", "failed", "crashed")
+
+#: Finished jobs kept for ``GET /jobs/<id>`` and event replay; past it,
+#: the oldest finished job's record and event frames are dropped and its
+#: id answers 404 *expired*. The job journal on disk keeps every job.
+MAX_FINISHED_JOBS = 256
+
+_JOB_ID = re.compile(r"job-(\d+)-[0-9a-f]{8}")
 
 
 class EventChannel:
@@ -189,9 +202,11 @@ class ServeDaemon:
             "crashed": 0,
             "interrupted": 0,
         }
+        #: Jobs in submit order, with their event channels; the newest
+        #: ``MAX_FINISHED_JOBS`` finished ones, plus every unfinished one.
         self.jobs: Dict[str, Job] = {}
-        self.order: List[str] = []
         self.channels: Dict[str, EventChannel] = {}
+        self.finished: Deque[str] = deque()
         self.store: Optional[JobStore] = None
         self.bound_port: Optional[int] = None
         self.ready = threading.Event()
@@ -341,20 +356,28 @@ class ServeDaemon:
         self.store.open()
         for job in restored:
             self.jobs[job.id] = job
-            self.order.append(job.id)
             self.channels[job.id] = channel = EventChannel()
             if job.status in FINISHED_STATES:
                 channel.publish(
                     "status", {"id": job.id, "status": job.status}
                 )
                 channel.close()
+                self._retire(job)
         self._seq = len(restored)
+
+    def _retire(self, job: Job) -> None:
+        """Keep finished ``job``; past ``MAX_FINISHED_JOBS`` drop the
+        oldest finished one (``counters`` stay cumulative)."""
+        self.finished.append(job.id)
+        while len(self.finished) > MAX_FINISHED_JOBS:
+            expired = self.finished.popleft()
+            del self.jobs[expired]
+            del self.channels[expired]
 
     def _restart_backlog(self) -> List[Job]:
         """Unfinished journaled jobs, re-queued in submit order."""
         backlog = []
-        for job_id in self.order:
-            job = self.jobs[job_id]
+        for job in self.jobs.values():
             if job.status not in FINISHED_STATES:
                 job.status = "queued"
                 backlog.append(job)
@@ -409,7 +432,7 @@ class ServeDaemon:
 
     async def _handle_jobs_list(self, _request: Request):
         return json_response(
-            {"jobs": [self.jobs[job_id].summary() for job_id in self.order]}
+            {"jobs": [job.summary() for job in self.jobs.values()]}
         )
 
     async def _handle_jobs_post(self, request: Request):
@@ -434,7 +457,6 @@ class ServeDaemon:
             request=job_request,
         )
         self.jobs[job.id] = job
-        self.order.append(job.id)
         self.channels[job.id] = EventChannel()
         if self.store is not None:
             self.store.record("submitted", job)
@@ -483,16 +505,31 @@ class ServeDaemon:
         elif request.params:
             raise ValueError("table1 jobs take no 'params'")
 
+    def _missing(self, job_id: str) -> HttpError:
+        """The 404 for an id this daemon does not hold: *expired* when it
+        names a sequence number already issued to no job still held (a
+        dropped finished job), else unknown."""
+        match = _JOB_ID.fullmatch(job_id)
+        if match is not None and int(match.group(1)) <= self._seq:
+            prefix = f"job-{match.group(1)}-"
+            if not any(held.startswith(prefix) for held in self.jobs):
+                return HttpError(
+                    404,
+                    f"job expired: {job_id} (only the newest "
+                    f"{MAX_FINISHED_JOBS} finished jobs are kept)",
+                )
+        return HttpError(404, f"no such job: {job_id}")
+
     async def _handle_job_get(self, _request: Request, job_id: str):
         job = self.jobs.get(job_id)
         if job is None:
-            raise HttpError(404, f"no such job: {job_id}")
+            raise self._missing(job_id)
         return json_response(job.detail())
 
     async def _handle_job_events(self, _request: Request, job_id: str):
         channel = self.channels.get(job_id)
         if channel is None:
-            raise HttpError(404, f"no such job: {job_id}")
+            raise self._missing(job_id)
         return EventStreamResponse(events=channel.stream())
 
     # -------------------------------------------------------------- #
@@ -606,6 +643,8 @@ class ServeDaemon:
         elif job.error is not None:
             channel.publish("result", {"error": job.error})
         channel.close()
+        if job.status in FINISHED_STATES:
+            self._retire(job)
 
     # -------------------------------------------------------------- #
     # Execution (worker thread)

@@ -16,8 +16,9 @@ This module splits execution from supervision:
   (RSS/CPU ceilings — self-applied after ``exec``, so no thread-unsafe
   ``preexec_fn``), builds its own :class:`~repro.engine.warm.WarmState`
   (the result cache is shared with the parent through the state
-  directory, warm memos are per-process), heartbeats from a daemon
-  thread, and executes jobs one at a time.
+  directory; the resident records are per-process, so a recycled worker
+  starts with none and loads its universes and stages from that cache),
+  heartbeats from a daemon thread, and executes jobs one at a time.
 
 Degradation ladder — each rung bounds the blast radius of the rung
 above failing:

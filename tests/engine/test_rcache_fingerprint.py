@@ -260,23 +260,30 @@ def test_warm_runs_keep_every_fingerprint_byte_identical(
     monkeypatch, tmp_path, symmetry
 ):
     """Warm requests serve every resident pair's fingerprints from the
-    warm state's memo, and every memoized ``(fingerprint, identity)``
-    equals a fresh fingerprinter's."""
+    instance's resident record, and every remembered ``(fingerprint,
+    identity)`` equals a fresh fingerprinter's."""
     warm = WarmState(rcache=tmp_path / "rcache")
     first = _catalogue_sessions(monkeypatch, warm, symmetry)
     second = _catalogue_sessions(monkeypatch, warm, symmetry)
     assert len(first) > len(SERVE_CATALOGUE)
     # Every pair stays resident, so the warm requests fingerprint nothing.
     assert second == []
+    memos = {
+        id(record.universes[label]): memo
+        for record in warm.records.values()
+        for label, memo in record.obligations.items()
+    }
+    assert len(memos) == len(first)
     for app, universe, run in first:
-        memo = warm.fingerprints(app, universe)
+        memo = memos[id(universe)]
         assert len(memo) == len(run)
         reference = _FreshFingerprinter(
             app, dataclasses.replace(universe, _pools_digest=None)
         )
         for ob, fp in run:
             assert fp is not None and fp == reference.fingerprint(ob), ob.key
-            assert memo[ob.key] == (fp, reference.identity(ob)), ob.key
+            assert memo[ob.key][:2] == (fp, reference.identity(ob)), ob.key
+            assert memo[ob.key][2].key == ob.key
         # A resident universe's pools are never digested again.
         assert universe._pools_digest is not None
         hasher = _StoreCountingHasher()

@@ -22,6 +22,7 @@ from repro.core.cache import reset_process_cache
 from repro.engine import faults
 from repro.protocols import pingpong
 from repro.serve import ServeConfig
+from repro.serve import daemon as daemon_mod
 from repro.serve.daemon import ServeDaemon
 
 PINGPONG = {"kind": "verify", "protocol": "pingpong", "params": {"rounds": 2}}
@@ -92,6 +93,11 @@ def test_job_round_trip_and_warm_second_request(tmp_path):
         second = harness.run_job(PINGPONG)
         assert second["result"]["obligations"]["executed"] == 0
         assert second["result"]["status"] == first["result"]["status"]
+        # The resident record served it without touching the disk.
+        delta = second["result"]["rcache"]
+        for kind in ("universe", "stage"):
+            assert delta[f"{kind}_hits"] == delta[f"{kind}_misses"] == 0
+        assert delta["hits"] == second["result"]["obligations"]["total"]
 
 
 def test_a_code_change_reexecutes_after_restart(tmp_path, monkeypatch):
@@ -382,3 +388,59 @@ def test_stale_job_journal_is_set_aside_not_fatal(tmp_path):
         detail = harness.run_job(PINGPONG)
         assert detail["status"] == "done"
     assert (tmp_path / "jobs.jsonl.stale").exists()
+
+
+def _expired(harness, path):
+    """GET ``path`` expecting the 404 of an expired job; its error text."""
+    with pytest.raises(urllib.error.HTTPError) as excinfo:
+        harness.get(path)
+    assert excinfo.value.code == 404
+    return json.load(excinfo.value)["error"]
+
+
+def test_finished_job_history_is_bounded(monkeypatch):
+    """Past the bound the oldest finished job is dropped — record, list
+    entry and event frames — and its id answers 404 *expired* for both
+    the status and the event stream; the counters stay cumulative."""
+    monkeypatch.setattr(daemon_mod, "MAX_FINISHED_JOBS", 2)
+    with DaemonHarness() as harness:
+        ids = [harness.run_job(PINGPONG)["id"] for _ in range(3)]
+        daemon = harness.daemon
+        assert list(daemon.jobs) == list(daemon.channels) == ids[1:]
+        assert list(daemon.finished) == ids[1:]
+        _status, listing = harness.get("/jobs")
+        assert [job["id"] for job in listing["jobs"]] == ids[1:]
+        for path in (f"/jobs/{ids[0]}", f"/jobs/{ids[0]}/events"):
+            message = _expired(harness, path)
+            assert "expired" in message and ids[0] in message
+        # A never-issued id, or a held job's number with another
+        # fingerprint, is still plain unknown.
+        for unknown in (
+            ids[0].replace("job-0001", "job-0999"),
+            ids[1][: -len("00000000")] + "00000000",
+        ):
+            assert "no such job" in _expired(harness, f"/jobs/{unknown}")
+        # The kept jobs still replay their events.
+        with urllib.request.urlopen(
+            harness.base + f"/jobs/{ids[1]}/events", timeout=30
+        ) as resp:
+            assert b"event: result" in resp.read()
+        _status, health = harness.get("/healthz")
+        assert health["counters"]["executed"] == 3
+        assert health["jobs"] == {"done": 2}
+
+
+def test_restart_keeps_only_the_newest_finished_jobs(tmp_path, monkeypatch):
+    """Jobs restored from the journal obey the same bound."""
+    monkeypatch.setattr(daemon_mod, "MAX_FINISHED_JOBS", 2)
+    state = str(tmp_path)
+    with DaemonHarness(state_dir=state) as harness:
+        ids = [harness.run_job(PINGPONG)["id"] for _ in range(4)]
+        assert list(harness.daemon.jobs) == ids[2:]
+    with DaemonHarness(state_dir=state) as harness:
+        assert list(harness.daemon.jobs) == ids[2:]
+        assert harness.get(f"/jobs/{ids[3]}")[1]["status"] == "done"
+        assert "expired" in _expired(harness, f"/jobs/{ids[0]}/events")
+        fresh = harness.run_job(PINGPONG)["id"]
+        assert fresh.startswith("job-0005-")
+        assert list(harness.daemon.jobs) == [ids[3], fresh]

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.engine import warm as warm_mod
+from repro.engine import faults
 from repro.engine.rcache import DependencyFingerprinter, ObligationCache
 from repro.engine.warm import WarmState
 from repro.protocols import ALL_PROTOCOLS, broadcast, pingpong
@@ -39,8 +39,8 @@ SMALL = {
 
 @pytest.mark.parametrize("name", list(SMALL))
 def test_warm_reports_are_typed_identical_to_cold(name, tmp_path):
-    """Warm requests, served from the fingerprint memo and the entry
-    front, report exactly what a cold run does."""
+    """Warm requests, served from the instance's resident record,
+    report exactly what a cold run does."""
     verify = ALL_PROTOCOLS[name].verify
     cold = verify(**SMALL[name])
     warm_state = WarmState(rcache=str(tmp_path / "rcache"))
@@ -107,18 +107,34 @@ def test_second_warm_broadcast_run_reuses_universes():
     assert warm_state.stats.universe_hits > 0
 
 
+def _executed(report):
+    return sum(
+        result.num_obligations - len(result.cached_keys)
+        for _label, result in report.is_results
+    )
+
+
 def test_eviction_bounds_the_resident_maps(tmp_path):
+    """``max_entries`` bounds the resident universes; an evicted
+    instance's record leaves whole, and its next request is served from
+    disk without executing anything."""
     warm_state = WarmState(max_entries=1, rcache=str(tmp_path / "rcache"))
     pingpong.verify(rounds=2, warm=warm_state)
+    evicted = next(iter(warm_state.records.values()))
+    assert evicted.universes and evicted.obligations
     pingpong.verify(rounds=3, warm=warm_state)
-    assert len(warm_state._universes) == 1
-    assert warm_state.stats.evictions > 0
-    # Fingerprint memos leave with their universe.
-    resident = list(warm_state._universes.values())
-    assert [memo[1] for memo in warm_state._fingerprints.values()] == resident
-    # An evicted instance still verifies correctly (it just rebuilds).
+    assert warm_state.describe()["universes"] == 1
+    assert warm_state.stats.evictions == 1
+    (resident,) = warm_state.records.values()
+    assert resident is not evicted
+    assert set(resident.obligations) == set(resident.universes)
+    # The evicted instance comes back from the result cache on disk.
+    hits = warm_state.rcache.stats.universe_hits
     report = pingpong.verify(rounds=2, warm=warm_state)
     assert report.ok
+    assert _executed(report) == 0
+    assert warm_state.rcache.stats.universe_hits > hits
+    assert warm_state.describe()["universes"] == 1
 
 
 def test_forget_drops_maps_but_keeps_the_rcache(tmp_path):
@@ -126,25 +142,44 @@ def test_forget_drops_maps_but_keeps_the_rcache(tmp_path):
     pingpong.verify(rounds=2, warm=warm_state)
     rcache = warm_state.rcache
     assert rcache is not None
-    assert warm_state._fingerprints and warm_state._front
+    assert warm_state.records
     warm_state.forget()
+    assert not warm_state.records
     assert warm_state.describe()["universes"] == 0
-    assert not warm_state._fingerprints and not warm_state._front
     assert warm_state.rcache is rcache
     report = pingpong.verify(rounds=2, warm=warm_state)
     assert report.ok
+    assert _executed(report) == 0
 
 
-def test_entry_front_is_bounded(tmp_path, monkeypatch):
-    """The front keeps the newest entries up to its bound; what it drops
-    is read back from disk, as a hit, on the next request."""
-    monkeypatch.setattr(warm_mod, "FRONT_ENTRIES", 5)
+@pytest.mark.parametrize("times", [1, 1000], ids=["one-store", "every-store"])
+def test_failed_stores_are_not_remembered(tmp_path, times):
+    """A store that fails remembers no entry: the next request looks the
+    obligation up again, misses, and re-executes exactly the obligations
+    whose store failed, with the cold verdicts. Once the disk recovers,
+    the request after that executes nothing. (``REPRO_FAULTS`` takes the
+    same spec; ``rcache.store=enospc`` alone fails one store.)"""
+    cold = pingpong.verify(rounds=2)
     warm_state = WarmState(rcache=str(tmp_path / "rcache"))
-    pingpong.verify(rounds=2, warm=warm_state)
-    assert len(warm_state._front) == 5
-    report = pingpong.verify(rounds=2, warm=warm_state)
-    assert all(
-        len(result.cached_keys) == result.num_obligations
-        for _label, result in report.is_results
-    )
-    assert len(warm_state._front) == 5
+    stats = warm_state.rcache.stats
+    faults.install(faults.FaultInjector.from_env(f"rcache.store=enospc:{times}"))
+    try:
+        first = pingpong.verify(rounds=2, warm=warm_state)
+    finally:
+        faults.clear()
+    total = sum(result.num_obligations for _label, result in first.is_results)
+    failed = min(times, total)
+    assert stats.write_errors == failed
+    assert stats.stores == total - failed
+    assert _typed_verdict(first) == _typed_verdict(cold)
+
+    hits = stats.hits
+    second = pingpong.verify(rounds=2, warm=warm_state)
+    assert _typed_verdict(second) == _typed_verdict(cold)
+    assert _executed(second) == failed
+    assert stats.hits - hits == total - failed
+    assert stats.stores == total
+
+    third = pingpong.verify(rounds=2, warm=warm_state)
+    assert _typed_verdict(third) == _typed_verdict(cold)
+    assert _executed(third) == 0

@@ -412,7 +412,8 @@ def test_every_job_caches_pip_and_tox_environments(workflow):
 
 def test_serve_smoke_job_gates_warm_reuse_and_resume(workflow):
     """The serve-smoke job must boot the daemon, prove the second
-    identical request executes zero obligations, run the sustained load
+    identical request executes zero obligations and touches no universe
+    or stage entry on disk, run the sustained load
     test that produces the uploaded histogram, SIGTERM the daemon
     mid-job under an injected hang, assert the restart completes the
     job re-executing only the obligations the result cache does not
@@ -428,6 +429,12 @@ def test_serve_smoke_job_gates_warm_reuse_and_resume(workflow):
 
     warm = next(cmd for cmd in commands if '"executed"' in cmd)
     assert 'split["executed"] == 0' in warm
+    # ...served from the resident record, reading no universe or stage
+    # entry and counting every obligation a hit.
+    assert 'delta = second["result"]["rcache"]' in warm
+    assert 'for kind in ("universe", "stage")' in warm
+    assert 'delta[kind + "_hits"] == delta[kind + "_misses"] == 0' in warm
+    assert 'delta["hits"] == split["total"]' in warm
 
     load = next(cmd for cmd in commands if "bench_serve.py" in cmd)
     assert "--load" in load
